@@ -11,27 +11,37 @@ from .errors import ConfigError, EmptyInputError, ShapeError
 
 
 def relevance_scores(utilities) -> np.ndarray:
-    """Numerically stable softmax over scenario utilities."""
+    """Numerically stable softmax over scenario utilities; a stack (N, m)
+    gives one softmax per row."""
     u = np.asarray(utilities, dtype=float)
     if u.size == 0:
         raise EmptyInputError("relevance_scores needs at least one utility")
-    z = u - u.max()
+    z = u - u.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def top_k_indices(scores, k: int) -> np.ndarray:
+    """Positions of the k highest scores along the last axis, best first;
+    equal scores keep ascending position (a stable sort). A stack (N, m)
+    gives (N, min(k, m))."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    r = np.asarray(scores, dtype=float)
+    return np.argsort(-r, axis=-1, kind="stable")[..., :k]
 
 
 def top_k_by_relevance(scores, scenarios, k: int) -> list:
-    """Top-k scenarios by relevance score; identical to utility-based top-k
-    whenever distinct utilities stay distinct through exp (utilities closer
-    than one float ulp of each other can collide and then fall back to the
-    index tie-break)."""
+    """Top-k scenarios by relevance score, ties by scenario index; identical
+    to utility-based top-k whenever distinct utilities stay distinct through
+    exp (utilities closer than one float ulp of each other can collide and
+    then fall back to the index tie-break)."""
     r = np.asarray(scores, dtype=float)
     if r.size != len(scenarios):
         raise ShapeError(f"{r.size} scores for {len(scenarios)} scenarios")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    order = sorted(range(len(scenarios)), key=lambda j: (-r[j], scenarios[j].index))
-    return [scenarios[j] for j in order[: min(k, len(scenarios))]]
+    by_index = sorted(range(len(scenarios)), key=lambda j: scenarios[j].index)
+    picked = top_k_indices(r.reshape(-1)[by_index], k)
+    return [scenarios[by_index[j]] for j in picked.tolist()]
 
 
 def refine_scenario(attributes, memory_readout, beta: float) -> np.ndarray:

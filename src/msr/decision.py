@@ -17,6 +17,7 @@ from .errors import (
     TemplateCycleError,
     TemplateLookupError,
 )
+from .memory import row_dot
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,15 @@ def decompose(registry: dict, task_id: str) -> list:
     return expand(task_id, frozenset())
 
 
-def subtask_priority(subtask: Subtask, context) -> float:
-    """Dot product of the subtask's weight vector with the context vector."""
+def subtask_priority(subtask: Subtask, context):
+    """Dot product of the subtask's weight vector with the context vector; a
+    stack of contexts (N, d) gives an (N,) array, one priority per row."""
     w = subtask.weight_vector()
     c = np.asarray(context, dtype=float)
-    if w.shape != c.shape:
+    if c.ndim not in (1, 2) or w.shape != c.shape[-1:]:
         raise ShapeError(f"weights {w.shape} vs context {c.shape} for {subtask.id!r}")
-    return float(np.dot(w, c))
+    priority = row_dot(w, c)
+    return float(priority) if c.ndim == 1 else priority
 
 
 @dataclass
@@ -103,27 +106,39 @@ class ContextWeights:
         return np.asarray(self.w, dtype=float)
 
 
+def decision_utilities(contexts, weights: ContextWeights) -> np.ndarray:
+    """Weighted sums of context factors over the last axis; a stack
+    (..., n_factors) gives one utility per leading index."""
+    w = weights.vector()
+    c = np.asarray(contexts, dtype=float)
+    if c.shape[-1:] != w.shape:
+        raise ShapeError(f"weights {w.shape} vs context factors {c.shape}")
+    return row_dot(w, c)
+
+
+def first_best(utilities) -> np.ndarray:
+    """Position of the maximal utility along the last axis; ties go to the
+    lowest position and NaN never wins."""
+    u = np.asarray(utilities, dtype=float)
+    if u.shape[-1:] == (0,):
+        raise EmptyInputError("no decision candidates")
+    return np.argmax(np.where(np.isnan(u), -np.inf, u), axis=-1)
+
+
 def decision_utility(candidate: DecisionCandidate, weights: ContextWeights) -> float:
     """Weighted sum of the candidate's context factors."""
-    w = weights.vector()
     c = np.asarray(candidate.context, dtype=float)
-    if w.shape != c.shape:
-        raise ShapeError(f"weights {w.shape} vs context factors {c.shape}")
-    return float(np.dot(w, c))
+    if c.ndim != 1:
+        raise ShapeError(f"weights {weights.vector().shape} vs context factors {c.shape}")
+    return float(decision_utilities(c, weights))
 
 
 def select_decision(candidates, weights: ContextWeights) -> DecisionCandidate:
     """Candidate with maximal utility; ties go to the lowest list index."""
     if not candidates:
         raise EmptyInputError("no decision candidates")
-    best = None
-    best_u = -np.inf
-    for cand in candidates:
-        u = decision_utility(cand, weights)
-        if u > best_u:
-            best = cand
-            best_u = u
-    return best
+    utilities = [decision_utility(cand, weights) for cand in candidates]
+    return candidates[int(first_best(utilities))]
 
 
 def feedback_adjusted_utility(candidate: DecisionCandidate, lam: float) -> float:

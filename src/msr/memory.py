@@ -26,15 +26,35 @@ class MemoryEntry:
     tier: str
 
 
+def row_dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the leading axes.
+
+    Each row pair runs as a stacked (1, d) @ (d, 1) matmul, which numpy hands
+    to the same 1-D dot kernel as `np.dot`, so every value equals `np.dot` of
+    that pair bit for bit. `@` against a 1-D vector, `einsum` and `(a*b).sum`
+    round differently. Rows should be contiguous along the last axis.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def cosine_scores(queries, entries) -> np.ndarray:
+    """Cosine similarity over the last axis, broadcasting the leading axes
+    (for example (N, 1, d) queries against (K, d) entries gives (N, K));
+    rejects zero vectors."""
+    q = np.asarray(queries, dtype=float)
+    e = np.asarray(entries, dtype=float)
+    qn = np.sqrt(row_dot(q, q))
+    en = np.sqrt(row_dot(e, e))
+    if not (np.all(qn) and np.all(en)):
+        raise InvalidEntryError("cosine undefined for a zero vector")
+    return row_dot(q, e) / (qn * en)
+
+
 def cosine_score(query, entry) -> float:
     """Standard cosine similarity in [-1, 1]; rejects zero vectors."""
-    q = np.asarray(query, dtype=float)
-    e = np.asarray(entry, dtype=float)
-    qn = np.linalg.norm(q)
-    en = np.linalg.norm(e)
-    if qn == 0.0 or en == 0.0:
-        raise InvalidEntryError("cosine undefined for a zero vector")
-    return float(np.dot(q, e) / (qn * en))
+    return float(cosine_scores(query, entry))
 
 
 class MemoryStore:
@@ -75,16 +95,17 @@ class MemoryStore:
     def ltm_retrieve(self, query) -> MemoryEntry:
         """The LTM entry with maximal cosine score; ties go to the earliest
         timestamp."""
+        return self.ltm_retrieve_rows(np.asarray(query, dtype=float)[None])[0]
+
+    def ltm_retrieve_rows(self, queries) -> list:
+        """`ltm_retrieve` for each row of an (N, d) query array."""
         if not self.ltm:
             raise EmptyMemoryError("LTM is empty")
-        best = None
-        best_score = -np.inf
-        for entry in sorted(self.ltm, key=lambda e: e.timestamp):
-            score = cosine_score(query, entry.vector)
-            if score > best_score:
-                best = entry
-                best_score = score
-        return best
+        entries = sorted(self.ltm, key=lambda e: e.timestamp)
+        vectors = np.stack([e.vector for e in entries])
+        q = np.asarray(queries, dtype=float)
+        best = np.argmax(cosine_scores(q[:, None, :], vectors), axis=1)
+        return [entries[i] for i in best.tolist()]
 
     def _gather(self, tiers):
         tier_set = set(tiers)
@@ -104,16 +125,22 @@ class MemoryStore:
         Weights are positive and sum to 1, so each output coordinate stays
         inside the range spanned by the entries.
         """
+        q = np.asarray(query, dtype=float)[None]
+        return self.attention_readout_rows(q, tiers)[0]
+
+    def attention_readout_rows(self, queries, tiers=(STM, LTM)) -> np.ndarray:
+        """`attention_readout` for each row of an (N, d) query array."""
         entries = self._gather(tiers)
         if not entries:
             raise EmptyMemoryError(f"no entries in tiers {tuple(tiers)}")
-        scores = np.asarray([cosine_score(query, e.vector) for e in entries])
-        if len(entries) > self.sparse_readout_threshold:
-            keep = np.argsort(-scores, kind="stable")[: self.sparse_readout_top_n]
-            keep.sort()
-            entries = [entries[i] for i in keep]
-            scores = scores[keep]
-        z = np.exp(scores - scores.max())
-        weights = z / z.sum()
         vectors = np.stack([e.vector for e in entries])
-        return weights @ vectors
+        q = np.asarray(queries, dtype=float)
+        scores = cosine_scores(q[:, None, :], vectors)
+        if len(entries) > self.sparse_readout_threshold:
+            keep = np.argsort(-scores, axis=1, kind="stable")[:, : self.sparse_readout_top_n]
+            keep.sort(axis=1)
+            scores = np.take_along_axis(scores, keep, axis=1)
+            vectors = vectors[keep]
+        z = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights = z / z.sum(axis=1, keepdims=True)
+        return (weights[:, None, :] @ vectors)[:, 0, :]

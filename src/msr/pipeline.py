@@ -1,4 +1,4 @@
-"""End-to-end runner: dataset in, per-record seven-step pipeline, confusion
+"""End-to-end runner: dataset in, seven-step pipeline per record, confusion
 tallies, trace and report files out.
 
 Scoring is strictly two-phase so results cannot depend on worker layout:
@@ -6,10 +6,12 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
   phase 1  every record is processed against run-constant state only (norm
            stats, the LTM prototype store, config thresholds); records are
            pure functions of (record, context) and may run in any order or
-           process.
+           process. `score_chunk` runs steps 2-7 on CHUNK_RECORDS survivors
+           at a time as (N, ...) arrays, with each record drawing from its
+           own keyed streams, so every outcome equals the one-record result
+           bit for bit whatever the chunking.
   phase 2  a single-threaded merge in record-id order applies feedback:
-           decision history means, feedback-adjusted utilities, and STM
-           episode appends.
+           decision history means and feedback-adjusted utilities.
 
 Step semantics per record (predicted vs actual):
   1  kept by the trust filter            vs the stored valid flag
@@ -38,7 +40,7 @@ import os
 import numpy as np
 
 from . import seeding
-from .attention import refine_scenario, relevance_scores, top_k_by_relevance
+from .attention import refine_scenario, relevance_scores, top_k_indices
 from .config import RunConfig
 from .dataset import (
     Dataset,
@@ -55,28 +57,28 @@ from .decision import (
     FeedbackHistory,
     Subtask,
     TaskTemplate,
+    decision_utilities,
     decompose,
-    decision_utility,
-    select_decision,
+    first_best,
     subtask_priority,
 )
 from .errors import EmptyInputError
 from .evaluation import N_STEPS, StepConfusion, record_outcome, report
-from .executor import FeedbackRecord, route_feedback, select_optimal_action
+from .executor import select_optimal_action
 from .ingest import extract_features, filter_by_trust, fit_norm_stats, fuse, normalize
-from .memory import LTM, MemoryEntry, MemoryStore, cosine_score
+from .memory import LTM, MemoryEntry, MemoryStore, cosine_scores
 from .scenario import (
-    Scenario,
     feature_map,
-    generate_scenarios,
     integrate,
-    scenario_utility,
+    perturb,
+    scenario_utilities,
     semantic_features,
 )
 from .sim2real import (
     ACTIONS,
     AlignmentModel,
     GridEnv,
+    PolicyTable,
     RandomizationSpec,
     align_features,
     optimize_policy,
@@ -85,7 +87,19 @@ from .sim2real import (
     reward_discrepancy,
     reward_table,
     rollout,
+    solve_batch,
+    transition_tables,
 )
+
+# Single-record layer functions, each a thin form of a batched function that
+# phase 1 calls, and route_feedback, which the phase-2 merge no longer needs.
+# perfbench's tracer looks up every layer function it wraps in this module,
+# so the names stay importable from here.
+from .attention import top_k_by_relevance  # noqa: F401
+from .decision import decision_utility, select_decision  # noqa: F401
+from .executor import route_feedback  # noqa: F401
+from .memory import cosine_score  # noqa: F401
+from .scenario import generate_scenarios, scenario_utility  # noqa: F401
 
 _MOVE_BY_ACTION = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
@@ -109,6 +123,7 @@ class ModalityContext:
     instruction: np.ndarray
     neutral_map: np.ndarray        # feature map of a zero sensor channel
     context_weights: ContextWeights
+    base_envs: tuple               # (sim base, real env) per goal direction
 
 
 @dataclass
@@ -133,31 +148,32 @@ class RecordOutcome:
     confidence: float
 
 
-def _embed(values, dims, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    out[list(dims)] = values
-    return out
-
-
 def goal_cell(grid, direction: int) -> tuple:
     dx, dy = _MOVE_BY_ACTION[direction]
     x, y = grid.start
     return (x + dx * grid.goal_distance, y + dy * grid.goal_distance)
 
 
-def build_envs(cfg: RunConfig, direction: int, env_seed: int):
-    """Per-record simulated (randomized) and real environments."""
-    grid = cfg.grid
-    goal = goal_cell(grid, direction)
-    sim_base = GridEnv(width=grid.width, height=grid.height, start=tuple(grid.start),
-                       goal=goal, step_reward=grid.step_reward,
-                       goal_reward=grid.goal_reward, slip_prob=grid.slip_prob,
-                       horizon=grid.horizon)
+def base_envs(grid, n_directions: int) -> tuple:
+    """The unrandomized simulated and the real environment per goal
+    direction; both are immutable, so every record of a run shares them."""
+    pairs = []
+    for direction in range(n_directions):
+        sim_base = GridEnv(width=grid.width, height=grid.height, start=tuple(grid.start),
+                           goal=goal_cell(grid, direction), step_reward=grid.step_reward,
+                           goal_reward=grid.goal_reward, slip_prob=grid.slip_prob,
+                           horizon=grid.horizon)
+        pairs.append((sim_base, replace(sim_base, step_reward=grid.real_step_reward)))
+    return tuple(pairs)
+
+
+def build_envs(cfg: RunConfig, bases: tuple, direction: int, env_seed: int):
+    """Per-record simulated (randomized) and real environments from the
+    `base_envs` pairs."""
+    sim_base, real_env = bases[direction]
     spec = RandomizationSpec(continuous=cfg.randomization.continuous,
                              variants=cfg.randomization.variants, seed=env_seed)
-    sim_env = randomize_env(sim_base, spec)
-    real_env = replace(sim_base, step_reward=grid.real_step_reward)
-    return sim_env, real_env
+    return randomize_env(sim_base, spec), real_env
 
 
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
@@ -202,96 +218,136 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
         internal=internal, instruction=instruction, neutral_map=neutral,
         context_weights=ContextWeights(tuple(cfg.context_weights),
                                        cfg.lambda_feedback),
+        base_envs=base_envs(cfg.grid, geometry.n_actions),
     )
+
+
+def score_chunk(ctx: ModalityContext, records) -> list:
+    """Run steps 2-7 for a chunk of one modality's survivors as (N, ...)
+    arrays; one RecordOutcome per record, in input order.
+
+    Pure given (ctx, records): every record draws only from its own keyed
+    streams, so any split of the survivors into chunks gives the same
+    outcomes. Dot products and norms go through `row_dot` and sums of
+    scenario attributes through `math.fsum` per row, so each value equals
+    the one-record-at-a-time arithmetic bit for bit.
+    """
+    cfg = ctx.cfg
+    geom = ctx.geometry
+    rel = list(geom.relevance_dims)
+    m = cfg.m_count
+    ids = [r.id for r in records]
+    rows = np.arange(len(records))
+
+    # ingest: normalize, extract, fuse (single live modality per record)
+    fnorm = normalize(np.asarray([r.features for r in records], dtype=float), ctx.stats)
+    extracted = extract_features(fnorm, cfg.extraction_mode, cfg.extraction_window)
+    sensor_full = fuse([(ctx.modality, extracted)]).entries[0][1]
+
+    # scenario: integrate channels over the relevance block, map, perturb;
+    # pool column j is scenario index j (m own, then m neutral-reference)
+    unified = integrate(sensor_full[:, rel], ctx.internal, ctx.instruction, cfg.weights)
+    semantic = semantic_features(unified)
+    own = perturb(feature_map(unified), m, cfg.noise_width,
+                  [seeding.substream(cfg.seed, seeding.SCENARIO_NOISE,
+                                     ctx.modality_index, i) for i in ids])
+    reference = perturb(np.broadcast_to(ctx.neutral_map, unified.shape), m,
+                        cfg.noise_width,
+                        [seeding.substream(cfg.seed, seeding.BASELINE_NOISE,
+                                           ctx.modality_index, i) for i in ids])
+    pool = np.concatenate([own, reference], axis=1)
+
+    # attention: softmax relevance, top-k (ties by ascending index),
+    # memory-refined winner
+    scores = relevance_scores(scenario_utilities(pool))
+    selected = top_k_indices(scores, cfg.k)
+    own_in_topk = (selected < m).sum(axis=1)
+    own_mass = scores[:, :m].sum(axis=1)
+    winner = pool[rows, selected[:, 0]]
+    confidence = scores[rows, selected[:, 0]]
+
+    # memory: retrieval for step 4, readout for refinement
+    retrieved = ctx.store.ltm_retrieve_rows(fnorm)
+    scenario_query = np.zeros((len(records), geom.feature_dim))
+    scenario_query[:, rel] = winner
+    readout = ctx.store.attention_readout_rows(scenario_query)
+    readout_cos = cosine_scores(readout, scenario_query)
+    refined = refine_scenario(winner, readout[:, rel], cfg.beta)
+    refined_utility = scenario_utilities(refined)
+
+    # decision: context factors = refined utility, readout cosine, priority;
+    # the first of equal utilities wins, in subtask order
+    context = np.empty((len(records), len(ctx.subtasks), 3))
+    context[:, :, 0] = refined_utility[:, None]
+    context[:, :, 1] = readout_cos[:, None]
+    for a, sub in enumerate(ctx.subtasks):
+        context[:, a, 2] = subtask_priority(sub, sensor_full)
+    utility = decision_utilities(context, ctx.context_weights)
+    decision = first_best(utility)
+    predicted = utility[rows, decision]
+
+    # sim2real: randomized sim env, exact policies, discrepancy re-plan
+    sim_envs, real_envs = zip(*[
+        build_envs(cfg, ctx.base_envs, a,
+                   seeding.derived_seed(cfg.seed, seeding.ENV_RANDOMIZATION,
+                                        ctx.modality_index, i))
+        for a, i in zip(decision.tolist(), ids)])
+    sim_nxt, sim_rewards = transition_tables(sim_envs)
+    real_nxt, real_rewards = transition_tables(real_envs)
+    delta = reward_discrepancy(real_rewards, sim_rewards)
+    horizon = cfg.grid.horizon
+    sim_tables = solve_batch(sim_nxt, sim_rewards, [e.slip_prob for e in sim_envs],
+                             horizon, cfg.gamma)
+    refined_tables = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
+                                 [e.slip_prob for e in real_envs], horizon, cfg.gamma)
+
+    start = tuple(cfg.grid.start)
+    n_selected = min(cfg.k, 2 * m)
+    outcomes = []
+    for (j, rid, sem, n_own, mass, entry, cos, attrs, ref_u, dec, pred, conf,
+         sim_a, sim_v, ref_a, ref_v) in zip(
+            rows.tolist(), ids, semantic.tolist(), own_in_topk.tolist(),
+            own_mass.tolist(), retrieved, readout_cos.tolist(), refined.tolist(),
+            refined_utility.tolist(), decision.tolist(), predicted.tolist(),
+            confidence.tolist(), *sim_tables, *refined_tables):
+        sim_policy = PolicyTable(actions=sim_a, values=sim_v, gamma=cfg.gamma,
+                                 width=cfg.grid.width, height=cfg.grid.height,
+                                 horizon=horizon)
+        refined_policy = PolicyTable(actions=ref_a, values=ref_v, gamma=cfg.gamma,
+                                     width=cfg.grid.width, height=cfg.grid.height,
+                                     horizon=horizon)
+        # executor: emit the command with the carried relevance confidence
+        chosen = DecisionCandidate(id=dec, context=context[j], predicted_outcome=pred)
+        command = select_optimal_action(chosen, refined_policy, start, conf, rid)
+        outcomes.append(RecordOutcome(
+            record_id=rid,
+            semantic=tuple(sem),
+            own_in_topk=n_own,
+            relevance_mass=mass,
+            pred_step2=2 * n_own > n_selected,
+            pred_step3=mass > cfg.rel_threshold,
+            retrieved_label=entry.label,
+            readout_cosine=cos,
+            refined_attributes=tuple(attrs),
+            refined_utility=ref_u,
+            decision_id=dec,
+            predicted_outcome=pred,
+            sim_first_action=sim_policy.action(start),
+            policy_action=refined_policy.action(start),
+            command_action=command.action,
+            confidence=conf,
+        ))
+    return outcomes
 
 
 def process_record(ctx: ModalityContext, record) -> RecordOutcome:
     """Run one surviving record through steps 2-7. Pure given (ctx, record)."""
-    cfg = ctx.cfg
-    geom = ctx.geometry
+    return score_chunk(ctx, [record])[0]
 
-    # ingest: normalize, extract, fuse (single live modality per record)
-    fnorm = normalize(np.asarray(record.features), ctx.stats)
-    extracted = extract_features(fnorm, cfg.extraction_mode, cfg.extraction_window)
-    bundle = fuse([(record.modality, extracted)])
-    sensor_full = bundle.entries[0][1]
 
-    # scenario: integrate channels over the relevance block, map, perturb
-    sensor = sensor_full[list(geom.relevance_dims)]
-    unified = integrate(sensor, ctx.internal, ctx.instruction, cfg.weights)
-    semantic = semantic_features(unified)
-    fmap = feature_map(unified)
-
-    own = generate_scenarios(
-        fmap, cfg.m_count, cfg.noise_width,
-        seeding.substream(cfg.seed, seeding.SCENARIO_NOISE, ctx.modality_index,
-                          record.id))
-    reference = generate_scenarios(
-        ctx.neutral_map, cfg.m_count, cfg.noise_width,
-        seeding.substream(cfg.seed, seeding.BASELINE_NOISE, ctx.modality_index,
-                          record.id))
-    pool = own + [Scenario(index=cfg.m_count + s.index, attributes=s.attributes,
-                           utility=s.utility) for s in reference]
-
-    # attention: softmax relevance, top-k, memory-refined winner
-    utilities = np.asarray([s.utility for s in pool])
-    scores = relevance_scores(utilities)
-    selected = top_k_by_relevance(scores, pool, cfg.k)
-    own_in_topk = sum(1 for s in selected if s.index < cfg.m_count)
-    own_mass = float(scores[: cfg.m_count].sum())
-    winner = selected[0]
-    confidence = float(scores[winner.index])
-
-    # memory: retrieval for step 4, readout for refinement
-    retrieved = ctx.store.ltm_retrieve(fnorm)
-    scenario_query = _embed(winner.attributes, geom.relevance_dims, geom.feature_dim)
-    readout = ctx.store.attention_readout(scenario_query)
-    readout_cos = cosine_score(readout, scenario_query)
-    refined = refine_scenario(winner.attributes,
-                              readout[list(geom.relevance_dims)], cfg.beta)
-    refined_utility = scenario_utility(refined)
-
-    # decision: context factors = refined utility, readout cosine, priority
-    candidates = []
-    for a, sub in enumerate(ctx.subtasks):
-        priority = subtask_priority(sub, sensor_full)
-        candidates.append(DecisionCandidate(
-            id=a, context=np.asarray([refined_utility, readout_cos, priority])))
-    chosen = select_decision(candidates, ctx.context_weights)
-    chosen.predicted_outcome = decision_utility(chosen, ctx.context_weights)
-
-    # sim2real: randomized sim env, exact policies, discrepancy re-plan
-    env_seed = seeding.derived_seed(cfg.seed, seeding.ENV_RANDOMIZATION,
-                                    ctx.modality_index, record.id)
-    sim_env, real_env = build_envs(cfg, chosen.id, env_seed)
-    sim_policy = optimize_policy(sim_env, cfg.gamma)
-    delta = reward_discrepancy(reward_table(real_env), reward_table(sim_env))
-    refined_policy = refine_policy(real_env, delta, cfg.alpha, cfg.gamma)
-    policy_action = refined_policy.action(tuple(cfg.grid.start))
-
-    # executor: emit the command with the carried relevance confidence
-    command = select_optimal_action(chosen, refined_policy, tuple(cfg.grid.start),
-                                    confidence, record.id)
-
-    return RecordOutcome(
-        record_id=record.id,
-        semantic=tuple(semantic),
-        own_in_topk=own_in_topk,
-        relevance_mass=own_mass,
-        pred_step2=2 * own_in_topk > len(selected),
-        pred_step3=own_mass > cfg.rel_threshold,
-        retrieved_label=retrieved.label,
-        readout_cosine=readout_cos,
-        refined_attributes=tuple(refined),
-        refined_utility=refined_utility,
-        decision_id=chosen.id,
-        predicted_outcome=chosen.predicted_outcome,
-        sim_first_action=sim_policy.action(tuple(cfg.grid.start)),
-        policy_action=policy_action,
-        command_action=command.action,
-        confidence=confidence,
-    )
-
+# Survivors per score_chunk call. Time per record is flat from 64 to 1024;
+# peak RSS grows with the chunk (see CHANGES.md), so keep it small.
+CHUNK_RECORDS = 128
 
 _WORKER_CTX = None
 _WORKER_RECORDS = None
@@ -305,24 +361,21 @@ def _worker_init(ctx, records):
 
 def _worker_chunk(bounds):
     lo, hi = bounds
-    return [process_record(_WORKER_CTX, _WORKER_RECORDS[i]) for i in range(lo, hi)]
+    return score_chunk(_WORKER_CTX, _WORKER_RECORDS[lo:hi])
 
 
 def score_records(ctx: ModalityContext, survivors, workers: int):
-    """Phase 1 over one modality's survivors; output order follows input."""
-    if workers <= 1 or len(survivors) < 4 * workers:
-        return [process_record(ctx, r) for r in survivors]
-    bounds = []
-    chunk = max(1, (len(survivors) + workers * 4 - 1) // (workers * 4))
-    for lo in range(0, len(survivors), chunk):
-        bounds.append((lo, min(lo + chunk, len(survivors))))
-    with multiprocessing.Pool(processes=workers, initializer=_worker_init,
-                              initargs=(ctx, survivors)) as pool:
-        parts = pool.map(_worker_chunk, bounds)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+    """Phase 1 over one modality's survivors in chunks of CHUNK_RECORDS;
+    output order follows input."""
+    bounds = [(lo, min(lo + CHUNK_RECORDS, len(survivors)))
+              for lo in range(0, len(survivors), CHUNK_RECORDS)]
+    if workers <= 1 or len(bounds) < 2:
+        parts = [score_chunk(ctx, survivors[lo:hi]) for lo, hi in bounds]
+    else:
+        with multiprocessing.Pool(processes=workers, initializer=_worker_init,
+                                  initargs=(ctx, survivors)) as pool:
+            parts = pool.map(_worker_chunk, bounds)
+    return [out for part in parts for out in part]
 
 
 @dataclass
@@ -371,12 +424,10 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
             continue
         out = by_id[r.id]
         matched = out.command_action == r.action
-        fb = FeedbackRecord(record_id=r.id, outcome=float(matched), matched=matched)
+        outcome = float(matched)
         feedback_before = history.mean(out.decision_id)
         adjusted = out.predicted_outcome + cfg.lambda_feedback * feedback_before
-        episode = _embed(np.asarray(out.refined_attributes),
-                         ctx.geometry.relevance_dims, ctx.geometry.feature_dim)
-        route_feedback(fb, out.decision_id, history, ctx.store, episode)
+        history.add(out.decision_id, outcome)
         trace_lines.append((r.id, {
             "id": r.id,
             "modality": modality,
@@ -392,7 +443,7 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
             "action": out.command_action,
             "confidence": out.confidence,
             "matched": matched,
-            "outcome": fb.outcome,
+            "outcome": outcome,
             "feedback_mean": feedback_before,
             "adjusted_utility": adjusted,
             "steps": {
@@ -407,8 +458,8 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                           outcomes=by_id)
 
 
-def _trajectory_features(env: GridEnv, policy) -> list:
-    traj = rollout(env, policy)
+def _trajectory_features(env: GridEnv, policy, rng) -> list:
+    traj = rollout(env, policy, rng)
     t_total = max(env.horizon, 1)
     rows = []
     for t, ((x, y), _, reward) in enumerate(traj.steps):
@@ -423,21 +474,24 @@ def _trajectory_features(env: GridEnv, policy) -> list:
 
 def run_alignment(cfg: RunConfig, results) -> float:
     """Adversarial alignment over rollout features from the sim and real
-    environments of the first `align.samples` survivors per modality."""
+    environments of the first `align.samples` survivors per modality. Slips
+    in both rollouts of a record draw from that record's own stream."""
     sim_rows, real_rows = [], []
+    bases = base_envs(cfg.grid, len(ACTIONS))
     for res in results:
+        modality_index = MODALITIES.index(res.modality)
         picked = res.survivor_ids[: cfg.align.samples]
         for rid in picked:
             out = res.outcomes[rid]
             env_seed = seeding.derived_seed(
-                cfg.seed, seeding.ENV_RANDOMIZATION,
-                MODALITIES.index(res.modality), rid)
-            sim_env, real_env = build_envs(cfg, out.decision_id, env_seed)
-            sim_rows.extend(_trajectory_features(sim_env,
-                                                 optimize_policy(sim_env, cfg.gamma)))
+                cfg.seed, seeding.ENV_RANDOMIZATION, modality_index, rid)
+            slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, modality_index, rid)
+            sim_env, real_env = build_envs(cfg, bases, out.decision_id, env_seed)
+            sim_rows.extend(_trajectory_features(
+                sim_env, optimize_policy(sim_env, cfg.gamma), slips))
             delta = reward_discrepancy(reward_table(real_env), reward_table(sim_env))
             refined = refine_policy(real_env, delta, cfg.alpha, cfg.gamma)
-            real_rows.extend(_trajectory_features(real_env, refined))
+            real_rows.extend(_trajectory_features(real_env, refined, slips))
     model = AlignmentModel.init(in_dim=4, lambda_task=cfg.align.lambda_task)
     _, accuracy = align_features(
         np.asarray(sim_rows), np.asarray(real_rows), model,

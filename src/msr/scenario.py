@@ -39,11 +39,13 @@ class Scenario:
 
 
 def integrate(sensor, internal, instruction, weights: ModalityWeights) -> np.ndarray:
-    """Elementwise convex combination of the three channels."""
+    """Elementwise convex combination of the three channels. The sensor
+    channel may be a stack of rows (N, d) sharing one internal state and
+    instruction."""
     s = np.asarray(sensor, dtype=float)
     i = np.asarray(internal, dtype=float)
     h = np.asarray(instruction, dtype=float)
-    if not (s.shape == i.shape == h.shape) or s.ndim != 1 or s.size < 1:
+    if not (s.shape[-1:] == i.shape == h.shape) or i.ndim != 1 or s.ndim > 2 or i.size < 1:
         raise ShapeError(
             f"channel lengths must match and be >= 1, got {s.shape}, {i.shape}, {h.shape}"
         )
@@ -53,7 +55,8 @@ def integrate(sensor, internal, instruction, weights: ModalityWeights) -> np.nda
 def semantic_features(unified) -> np.ndarray:
     """Round each unified value to 2 decimals, ties away from zero."""
     u = np.asarray(unified, dtype=float)
-    return np.asarray([round_half_away(x, 2) for x in u], dtype=float)
+    rounded = [round_half_away(x, 2) for x in u.ravel().tolist()]
+    return np.asarray(rounded, dtype=float).reshape(u.shape)
 
 
 def feature_map(unified) -> np.ndarray:
@@ -61,27 +64,40 @@ def feature_map(unified) -> np.ndarray:
     return np.exp(-np.asarray(unified, dtype=float))
 
 
-def generate_scenarios(map_values, m_count: int, noise_width: float, rng) -> list:
-    """Perturb the feature map m_count times with uniform noise on
-    [-noise_width, +noise_width) per attribute. Deterministic for a given
-    seed; pass an int seed or a Generator."""
+def perturb(map_rows, m_count: int, noise_width: float, rngs) -> np.ndarray:
+    """(N, m_count, d) scenario attributes: each (d,) row of map_rows plus
+    m_count draws of uniform noise on [-noise_width, +noise_width) per
+    attribute, taken from that row's own generator in rngs."""
     if m_count < 1:
         raise ConfigError(f"m_count must be >= 1, got {m_count}")
     if noise_width < 0.0:
         raise ConfigError(f"noise_width must be >= 0, got {noise_width}")
-    m = np.asarray(map_values, dtype=float)
+    m = np.asarray(map_rows, dtype=float)
+    size = (m_count, m.shape[-1])
+    noise = np.stack([gen.uniform(-noise_width, noise_width, size=size) for gen in rngs])
+    return m[:, None, :] + noise
+
+
+def generate_scenarios(map_values, m_count: int, noise_width: float, rng) -> list:
+    """Perturb the feature map m_count times (see `perturb`). Deterministic
+    for a given seed; pass an int seed or a Generator."""
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    noise = gen.uniform(-noise_width, noise_width, size=(m_count, m.size))
-    out = []
-    for j in range(m_count):
-        attrs = m + noise[j]
-        out.append(Scenario(index=j, attributes=attrs, utility=scenario_utility(attrs)))
-    return out
+    attrs = perturb(np.asarray(map_values, dtype=float)[None], m_count, noise_width, [gen])[0]
+    return [Scenario(index=j, attributes=a, utility=scenario_utility(a))
+            for j, a in enumerate(attrs)]
 
 
 def scenario_utility(attributes) -> float:
     """Sum of attribute values (compensated, so long vectors stay exact)."""
-    return math.fsum(np.asarray(attributes, dtype=float))
+    return float(scenario_utilities(attributes))
+
+
+def scenario_utilities(attributes) -> np.ndarray:
+    """`scenario_utility` of every row of an (..., d) attribute array."""
+    a = np.asarray(attributes, dtype=float)
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    sums = list(map(math.fsum, rows.tolist()))
+    return np.asarray(sums, dtype=float).reshape(a.shape[:-1])
 
 
 def select_top_k(scenarios, k: int) -> list:

@@ -85,15 +85,23 @@ def next_state_table(env: GridEnv) -> np.ndarray:
     return _next_table(env.width, env.height, env.state_index(env.goal))
 
 
+def transition_tables(envs):
+    """Stacked (N, n_states, 4) next-state and reward tables of environments
+    that share one grid size; see `next_state_table` and `reward_table`."""
+    width, height = envs[0].width, envs[0].height
+    goals = np.asarray([e.state_index(e.goal) for e in envs], dtype=np.int64)
+    nxt = np.stack([_next_table(width, height, g) for g in goals.tolist()])
+    step = np.asarray([e.step_reward for e in envs], dtype=float)[:, None, None]
+    bonus = np.asarray([e.goal_reward for e in envs], dtype=float)[:, None, None]
+    rewards = step + np.where(nxt == goals[:, None, None], bonus, 0.0)
+    rewards[np.arange(len(envs)), goals] = 0.0
+    return nxt, rewards
+
+
 def reward_table(env: GridEnv) -> np.ndarray:
     """(n_states, 4) reward per executed move: step_reward everywhere outside
     the goal, plus goal_reward on moves that enter the goal."""
-    nxt = next_state_table(env)
-    goal_idx = env.state_index(env.goal)
-    r = np.full((env.n_states, 4), env.step_reward, dtype=float)
-    r += np.where(nxt == goal_idx, env.goal_reward, 0.0)
-    r[goal_idx, :] = 0.0
-    return r
+    return transition_tables([env])[1][0]
 
 
 @dataclass
@@ -122,30 +130,45 @@ class PolicyTable:
         return float(self.values[h, y * self.width + x])
 
 
-def _slip_mix(slip_prob: float) -> np.ndarray:
-    """(4, 4) probability that intending action a executes move b."""
-    p = np.full((4, 4), slip_prob / 3.0)
-    np.fill_diagonal(p, 1.0 - slip_prob)
-    return p
+def _slip_mix(slip_probs) -> np.ndarray:
+    """(N, 4, 4) probability that intending action a executes move b."""
+    p = np.asarray(slip_probs, dtype=float)
+    mix = np.empty((p.size, 4, 4))
+    mix[:] = (p / 3.0)[:, None, None]
+    mix[:, np.arange(4), np.arange(4)] = (1.0 - p)[:, None]
+    return mix
+
+
+def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
+    """Backward induction for N environments of one grid size and horizon at
+    once: nxt and rewards are (N, n_states, 4) tables (`transition_tables`),
+    slip_probs is (N,). Returns actions (N, horizon, n_states), where row h-1
+    is the greedy action with h steps left, and values (N, horizon + 1,
+    n_states). Each environment's tables equal its own solve bit for bit."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
+    n_env, n = rewards.shape[:2]
+    mix_t = np.swapaxes(_slip_mix(slip_probs), 1, 2)
+    flat_nxt = nxt.reshape(n_env, -1)
+    actions = np.empty((n_env, horizon, n), dtype=np.int64)
+    values = np.zeros((n_env, horizon + 1, n), dtype=float)
+    v = values[:, 0]
+    for h in range(1, horizon + 1):
+        future = np.take_along_axis(v, flat_nxt, axis=1).reshape(nxt.shape)
+        per_move = rewards + gamma * future   # (N, n, 4) per executed move
+        q = per_move @ mix_t                  # (N, n, 4) per intended action
+        best = np.argmax(q, axis=2)           # first max = fixed action order
+        actions[:, h - 1] = best
+        v = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
+        values[:, h] = v
+    return actions, values
 
 
 def _solve(env: GridEnv, rewards: np.ndarray, gamma: float) -> PolicyTable:
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    nxt = next_state_table(env)
-    mix = _slip_mix(env.slip_prob)
-    n, t = env.n_states, env.horizon
-    actions = np.empty((t, n), dtype=np.int64)
-    values = np.zeros((t + 1, n), dtype=float)
-    v = values[0]
-    for h in range(1, t + 1):
-        per_move = rewards + gamma * v[nxt]      # (n, 4) per executed move
-        q = per_move @ mix.T                     # (n, 4) per intended action
-        actions[h - 1] = np.argmax(q, axis=1)    # first max = fixed action order
-        v = np.max(q, axis=1)
-        values[h] = v
-    return PolicyTable(actions=actions, values=values, gamma=gamma,
-                       width=env.width, height=env.height, horizon=t)
+    actions, values = solve_batch(next_state_table(env)[None], rewards[None],
+                                  [env.slip_prob], env.horizon, gamma)
+    return PolicyTable(actions=actions[0], values=values[0], gamma=gamma,
+                       width=env.width, height=env.height, horizon=env.horizon)
 
 
 def optimize_policy(env: GridEnv, gamma: float) -> PolicyTable:

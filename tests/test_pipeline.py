@@ -173,6 +173,23 @@ class TestRunModes:
             }
         assert outs[1] == outs[4]
 
+    @pytest.mark.parametrize("extra", [
+        {"grid": {"slip_prob": 0.2}},
+        {"randomization": {"continuous": {"slip_prob": [0.1, 0.05]}}},
+    ])
+    def test_slippery_runs_finish_and_repeat(self, tmp_path, extra):
+        outs = []
+        for rerun in range(2):
+            cfg = RunConfig.from_mapping({
+                "generator": GEN.to_mapping(), "seed": 13,
+                "out_dir": str(tmp_path / f"r{rerun}"), **extra})
+            res = execute_run(cfg)
+            outs.append({
+                os.path.basename(p): open(p, "rb").read()
+                for p in [*res.report_paths.values(), res.trace_path, res.summary_path]
+            })
+        assert outs[0] == outs[1]
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(tau=2.0).validate()
