@@ -115,10 +115,7 @@ def cmd_report(args) -> int:
                 raise ConfigError(f"missing report file {path}")
             continue
         with open(path, "r", encoding="utf-8") as fh:
-            parsed = parse_report_csv(fh.read())
-        values[modality] = {
-            step: {name: row[name] for name in row} for step, row in parsed.items()
-        }
+            values[modality] = parse_report_csv(fh.read())
     if not values:
         raise ConfigError(f"no report_<modality>.csv files found in {directory}")
     print(markdown_from_values(values, band=args.band))

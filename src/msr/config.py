@@ -1,23 +1,14 @@
 """Run configuration: one JSON document drives generation, the pipeline, and
 reporting. Unknown keys anywhere in the document are errors, so typos fail
-fast instead of silently running defaults."""
+fast instead of silently running defaults, and every value is checked against
+its field's annotation (see `mapping`)."""
 
-from dataclasses import dataclass, field, fields
-import json
+from dataclasses import dataclass, field
 
+from . import mapping
 from .dataset import MODALITIES, GeneratorConfig
 from .errors import ConfigError
 from .scenario import ModalityWeights
-
-
-def _mapping_for(cls, data: dict, label: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{label} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {label} keys {sorted(unknown)}")
-    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -28,7 +19,7 @@ class GridSpec:
 
     width: int = 5
     height: int = 5
-    start: tuple = (2, 2)
+    start: tuple[int, int] = (2, 2)
     goal_distance: int = 2
     step_reward: float = -1.0
     goal_reward: float = 10.0
@@ -55,29 +46,12 @@ class GridSpec:
         if not 0.0 <= self.slip_prob < 1.0:
             raise ConfigError(f"slip_prob must be in [0, 1), got {self.slip_prob}")
 
-    @classmethod
-    def from_mapping(cls, data: dict) -> "GridSpec":
-        kwargs = _mapping_for(cls, data, "grid")
-        if "start" in kwargs:
-            kwargs["start"] = tuple(kwargs["start"])
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec
-
 
 @dataclass(frozen=True)
 class RandomizationConfig:
-    continuous: dict = field(default_factory=lambda: {"step_reward": (0.0, 0.05)})
-    variants: dict = field(default_factory=lambda: {"keep": 1.0})
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "RandomizationConfig":
-        kwargs = _mapping_for(cls, data, "randomization")
-        if "continuous" in kwargs:
-            kwargs["continuous"] = {
-                name: tuple(pair) for name, pair in kwargs["continuous"].items()
-            }
-        return cls(**kwargs)
+    continuous: dict[str, tuple[float, float]] = field(
+        default_factory=lambda: {"step_reward": (0.0, 0.05)})
+    variants: dict[str, float] = field(default_factory=lambda: {"keep": 1.0})
 
 
 @dataclass(frozen=True)
@@ -86,10 +60,6 @@ class AlignConfig:
     learning_rate: float = 0.05
     lambda_task: float = 0.1
     samples: int = 128  # trajectories rolled out per domain
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "AlignConfig":
-        return cls(**_mapping_for(cls, data, "align"))
 
 
 @dataclass(frozen=True)
@@ -100,8 +70,8 @@ class RunConfig:
     weights: ModalityWeights = field(
         default_factory=lambda: ModalityWeights(0.6, 0.2, 0.2)
     )
-    internal_state: tuple | None = None   # defaults to zeros at run time
-    instruction: tuple | None = None
+    internal_state: tuple[float, ...] | None = None   # defaults to zeros at run time
+    instruction: tuple[float, ...] | None = None
     m_count: int = 16
     k: int = 4
     noise_width: float = 0.1
@@ -112,7 +82,7 @@ class RunConfig:
     sparse_readout_threshold: int = 64
     extraction_mode: str = "identity"
     extraction_window: int | None = None
-    context_weights: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+    context_weights: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     lambda_feedback: float = 0.4
     gamma: float = 0.95
     alpha: float = 0.5
@@ -121,7 +91,7 @@ class RunConfig:
     align: AlignConfig = field(default_factory=AlignConfig)
     seed: int = 42
     workers: int = 1
-    modalities: tuple = MODALITIES
+    modalities: tuple[str, ...] = MODALITIES
     out_dir: str = "msr_out"
 
     def validate(self) -> None:
@@ -151,8 +121,6 @@ class RunConfig:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.lambda_feedback < 0.0:
             raise ConfigError(f"lambda_feedback must be >= 0, got {self.lambda_feedback}")
-        if len(self.context_weights) != 3:
-            raise ConfigError("context_weights must hold 3 values")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.extraction_mode != "identity":
@@ -177,83 +145,9 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        kwargs = _mapping_for(cls, data, "run config")
-        if "generator" in kwargs:
-            kwargs["generator"] = GeneratorConfig.from_mapping(kwargs["generator"])
-        if "weights" in kwargs:
-            w = _mapping_for(ModalityWeights, kwargs["weights"], "weights")
-            kwargs["weights"] = ModalityWeights(**w)
-        if "grid" in kwargs:
-            kwargs["grid"] = GridSpec.from_mapping(kwargs["grid"])
-        if "randomization" in kwargs:
-            kwargs["randomization"] = RandomizationConfig.from_mapping(kwargs["randomization"])
-        if "align" in kwargs:
-            kwargs["align"] = AlignConfig.from_mapping(kwargs["align"])
-        for name in ("internal_state", "instruction", "context_weights", "modalities"):
-            if name in kwargs and kwargs[name] is not None:
-                kwargs[name] = tuple(kwargs[name])
-        cfg = cls(**kwargs)
+        cfg = mapping.from_mapping(cls, data, "")
         cfg.validate()
         return cfg
 
     def to_mapping(self) -> dict:
-        return {
-            "generator": self.generator.to_mapping(),
-            "dataset_path": self.dataset_path,
-            "tau": self.tau,
-            "weights": {
-                "sensor": self.weights.sensor,
-                "internal": self.weights.internal,
-                "instruction": self.weights.instruction,
-            },
-            "internal_state": None if self.internal_state is None else list(self.internal_state),
-            "instruction": None if self.instruction is None else list(self.instruction),
-            "m_count": self.m_count,
-            "k": self.k,
-            "noise_width": self.noise_width,
-            "rel_threshold": self.rel_threshold,
-            "beta": self.beta,
-            "stm_capacity": self.stm_capacity,
-            "sparse_readout_top_n": self.sparse_readout_top_n,
-            "sparse_readout_threshold": self.sparse_readout_threshold,
-            "extraction_mode": self.extraction_mode,
-            "extraction_window": self.extraction_window,
-            "context_weights": list(self.context_weights),
-            "lambda_feedback": self.lambda_feedback,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "grid": {
-                "width": self.grid.width,
-                "height": self.grid.height,
-                "start": list(self.grid.start),
-                "goal_distance": self.grid.goal_distance,
-                "step_reward": self.grid.step_reward,
-                "goal_reward": self.grid.goal_reward,
-                "slip_prob": self.grid.slip_prob,
-                "horizon": self.grid.horizon,
-                "real_step_reward": self.grid.real_step_reward,
-            },
-            "randomization": {
-                "continuous": {k: list(v) for k, v in self.randomization.continuous.items()},
-                "variants": dict(self.randomization.variants),
-            },
-            "align": {
-                "steps": self.align.steps,
-                "learning_rate": self.align.learning_rate,
-                "lambda_task": self.align.lambda_task,
-                "samples": self.align.samples,
-            },
-            "seed": self.seed,
-            "workers": self.workers,
-            "modalities": list(self.modalities),
-            "out_dir": self.out_dir,
-        }
-
-
-def load_run_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return RunConfig.from_mapping(data)
+        return {**mapping.to_mapping(self), "generator": self.generator.to_mapping()}

@@ -30,7 +30,7 @@ import os
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import seeding
+from . import mapping, seeding
 from .errors import ConfigError, ParseError
 
 MODALITIES = ("visual", "auditory", "tactile")
@@ -59,8 +59,8 @@ class GeneratorConfig:
     feature_dim: int = 8
     n_actions: int = 4
     n_memory_classes: int = 4
-    label_noise: dict = field(default_factory=_default_noise)
-    trust_distribution: tuple = (0.5, 0.1)
+    label_noise: dict[str, float] = field(default_factory=_default_noise)
+    trust_distribution: tuple[float, float] = (0.5, 0.1)
     cluster_separation: float = 2.0
     seed: int = 42
 
@@ -98,27 +98,14 @@ class GeneratorConfig:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     def to_mapping(self) -> dict:
-        return {
-            "n_per_modality": self.n_per_modality,
-            "feature_dim": self.feature_dim,
-            "n_actions": self.n_actions,
-            "n_memory_classes": self.n_memory_classes,
-            "label_noise": {m: self.label_noise[m] for m in MODALITIES},
-            "trust_distribution": list(self.trust_distribution),
-            "cluster_separation": self.cluster_separation,
-            "seed": self.seed,
-        }
+        """JSON object with label_noise in MODALITIES order, whatever order
+        it was given in."""
+        return {**mapping.to_mapping(self),
+                "label_noise": {m: self.label_noise[m] for m in MODALITIES}}
 
     @classmethod
     def from_mapping(cls, data: dict) -> "GeneratorConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown generator keys {sorted(unknown)}")
-        kwargs = dict(data)
-        if "trust_distribution" in kwargs:
-            kwargs["trust_distribution"] = tuple(kwargs["trust_distribution"])
-        cfg = cls(**kwargs)
+        cfg = mapping.from_mapping(cls, data, "generator")
         cfg.validate()
         return cfg
 
@@ -208,9 +195,6 @@ class FeatureGeometry:
             out[a] = self.action_center(a)
             out[a] /= np.linalg.norm(out[a])
         return out
-
-    def memory_centers(self) -> np.ndarray:
-        return np.stack([self.memory_center(m) for m in range(self.n_memory_classes)])
 
     # nearest-cluster oracles (exact on generated data by the margin bound)
 
@@ -335,19 +319,8 @@ def save(dataset: Dataset, path: str) -> None:
     """Write the dataset as JSON with full float round-trip precision."""
     payload = {
         "meta": dataset.meta,
-        "records": [
-            {
-                "id": r.id,
-                "modality": r.modality,
-                "features": list(r.features),
-                "trust": r.trust,
-                "valid": r.valid,
-                "relevant": r.relevant,
-                "action": r.action,
-                "mem_label": r.mem_label,
-            }
-            for r in dataset.records
-        ],
+        "records": [{name: getattr(r, name) for name in RECORD_FIELDS}
+                    for r in dataset.records],
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -85,7 +85,6 @@ class DecisionCandidate:
     id: int
     context: np.ndarray
     predicted_outcome: float = 0.0
-    historical_feedback: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,25 +140,20 @@ def select_decision(candidates, weights: ContextWeights) -> DecisionCandidate:
     return candidates[int(first_best(utilities))]
 
 
-def feedback_adjusted_utility(candidate: DecisionCandidate, lam: float) -> float:
-    return candidate.predicted_outcome + lam * candidate.historical_feedback
-
-
 @dataclass
 class FeedbackHistory:
-    """Append-only outcome log per decision id with running means."""
+    """Running count and left-to-right total of past outcomes per decision id."""
 
-    outcomes: dict = field(default_factory=dict)
+    totals: dict = field(default_factory=dict)  # decision id -> (count, total)
 
     def add(self, decision_id: int, outcome: float) -> None:
-        self.outcomes.setdefault(int(decision_id), []).append(float(outcome))
+        count, total = self.totals.get(int(decision_id), (0, 0.0))
+        self.totals[int(decision_id)] = (count + 1, total + float(outcome))
 
     def count(self, decision_id: int) -> int:
-        return len(self.outcomes.get(int(decision_id), ()))
+        return self.totals.get(int(decision_id), (0, 0.0))[0]
 
     def mean(self, decision_id: int) -> float:
         """Running mean of past outcomes; 0.0 for an unseen decision id."""
-        seen = self.outcomes.get(int(decision_id))
-        if not seen:
-            return 0.0
-        return sum(seen) / len(seen)
+        count, total = self.totals.get(int(decision_id), (0, 0.0))
+        return total / count if count else 0.0

@@ -6,7 +6,7 @@ never coerced to 0. Reports come out as one CSV per modality plus a combined
 Markdown document, values rounded to 3 decimals.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyInputError, IncompleteRunError, ParseError
 from .ingest import MODALITY_ORDER
@@ -44,7 +44,8 @@ def record_outcome(conf: StepConfusion, predicted: bool, actual: bool) -> None:
 
 @dataclass(frozen=True)
 class Metrics:
-    """The five step metrics; None marks an undefined (0/0) value."""
+    """The five step metrics; None marks an undefined (0/0) value. Field
+    names and order are the CSV columns."""
 
     precision: float | None
     recall: float | None
@@ -86,40 +87,25 @@ class Report:
     markdown: str
 
 
-def _metric_rows(step_confusions: dict) -> list:
-    rows = []
-    for step in range(1, N_STEPS + 1):
-        if step not in step_confusions:
-            raise IncompleteRunError(f"missing step {step}")
-        rows.append((step, metrics(step_confusions[step])))
-    return rows
-
-
 def report(confusions_by_modality: dict) -> Report:
     """Render metric tables for every modality present, Step 1..7 each."""
-    csv_out = {}
-    md = ["# Performance metrics", ""]
+    values = {}
     for modality in MODALITY_ORDER:
         if modality not in confusions_by_modality:
             continue
-        rows = _metric_rows(confusions_by_modality[modality])
+        steps = confusions_by_modality[modality]
+        for step in range(1, N_STEPS + 1):
+            if step not in steps:
+                raise IncompleteRunError(f"missing step {step}")
+        values[modality] = {step: asdict(metrics(steps[step])) for step in range(1, N_STEPS + 1)}
+    markdown = markdown_from_values(values)
+    csv_out = {}
+    for modality, rows in values.items():
         lines = [CSV_HEADER]
-        for step, m in rows:
-            cells = [_cell(v) for v in (m.precision, m.recall, m.f1, m.specificity, m.accuracy)]
-            lines.append(",".join([str(step)] + cells))
+        lines += [",".join([str(step)] + [_cell(v) for v in row.values()])
+                  for step, row in rows.items()]
         csv_out[modality] = "\n".join(lines) + "\n"
-
-        md.append(f"## {modality.capitalize()} performance metrics")
-        md.append("")
-        md.append("| Step | " + " | ".join(_COLUMNS) + " |")
-        md.append("|" + "---|" * (len(_COLUMNS) + 1))
-        for step, m in rows:
-            cells = [_cell(v) for v in (m.precision, m.recall, m.f1, m.specificity, m.accuracy)]
-            md.append(f"| Step {step} | " + " | ".join(cells) + " |")
-        md.append("")
-    if not csv_out:
-        raise EmptyInputError("no modalities to report")
-    return Report(csv=csv_out, markdown="\n".join(md))
+    return Report(csv=csv_out, markdown=markdown)
 
 
 def markdown_from_values(values_by_modality: dict, band: float | None = None) -> str:

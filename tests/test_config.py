@@ -1,0 +1,115 @@
+"""Config wire format: every malformed value ends in `error: <key> ...` with
+exit code 1, and well-formed mappings survive a round trip unchanged."""
+
+import json
+
+import pytest
+
+from msr.cli import main
+from msr.config import RunConfig
+from msr.dataset import MODALITIES, GeneratorConfig, generate, load, save
+from msr.errors import ConfigError, ParseError
+
+from test_golden import CONFIGS
+
+SMALL = {"generator": {"n_per_modality": 20}}
+
+# (key the message must name, config fragment merged over SMALL)
+PROBES = [
+    ("m_count", {"m_count": "16"}),
+    ("k", {"k": 2.5}),
+    ("tau", {"tau": "0.5"}),
+    ("workers", {"workers": True}),
+    ("seed", {"seed": "x"}),
+    ("grid.start", {"grid": {"start": [2, 2, 2]}}),
+    ("grid.width", {"grid": {"width": 3.5}}),
+    ("randomization.continuous.step_reward",
+     {"randomization": {"continuous": {"step_reward": [0.0]}}}),
+    ("randomization.continuous.step_reward",
+     {"randomization": {"continuous": {"step_reward": ["a", 0.05]}}}),
+    ("randomization.variants", {"randomization": {"variants": []}}),
+    ("context_weights", {"context_weights": 3}),
+    ("modalities", {"modalities": "visual"}),
+    ("weights.sensor", {"weights": {"sensor": "1", "internal": 0.2, "instruction": 0.2}}),
+    ("generator.n_per_modality", {"generator": {"n_per_modality": "20"}}),
+    ("generator.trust_distribution",
+     {"generator": {"n_per_modality": 20, "trust_distribution": 0.5}}),
+    ("generator.label_noise",
+     {"generator": {"n_per_modality": 20, "label_noise": [0.1, 0.1, 0.1]}}),
+    ("generator.label_noise.visual",
+     {"generator": {"n_per_modality": 20,
+                    "label_noise": {"visual": "0.1", "auditory": 0.1, "tactile": 0.1}}}),
+]
+
+
+@pytest.mark.parametrize("key,fragment", PROBES, ids=[f"{k}-{i}" for i, (k, _) in
+                                                       enumerate(PROBES)])
+def test_malformed_value_exits_1_naming_the_key(tmp_path, capsys, key, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL, **fragment}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dataset_with_malformed_generator_is_a_parse_error(tmp_path):
+    path = tmp_path / "data.json"
+    save(generate(GeneratorConfig(n_per_modality=3)), str(path))
+    payload = json.loads(path.read_text())
+    payload["meta"]["generator"]["n_per_modality"] = "3"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=r"meta\.generator: .*n_per_modality"):
+        load(str(path))
+
+
+def _contains(given, full):
+    if isinstance(given, dict):
+        return all(k in full and _contains(v, full[k]) for k, v in given.items())
+    return given == full
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_round_trip(name):
+    cfg = RunConfig.from_mapping(CONFIGS[name])
+    mapping = cfg.to_mapping()
+    assert _contains(CONFIGS[name], mapping)
+    assert RunConfig.from_mapping(mapping) == cfg
+    assert RunConfig.from_mapping(mapping).to_mapping() == mapping
+
+
+def test_label_noise_echoed_in_modality_order():
+    noise = {"tactile": 0.12, "visual": 0.09, "auditory": 0.11}
+    mapping = RunConfig.from_mapping({"generator": {"label_noise": noise}}).to_mapping()
+    assert list(mapping["generator"]["label_noise"]) == list(MODALITIES)
+    assert mapping["generator"]["label_noise"] == noise
+    assert GeneratorConfig.from_mapping(mapping["generator"]).to_mapping() == mapping["generator"]
+
+
+def test_int_for_float_kept_as_given():
+    mapping = RunConfig.from_mapping({"tau": 0, "grid": {"slip_prob": 0}}).to_mapping()
+    assert type(mapping["tau"]) is int and type(mapping["grid"]["slip_prob"]) is int
+
+
+def test_optional_values_accept_null():
+    cfg = RunConfig.from_mapping({"internal_state": None, "extraction_window": None,
+                                  "dataset_path": None})
+    assert cfg.internal_state is None and cfg.extraction_window is None
+
+
+@pytest.mark.parametrize("fragment,message", [
+    ({"tau": True}, "tau must be a number"),
+    ({"internal_state": [0.1, "a"]}, r"internal_state\[1\] must be a number"),
+    ({"weights": {"sensor": 1.0}}, r"weights needs keys \['internal', 'instruction'\]"),
+    ({"grid": [5, 5]}, "grid must be an object"),
+    ({"align": {"stpes": 3}}, r"unknown align keys \['stpes'\]"),
+])
+def test_config_errors_name_the_key(fragment, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_mapping(fragment)
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ConfigError, match="config must be an object"):
+        RunConfig.from_mapping([1, 2])

@@ -11,7 +11,6 @@ from msr.decision import (
     TaskTemplate,
     decision_utility,
     decompose,
-    feedback_adjusted_utility,
     select_decision,
     subtask_priority,
 )
@@ -163,21 +162,6 @@ class TestSelectDecision:
 
 
 class TestFeedback:
-    def test_lambda_zero(self):
-        c = DecisionCandidate(0, np.array([1.0]), predicted_outcome=0.8,
-                              historical_feedback=0.5)
-        assert feedback_adjusted_utility(c, 0.0) == pytest.approx(0.8)
-
-    def test_hand_value(self):
-        c = DecisionCandidate(0, np.array([1.0]), predicted_outcome=0.8,
-                              historical_feedback=0.5)
-        assert feedback_adjusted_utility(c, 0.4) == pytest.approx(1.0)
-
-    def test_zero_feedback(self):
-        c = DecisionCandidate(0, np.array([1.0]), predicted_outcome=0.3,
-                              historical_feedback=0.0)
-        assert feedback_adjusted_utility(c, 7.0) == pytest.approx(0.3)
-
     def test_history_running_mean(self):
         h = FeedbackHistory()
         h.add(3, 0.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from msr.decision import DecisionCandidate, FeedbackHistory
 from msr.errors import StateLookupError
@@ -68,10 +69,14 @@ class TestRouteFeedback:
         assert history.count(42) == 1
         assert history.mean(42) == 0.0
 
-    def test_append_only(self):
+    @given(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.1, 1e-17, 3.5]), min_size=1,
+                    max_size=40))
+    def test_mean_is_left_to_right_mean(self, outcomes):
         history = FeedbackHistory()
-        store = MemoryStore()
-        route_feedback(FeedbackRecord(0, 1.0, True), 1, history, store, [1.0])
-        first = list(history.outcomes[1])
-        route_feedback(FeedbackRecord(1, 0.0, False), 1, history, store, [2.0])
-        assert history.outcomes[1][: len(first)] == first
+        total = 0.0
+        for i, outcome in enumerate(outcomes):
+            route_feedback(FeedbackRecord(i, outcome, bool(outcome)), 1, history,
+                           MemoryStore(), [1.0])
+            total += outcome
+        assert history.count(1) == len(outcomes)
+        assert history.mean(1) == total / len(outcomes)
