@@ -39,14 +39,30 @@ def row_dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _scaled_norms(x):
+    """`x` and its row norms, with rows whose squared norm falls outside
+    [1e-200, 1e200] first scaled by a power of two near their largest entry.
+
+    Squaring such a row underflows into subnormals (losing precision, or
+    reaching 0 for a nonzero row) or overflows to inf. Cosine ignores a
+    positive per-row scale, and every other row is left as it is, so its
+    score stays bit for bit what it was.
+    """
+    sq = row_dot(x, x)
+    if sq.size and not (1e-200 <= sq.min() and sq.max() <= 1e200):
+        off = ~((sq >= 1e-200) & (sq <= 1e200))
+        exp = np.frexp(np.max(np.abs(x), axis=-1, initial=0.0))[1]
+        x = x * np.where(off, np.ldexp(1.0, -exp), 1.0)[..., None]
+        sq = row_dot(x, x)
+    return x, np.sqrt(sq)
+
+
 def cosine_scores(queries, entries) -> np.ndarray:
     """Cosine similarity over the last axis, broadcasting the leading axes
     (for example (N, 1, d) queries against (K, d) entries gives (N, K));
     rejects zero vectors."""
-    q = np.asarray(queries, dtype=float)
-    e = np.asarray(entries, dtype=float)
-    qn = np.sqrt(row_dot(q, q))
-    en = np.sqrt(row_dot(e, e))
+    q, qn = _scaled_norms(np.asarray(queries, dtype=float))
+    e, en = _scaled_norms(np.asarray(entries, dtype=float))
     if not (np.all(qn) and np.all(en)):
         raise InvalidEntryError("cosine undefined for a zero vector")
     return row_dot(q, e) / (qn * en)

@@ -46,6 +46,13 @@ class TestCosine:
             return  # denormals can underflow to a zero vector
         assert cosine_score(a * v, b * w) == pytest.approx(cosine_score(v, w), abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-170, 3e-161, 1e160, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # squared norms here underflow to subnormals or zero, or overflow to inf
+        v = np.array([1.0, 0.0]) * scale
+        w = np.array([1.0, 1.0]) * scale
+        assert cosine_score(v, w) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
 
 class TestStmAppend:
     def test_first_append(self):
