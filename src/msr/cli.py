@@ -157,10 +157,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MsrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MsrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,12 +3,14 @@ reporting. Unknown keys anywhere in the document are errors, so typos fail
 fast instead of silently running defaults, and every value is checked against
 its field's annotation (see `mapping`)."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import mapping
 from .dataset import MODALITIES, GeneratorConfig
+from .decision import ContextWeights
 from .errors import ConfigError
 from .scenario import ModalityWeights
+from .sim2real import MOVES, GridEnv, RandomizationConfig
 
 
 @dataclass(frozen=True)
@@ -29,29 +31,28 @@ class GridSpec:
 
     def validate(self) -> None:
         if self.goal_distance < 1:
-            raise ConfigError(f"goal_distance must be >= 1, got {self.goal_distance}")
+            raise ConfigError(f"grid.goal_distance must be >= 1, got {self.goal_distance}")
         if self.horizon < self.goal_distance:
-            raise ConfigError(
-                f"horizon {self.horizon} shorter than goal_distance {self.goal_distance}"
-            )
+            raise ConfigError(f"grid.horizon {self.horizon} shorter than grid.goal_distance "
+                              f"{self.goal_distance}")
+        try:
+            self.envs()
+        except ConfigError as exc:
+            raise ConfigError(f"grid: {exc}") from None
+
+    def envs(self) -> tuple:
+        """The unrandomized simulated and the real environment per goal
+        direction, in action order; both are immutable, so every record of a
+        run shares them."""
         x, y = self.start
-        for dx, dy in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-            gx = x + dx * self.goal_distance
-            gy = y + dy * self.goal_distance
-            if not (0 <= gx < self.width and 0 <= gy < self.height):
-                raise ConfigError(
-                    f"goal at distance {self.goal_distance} from start {self.start} "
-                    f"leaves the {self.width}x{self.height} grid"
-                )
-        if not 0.0 <= self.slip_prob < 1.0:
-            raise ConfigError(f"slip_prob must be in [0, 1), got {self.slip_prob}")
-
-
-@dataclass(frozen=True)
-class RandomizationConfig:
-    continuous: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: {"step_reward": (0.0, 0.05)})
-    variants: dict[str, float] = field(default_factory=lambda: {"keep": 1.0})
+        pairs = []
+        for dx, dy in MOVES:
+            sim_base = GridEnv(width=self.width, height=self.height, start=(x, y),
+                               goal=(x + dx * self.goal_distance, y + dy * self.goal_distance),
+                               step_reward=self.step_reward, goal_reward=self.goal_reward,
+                               slip_prob=self.slip_prob, horizon=self.horizon)
+            pairs.append((sim_base, replace(sim_base, step_reward=self.real_step_reward)))
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,16 @@ class RunConfig:
     weights: ModalityWeights = field(
         default_factory=lambda: ModalityWeights(0.6, 0.2, 0.2)
     )
-    internal_state: tuple[float, ...] | None = None   # defaults to zeros at run time
-    instruction: tuple[float, ...] | None = None
+    # one value per relevance dimension; zeros at run time when absent
+    internal_state: tuple[float, float] | None = None
+    instruction: tuple[float, float] | None = None
     m_count: int = 16
     k: int = 4
     noise_width: float = 0.1
     rel_threshold: float = 0.5
     beta: float = 0.3
-    stm_capacity: int = 32
     sparse_readout_top_n: int = 8
     sparse_readout_threshold: int = 64
-    extraction_mode: str = "identity"
-    extraction_window: int | None = None
     context_weights: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     lambda_feedback: float = 0.4
     gamma: float = 0.95
@@ -96,11 +95,9 @@ class RunConfig:
 
     def validate(self) -> None:
         self.generator.validate()
-        if self.generator.n_actions > 4:
-            raise ConfigError(
-                "the pipeline realizes actions as the 4 grid directions; "
-                f"n_actions must be <= 4, got {self.generator.n_actions}"
-            )
+        if self.generator.n_actions > len(MOVES):
+            raise ConfigError(f"generator.n_actions must be <= {len(MOVES)}, the grid moves that "
+                              f"realize actions, got {self.generator.n_actions}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         if self.m_count < 1:
@@ -113,21 +110,15 @@ class RunConfig:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 < self.rel_threshold < 1.0:
             raise ConfigError(f"rel_threshold must be in (0, 1), got {self.rel_threshold}")
-        if self.stm_capacity < 1:
-            raise ConfigError(f"stm_capacity must be >= 1, got {self.stm_capacity}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.alpha < 0.0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        ContextWeights(self.context_weights)  # rejects negative or all-zero weights
         if self.lambda_feedback < 0.0:
             raise ConfigError(f"lambda_feedback must be >= 0, got {self.lambda_feedback}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.extraction_mode != "identity":
-            raise ConfigError(
-                "only identity extraction keeps the feature layout the scoring "
-                f"steps rely on; got {self.extraction_mode!r}"
-            )
         bad = [m for m in self.modalities if m not in MODALITIES]
         if bad:
             raise ConfigError(f"unknown modalities {bad}")

@@ -353,12 +353,19 @@ def load(path: str) -> Dataset:
     if version != SCHEMA_VERSION:
         raise ParseError(f"schema_version {version!r} unsupported, expected {SCHEMA_VERSION}")
     try:
-        cfg = GeneratorConfig.from_mapping(meta.get("generator", {}))
+        cfg = GeneratorConfig.from_mapping(meta.get("generator"))
     except ConfigError as exc:
         raise ParseError(f"meta.generator: {exc}") from None
-    counts = meta.get("counts")
-    if counts != {m: cfg.n_per_modality for m in MODALITIES}:
-        raise ParseError(f"meta.counts {counts!r} inconsistent with generator config")
+    # everything but the generator block follows from it, so a file cannot
+    # carry a layout or counts that the records were not generated with
+    expected = _build_meta(cfg, FeatureGeometry.from_config(cfg))
+    for key in sorted(meta.keys() | expected.keys()):
+        if key not in expected:
+            raise ParseError(f"meta.{key} is not a meta key; expected {sorted(expected)}")
+        if key != "generator" and meta.get(key) != expected[key]:
+            raise ParseError(f"meta.{key} {meta.get(key)!r} inconsistent with meta.generator, "
+                             f"expected {expected[key]!r}")
+    counts = expected["counts"]
 
     rows = payload["records"]
     if not isinstance(rows, list):

@@ -90,16 +90,13 @@ class DecisionCandidate:
 @dataclass(frozen=True)
 class ContextWeights:
     w: tuple
-    lam: float = 0.4
 
     def __post_init__(self):
         arr = np.asarray(self.w, dtype=float)
         if arr.size == 0 or not np.any(arr):
-            raise ConfigError("context weights must not be all zero")
-        if np.any(arr < 0.0):
-            raise ConfigError("context weights must be >= 0")
-        if self.lam < 0.0:
-            raise ConfigError("lambda must be >= 0")
+            raise ConfigError(f"context_weights must not be all zero, got {list(self.w)}")
+        if not np.all(arr >= 0.0):
+            raise ConfigError(f"context_weights must be >= 0, got {list(self.w)}")
 
     def vector(self) -> np.ndarray:
         return np.asarray(self.w, dtype=float)

@@ -2,8 +2,8 @@
 
 The four stages mirror the front of the pipeline: discard records whose trust
 score does not clear the threshold, z-normalize the surviving stream with one
-(mean, std) pair per modality, extract features, and combine the per-modality
-features into a single tagged bundle.
+(mean, std) pair per modality, extract features (the identity), and combine
+the per-modality features into a single tagged bundle.
 """
 
 from dataclasses import dataclass
@@ -62,28 +62,11 @@ def normalize(values, stats: NormStats) -> np.ndarray:
     return (np.asarray(values, dtype=float) - stats.mean) / stats.std
 
 
-def extract_features(values, mode: str = "identity", window: int | None = None) -> np.ndarray:
-    """Feature extraction on a normalized vector.
-
-    identity: the input unchanged.
-    summary: sliding windows (stride 1) of the given width, each summarized as
-        (mean, std, min, max, energy) where energy is the mean of squares;
-        windows are concatenated in order.
-    """
-    v = np.asarray(values, dtype=float)
-    if mode == "identity":
-        return v.copy()
-    if mode != "summary":
-        raise ConfigError(f"unknown extraction mode {mode!r}")
-    if window is None or window < 1:
-        raise ConfigError("summary mode needs a window width >= 1")
-    if window > v.size:
-        raise ConfigError(f"window {window} wider than input of length {v.size}")
-    out = []
-    for start in range(v.size - window + 1):
-        w = v[start : start + window]
-        out.extend((w.mean(), w.std(), w.min(), w.max(), float(np.mean(w * w))))
-    return np.asarray(out, dtype=float)
+def extract_features(values) -> np.ndarray:
+    """Feature extraction on a normalized vector or stack: the identity, as a
+    copy. The scoring steps read features by the generator's dimension
+    blocks, so extraction must keep that layout."""
+    return np.array(values, dtype=float)
 
 
 def fuse(per_modality) -> FeatureBundle:

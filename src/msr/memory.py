@@ -48,7 +48,8 @@ def _scaled_norms(x):
     positive per-row scale, and every other row is left as it is, so its
     score stays bit for bit what it was.
     """
-    sq = row_dot(x, x)
+    with np.errstate(over="ignore", under="ignore"):
+        sq = row_dot(x, x)
     if sq.size and not (1e-200 <= sq.min() and sq.max() <= 1e200):
         off = ~((sq >= 1e-200) & (sq <= 1e200))
         exp = np.frexp(np.max(np.abs(x), axis=-1, initial=0.0))[1]

@@ -32,7 +32,7 @@ equals the label flip rate exactly, which keeps all four confusion cells
 populated.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import json
 import multiprocessing
 import os
@@ -79,7 +79,6 @@ from .sim2real import (
     AlignmentModel,
     GridEnv,
     PolicyTable,
-    RandomizationSpec,
     align_features,
     optimize_policy,
     randomize_env,
@@ -101,8 +100,6 @@ from .executor import route_feedback  # noqa: F401
 from .memory import cosine_score  # noqa: F401
 from .scenario import generate_scenarios, scenario_utility  # noqa: F401
 
-_MOVE_BY_ACTION = ((0, -1), (0, 1), (-1, 0), (1, 0))
-
 REPORT_MD = "report.md"
 TRACE_FILE = "trace.jsonl"
 SUMMARY_FILE = "run_summary.json"
@@ -123,7 +120,7 @@ class ModalityContext:
     instruction: np.ndarray
     neutral_map: np.ndarray        # feature map of a zero sensor channel
     context_weights: ContextWeights
-    base_envs: tuple               # (sim base, real env) per goal direction
+    envs: tuple                    # (sim base, real env) per goal direction
 
 
 @dataclass
@@ -148,32 +145,11 @@ class RecordOutcome:
     confidence: float
 
 
-def goal_cell(grid, direction: int) -> tuple:
-    dx, dy = _MOVE_BY_ACTION[direction]
-    x, y = grid.start
-    return (x + dx * grid.goal_distance, y + dy * grid.goal_distance)
-
-
-def base_envs(grid, n_directions: int) -> tuple:
-    """The unrandomized simulated and the real environment per goal
-    direction; both are immutable, so every record of a run shares them."""
-    pairs = []
-    for direction in range(n_directions):
-        sim_base = GridEnv(width=grid.width, height=grid.height, start=tuple(grid.start),
-                           goal=goal_cell(grid, direction), step_reward=grid.step_reward,
-                           goal_reward=grid.goal_reward, slip_prob=grid.slip_prob,
-                           horizon=grid.horizon)
-        pairs.append((sim_base, replace(sim_base, step_reward=grid.real_step_reward)))
-    return tuple(pairs)
-
-
-def build_envs(cfg: RunConfig, bases: tuple, direction: int, env_seed: int):
+def build_envs(cfg: RunConfig, envs: tuple, direction: int, env_seed: int):
     """Per-record simulated (randomized) and real environments from the
-    `base_envs` pairs."""
-    sim_base, real_env = bases[direction]
-    spec = RandomizationSpec(continuous=cfg.randomization.continuous,
-                             variants=cfg.randomization.variants, seed=env_seed)
-    return randomize_env(sim_base, spec), real_env
+    `GridSpec.envs` pairs."""
+    sim_base, real_env = envs[direction]
+    return randomize_env(sim_base, cfg.randomization, env_seed), real_env
 
 
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
@@ -189,8 +165,7 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     pooled = np.concatenate([np.asarray(r.features) for r in survivors])
     stats = fit_norm_stats(pooled)
 
-    store = MemoryStore(stm_capacity=cfg.stm_capacity,
-                        sparse_readout_top_n=cfg.sparse_readout_top_n,
+    store = MemoryStore(sparse_readout_top_n=cfg.sparse_readout_top_n,
                         sparse_readout_threshold=cfg.sparse_readout_threshold)
     for label in range(geometry.n_memory_classes):
         proto = normalize(geometry.memory_center(label), stats)
@@ -205,20 +180,16 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     registry = {"act": TaskTemplate(id="act", steps=subtasks)}
     ordered = tuple(decompose(registry, "act"))
 
-    rel_width = len(geometry.relevance_dims)
-    internal = np.zeros(rel_width) if cfg.internal_state is None else np.asarray(
-        cfg.internal_state, dtype=float)
-    instruction = np.zeros(rel_width) if cfg.instruction is None else np.asarray(
-        cfg.instruction, dtype=float)
-    neutral = feature_map(integrate(np.zeros(rel_width), internal, instruction,
-                                    cfg.weights))
+    # both channels span the relevance block, which is 2 wide in every layout
+    internal = np.asarray(cfg.internal_state or (0.0, 0.0), dtype=float)
+    instruction = np.asarray(cfg.instruction or (0.0, 0.0), dtype=float)
+    neutral = feature_map(integrate(np.zeros(2), internal, instruction, cfg.weights))
     return ModalityContext(
         cfg=cfg, modality=modality, modality_index=MODALITIES.index(modality),
         stats=stats, geometry=geometry, store=store, subtasks=ordered,
         internal=internal, instruction=instruction, neutral_map=neutral,
-        context_weights=ContextWeights(tuple(cfg.context_weights),
-                                       cfg.lambda_feedback),
-        base_envs=base_envs(cfg.grid, geometry.n_actions),
+        context_weights=ContextWeights(cfg.context_weights),
+        envs=cfg.grid.envs(),
     )
 
 
@@ -241,7 +212,7 @@ def score_chunk(ctx: ModalityContext, records) -> list:
 
     # ingest: normalize, extract, fuse (single live modality per record)
     fnorm = normalize(np.asarray([r.features for r in records], dtype=float), ctx.stats)
-    extracted = extract_features(fnorm, cfg.extraction_mode, cfg.extraction_window)
+    extracted = extract_features(fnorm)
     sensor_full = fuse([(ctx.modality, extracted)]).entries[0][1]
 
     # scenario: integrate channels over the relevance block, map, perturb;
@@ -288,7 +259,7 @@ def score_chunk(ctx: ModalityContext, records) -> list:
 
     # sim2real: randomized sim env, exact policies, discrepancy re-plan
     sim_envs, real_envs = zip(*[
-        build_envs(cfg, ctx.base_envs, a,
+        build_envs(cfg, ctx.envs, a,
                    seeding.derived_seed(cfg.seed, seeding.ENV_RANDOMIZATION,
                                         ctx.modality_index, i))
         for a, i in zip(decision.tolist(), ids)])
@@ -477,7 +448,7 @@ def run_alignment(cfg: RunConfig, results) -> float:
     environments of the first `align.samples` survivors per modality. Slips
     in both rollouts of a record draw from that record's own stream."""
     sim_rows, real_rows = [], []
-    bases = base_envs(cfg.grid, len(ACTIONS))
+    envs = cfg.grid.envs()
     for res in results:
         modality_index = MODALITIES.index(res.modality)
         picked = res.survivor_ids[: cfg.align.samples]
@@ -486,7 +457,7 @@ def run_alignment(cfg: RunConfig, results) -> float:
             env_seed = seeding.derived_seed(
                 cfg.seed, seeding.ENV_RANDOMIZATION, modality_index, rid)
             slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, modality_index, rid)
-            sim_env, real_env = build_envs(cfg, bases, out.decision_id, env_seed)
+            sim_env, real_env = build_envs(cfg, envs, out.decision_id, env_seed)
             sim_rows.extend(_trajectory_features(
                 sim_env, optimize_policy(sim_env, cfg.gamma), slips))
             delta = reward_discrepancy(reward_table(real_env), reward_table(sim_env))

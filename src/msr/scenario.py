@@ -23,7 +23,7 @@ class ModalityWeights:
     def __post_init__(self):
         for name in ("sensor", "internal", "instruction"):
             if getattr(self, name) < 0.0:
-                raise ConfigError(f"weight {name} must be >= 0")
+                raise ConfigError(f"weights.{name} must be >= 0, got {getattr(self, name)}")
         total = self.sensor + self.internal + self.instruction
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ConfigError(f"weights must sum to 1, got {total!r}")

@@ -11,7 +11,7 @@ enumeration. Greedy ties break in the fixed action order up, down, left,
 right.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import functools
 import math
 
@@ -21,7 +21,7 @@ from scipy.special import expit
 from .errors import ConfigError, EmptyInputError, ShapeError, StateLookupError
 
 ACTIONS = ("up", "down", "left", "right")
-_MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))
+MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))  # (dx, dy) per action
 _SLIP_MAX = 0.95
 _RANDOMIZABLE = ("goal_reward", "slip_prob", "step_reward")
 _VARIANTS = ("keep", "swap_start_goal")
@@ -44,17 +44,14 @@ class GridEnv:
         for name, cell in (("start", self.start), ("goal", self.goal)):
             x, y = cell
             if not (0 <= x < self.width and 0 <= y < self.height):
-                raise ConfigError(f"{name} {cell} out of bounds")
+                raise ConfigError(f"{name} {tuple(cell)} outside the "
+                                  f"{self.width}x{self.height} grid")
         if tuple(self.start) == tuple(self.goal):
             raise ConfigError("start and goal must differ")
         if not 0.0 <= self.slip_prob < 1.0:
             raise ConfigError(f"slip_prob must be in [0, 1), got {self.slip_prob}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-
-    @property
-    def n_states(self) -> int:
-        return self.width * self.height
 
     def state_index(self, state) -> int:
         x, y = state
@@ -69,7 +66,7 @@ def _next_table(width: int, height: int, goal_idx: int):
     for y in range(height):
         for x in range(width):
             s = y * width + x
-            for a, (dx, dy) in enumerate(_MOVES):
+            for a, (dx, dy) in enumerate(MOVES):
                 nx, ny = x + dx, y + dy
                 if not (0 <= nx < width and 0 <= ny < height):
                     nx, ny = x, y
@@ -177,39 +174,46 @@ def optimize_policy(env: GridEnv, gamma: float) -> PolicyTable:
 
 
 @dataclass(frozen=True)
-class RandomizationSpec:
-    """Gaussian variation per continuous parameter plus a categorical layout
-    distribution and the seed that makes the draw reproducible."""
+class RandomizationConfig:
+    """Gaussian variation (mu, sigma) per continuous parameter plus a
+    categorical layout distribution, checked once when it is built."""
 
-    continuous: dict  # name -> (mu, sigma)
-    variants: dict    # variant name -> probability
-    seed: int = 0
+    continuous: dict[str, tuple[float, float]] = field(
+        default_factory=lambda: {"step_reward": (0.0, 0.05)})
+    variants: dict[str, float] = field(default_factory=lambda: {"keep": 1.0})
+
+    def __post_init__(self):
+        for name, (_, sigma) in self.continuous.items():
+            if name not in _RANDOMIZABLE:
+                raise ConfigError(f"randomization.continuous: unknown parameter {name!r}, "
+                                  f"expected one of {_RANDOMIZABLE}")
+            if not sigma >= 0.0:
+                raise ConfigError(f"randomization.continuous.{name}: sigma must be >= 0, "
+                                  f"got {sigma!r}")
+        if not self.variants:
+            raise ConfigError("randomization.variants needs at least one variant")
+        for name, p in self.variants.items():
+            if name not in _VARIANTS:
+                raise ConfigError(f"randomization.variants: unknown variant {name!r}, "
+                                  f"expected one of {_VARIANTS}")
+            if not p >= 0.0:
+                raise ConfigError(f"randomization.variants.{name}: probability must be "
+                                  f">= 0, got {p!r}")
+        total = math.fsum(self.variants.values())
+        if not abs(total - 1.0) <= 1e-9:
+            raise ConfigError(f"randomization.variants: probabilities sum to {total!r}, "
+                              "expected 1")
 
 
-def randomize_env(base: GridEnv, spec: RandomizationSpec) -> GridEnv:
-    """Randomized copy of the base environment.
+def randomize_env(base: GridEnv, spec: RandomizationConfig, seed: int) -> GridEnv:
+    """Randomized copy of the base environment, reproducible from `seed`.
 
     Continuous parameters move by a Gaussian draw (sorted parameter order,
     then the variant draw, so the stream layout is fixed); slip_prob is
     clamped to [0, 0.95]. The categorical variant either keeps the layout or
     swaps start and goal.
     """
-    for name in spec.continuous:
-        if name not in _RANDOMIZABLE:
-            raise ConfigError(f"unknown randomizable parameter {name!r}")
-    if not spec.variants:
-        raise ConfigError("randomization needs at least one variant")
-    for name in spec.variants:
-        if name not in _VARIANTS:
-            raise ConfigError(f"unknown environment variant {name!r}")
-    total = math.fsum(spec.variants.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"variant probabilities sum to {total!r}, expected 1")
-    for name, (_, sigma) in spec.continuous.items():
-        if sigma < 0.0:
-            raise ConfigError(f"sigma for {name!r} must be >= 0")
-
-    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     changes = {}
     for name in sorted(spec.continuous):
         mu, sigma = spec.continuous[name]

@@ -2,6 +2,7 @@
 exit code 1, and well-formed mappings survive a round trip unchanged."""
 
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,18 @@ PROBES = [
     ("generator.label_noise.visual",
      {"generator": {"n_per_modality": 20,
                     "label_noise": {"visual": "0.1", "auditory": 0.1, "tactile": 0.1}}}),
+    # values that used to pass parsing and fail only once the run was under way
+    ("randomization.variants", {"randomization": {"variants": {"keep": 0.5}}}),
+    ("randomization.variants", {"randomization": {"variants": {"teleport": 1.0}}}),
+    ("randomization.continuous", {"randomization": {"continuous": {"gravity": [0, 1]}}}),
+    ("randomization.continuous", {"randomization": {"continuous": {"step_reward": [0, -1]}}}),
+    ("internal_state", {"internal_state": [0.1, 0.2, 0.3]}),
+    ("instruction", {"instruction": [0.1]}),
+    ("context_weights", {"context_weights": [0, 0, 0]}),
+    ("context_weights", {"context_weights": [1, -1, 1]}),
+    ("weights.sensor", {"weights": {"sensor": -0.2, "internal": 0.6, "instruction": 0.6}}),
+    ("generator.n_actions",
+     {"generator": {"n_per_modality": 20, "n_actions": 6, "feature_dim": 10}}),
 ]
 
 
@@ -52,6 +65,14 @@ def test_malformed_value_exits_1_naming_the_key(tmp_path, capsys, key, fragment)
     assert err.startswith(f"error: {key}"), err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,fragment", PROBES, ids=[f"{k}-{i}" for i, (k, _) in
+                                                       enumerate(PROBES)])
+def test_malformed_value_fails_at_parse_time(key, fragment):
+    # from_mapping runs before any corpus is generated
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
+        RunConfig.from_mapping({**SMALL, **fragment})
 
 
 def test_dataset_with_malformed_generator_is_a_parse_error(tmp_path):
@@ -93,9 +114,9 @@ def test_int_for_float_kept_as_given():
 
 
 def test_optional_values_accept_null():
-    cfg = RunConfig.from_mapping({"internal_state": None, "extraction_window": None,
+    cfg = RunConfig.from_mapping({"internal_state": None, "instruction": None,
                                   "dataset_path": None})
-    assert cfg.internal_state is None and cfg.extraction_window is None
+    assert cfg.internal_state is None and cfg.instruction is None
 
 
 @pytest.mark.parametrize("fragment,message", [
@@ -104,6 +125,10 @@ def test_optional_values_accept_null():
     ({"weights": {"sensor": 1.0}}, r"weights needs keys \['internal', 'instruction'\]"),
     ({"grid": [5, 5]}, "grid must be an object"),
     ({"align": {"stpes": 3}}, r"unknown align keys \['stpes'\]"),
+    # removed settings that changed no output
+    ({"stm_capacity": 32}, r"unknown config keys \['stm_capacity'\]"),
+    ({"extraction_mode": "identity", "extraction_window": 3},
+     r"unknown config keys \['extraction_mode', 'extraction_window'\]"),
 ])
 def test_config_errors_name_the_key(fragment, message):
     with pytest.raises(ConfigError, match=message):

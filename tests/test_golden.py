@@ -17,19 +17,22 @@ from msr.dataset import MODALITIES, GeneratorConfig, generate
 from msr.pipeline import execute_run, run_modality
 from msr.sim2real import (
     GridEnv,
-    RandomizationSpec,
+    RandomizationConfig,
     randomize_env,
     reward_discrepancy,
     solve_batch,
     transition_tables,
 )
 
+# run_summary.json echoes the config, so its digests here were retaken when
+# config keys that change no other output were removed; every other digest
+# is the original.
 GOLDEN = {
     "report.md": "084158b93912feeca4ad22c0dc3880d5928ad1b216d98f77388810f10f9c35b0",
     "report_auditory.csv": "7408b7cf75e75634c2f754e1975e7fc38927984c721572d239be9bbf692bb7d6",
     "report_tactile.csv": "4e5c98ed166f5b06c14b5893b6e4815fb94b49f41c7efe7e3c12b2bf54898866",
     "report_visual.csv": "32852cac2117c3087c0cdd77bfa7d0394191cc4ed942412ca71a65bbdf0f1745",
-    "run_summary.json": "bcf9a32151e4b196f7a51c1bbe0030b2f123515f4a0e31b34d923bcd9fce09ea",
+    "run_summary.json": "37472053d8e5f0c5c79c487c459ab85e4e71bd75507f1b0edf8d9a659177c49b",
     "trace.jsonl": "46257a5845842a5599814ece4cffba0cc56847ea59b364ad4cb991fec7000c04",
 }
 
@@ -70,7 +73,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "d3dbacda37a1fdba745a52079852d67273de266f5618ccbeade8a4a69ac37195",
         "report_tactile.csv": "21decc2b9e0c5aa35aa9714b1b72b7ec795daa70fbd6601962b9446424312de1",
         "report_visual.csv": "ead01e8e2747e05c0e330ad250b7083258e36abb79bbf992b66937b768a94c32",
-        "run_summary.json": "c741f030038f328f4d6c5f123f36a62035b2857b66d2c7c9f990918a61ae2ade",
+        "run_summary.json": "696f1aeda321b64ffdb996fb261781aeada907fa27a75bd13b85ca9b8d1a4f8f",
         "trace.jsonl": "9e31cb989c0a41694f4fef68326e94b18f2359adc5a739b520d65114576bac3d",
     },
     "k-beyond-pool": {
@@ -78,7 +81,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "f0de6b3692bd8c92ebef41b6c4b95d6a618ee06815109504588bf7f42548b7a7",
         "report_tactile.csv": "f571dd40513e8c2f9d29c046d2dcf3b74e91756efdc81563f746562b26fa21af",
         "report_visual.csv": "58c83f1356429ee5a647d7eb9e60fe5f676fbf985dde0bc46c713f215d0ef3b5",
-        "run_summary.json": "02f81a704c8bae2fe3e42f669c531ab9c53487a032675f65f0926e29bad84c85",
+        "run_summary.json": "a236c28d86902248a23622a4b2b2dbf528745f89f16d187703e0e0f72a0a203c",
         "trace.jsonl": "a1752062476eed89380bf4c33e500c963df2c86862e13671cd75662f730a9931",
     },
     "sparse-readout": {
@@ -86,7 +89,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "d3dbacda37a1fdba745a52079852d67273de266f5618ccbeade8a4a69ac37195",
         "report_tactile.csv": "21decc2b9e0c5aa35aa9714b1b72b7ec795daa70fbd6601962b9446424312de1",
         "report_visual.csv": "ead01e8e2747e05c0e330ad250b7083258e36abb79bbf992b66937b768a94c32",
-        "run_summary.json": "4e8f9c5ea0415db297a338d25ecbc6e16e6f21a32575ae8c19816165b93d9fd1",
+        "run_summary.json": "354ca205e434b8bfb5d0a5cc77e436ffcd406506bd4a5babace7859b3a1919f5",
         "trace.jsonl": "4e188d714a88c1f530816e1ef21f48306141a619054339b0bcab77f691273c7e",
     },
     "grid-7x6": {
@@ -94,7 +97,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "d3dbacda37a1fdba745a52079852d67273de266f5618ccbeade8a4a69ac37195",
         "report_tactile.csv": "21decc2b9e0c5aa35aa9714b1b72b7ec795daa70fbd6601962b9446424312de1",
         "report_visual.csv": "ead01e8e2747e05c0e330ad250b7083258e36abb79bbf992b66937b768a94c32",
-        "run_summary.json": "c971da686f8622b5b2e1dd45f93ec88e3903400b2fe84c4d07c791c669fc81f3",
+        "run_summary.json": "ead59415714e12e10654acbec46d08379fa6442af7cd58205b5106ff48e8cbab",
         "trace.jsonl": "3056c32551e3dd54b3275ad0a6fe9463d2a7e99495bda5fbec4bb992aa0eafa9",
     },
 }
@@ -157,9 +160,10 @@ def test_outcome_digests(tmp_path, name):
 
 
 def test_batched_solver_tables():
-    spec = {"continuous": {"slip_prob": (0.1, 0.1), "goal_reward": (0.0, 1.0),
-                            "step_reward": (0.0, 0.05)},
-            "variants": {"keep": 0.5, "swap_start_goal": 0.5}}
+    spec = RandomizationConfig(
+        continuous={"slip_prob": (0.1, 0.1), "goal_reward": (0.0, 1.0),
+                    "step_reward": (0.0, 0.05)},
+        variants={"keep": 0.5, "swap_start_goal": 0.5})
     digest = hashlib.sha256()
     for width, height, start, horizon in ((5, 5, (2, 2), 4), (7, 6, (3, 3), 6)):
         sims, reals = [], []
@@ -167,7 +171,7 @@ def test_batched_solver_tables():
             base = GridEnv(width=width, height=height, start=start,
                            goal=(start[0] + 2 * dx, start[1] + 2 * dy), horizon=horizon)
             for seed in range(8):
-                sims.append(randomize_env(base, RandomizationSpec(seed=seed, **spec)))
+                sims.append(randomize_env(base, spec, seed))
                 reals.append(replace(base, step_reward=-1.2))
         sim_nxt, sim_rewards = transition_tables(sims)
         real_nxt, real_rewards = transition_tables(reals)

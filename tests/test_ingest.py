@@ -94,27 +94,9 @@ class TestNormalize:
 
 class TestExtractFeatures:
     def test_identity(self):
-        v = np.array([3.0, -1.0, 2.5])
-        assert extract_features(v, "identity") == pytest.approx(v)
-
-    def test_summary_full_window(self):
-        out = extract_features([-1.0, 0.0, 1.0], "summary", window=3)
-        expected = [0.0, math.sqrt(2.0 / 3.0), -1.0, 1.0, 2.0 / 3.0]
-        assert out == pytest.approx(expected, abs=1e-12)
-
-    def test_summary_sliding(self):
-        out = extract_features([0.0, 1.0, 2.0], "summary", window=2)
-        assert out.shape == (10,)  # two windows, five stats each
-        assert out[0] == pytest.approx(0.5)   # mean of first window
-        assert out[5] == pytest.approx(1.5)   # mean of second window
-
-    def test_window_too_wide(self):
-        with pytest.raises(ConfigError):
-            extract_features([1.0, 2.0, 3.0], "summary", window=4)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            extract_features([1.0], "spectral")
+        v = np.array([[3.0, -1.0, 2.5], [0.0, 1.0, -2.0]])
+        out = extract_features(v)
+        assert np.array_equal(out, v) and out is not v
 
 
 class TestFuse:

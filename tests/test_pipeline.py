@@ -4,12 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from msr.cli import main
 from msr.config import RunConfig
 from msr.dataset import FeatureGeometry, GeneratorConfig, generate
 from msr.errors import ConfigError, EmptyInputError
 from msr.evaluation import metrics
 from msr.ingest import filter_by_trust
-from msr.pipeline import build_context, execute_run, goal_cell, process_record
+from msr.pipeline import build_context, execute_run, process_record
 
 GEN = GeneratorConfig(n_per_modality=200, seed=13)
 
@@ -23,11 +24,19 @@ def run_result(tmp_path_factory):
 
 class TestGoalWiring:
     def test_goal_cells_per_direction(self):
-        cfg = RunConfig()
-        assert goal_cell(cfg.grid, 0) == (2, 0)   # up
-        assert goal_cell(cfg.grid, 1) == (2, 4)   # down
-        assert goal_cell(cfg.grid, 2) == (0, 2)   # left
-        assert goal_cell(cfg.grid, 3) == (4, 2)   # right
+        envs = RunConfig().grid.envs()
+        # up, down, left, right: goal_distance 2 from the start (2, 2)
+        assert [sim.goal for sim, _ in envs] == [(2, 0), (2, 4), (0, 2), (4, 2)]
+        for sim, real in envs:
+            assert sim.start == real.start == (2, 2) and real.goal == sim.goal
+            assert (sim.step_reward, real.step_reward) == (-1.0, -1.2)
+
+    def test_goal_off_the_grid_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": {"goal_distance": 3}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: goal (2, -1) outside the 5x5 grid"), err
 
 
 class TestProcessRecord:

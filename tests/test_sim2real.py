@@ -9,7 +9,7 @@ from msr.errors import ConfigError, ShapeError, StateLookupError
 from msr.sim2real import (
     AlignmentModel,
     GridEnv,
-    RandomizationSpec,
+    RandomizationConfig,
     Trajectory,
     _adv_loss_grads,
     _task_grad,
@@ -183,40 +183,50 @@ class TestRandomizeEnv:
                    step_reward=-1.0, goal_reward=10.0, slip_prob=0.1, horizon=5)
 
     def test_degenerate_spec_is_identity(self):
-        spec = RandomizationSpec(continuous={"step_reward": (0.0, 0.0)},
-                                 variants={"keep": 1.0}, seed=3)
-        assert randomize_env(self.BASE, spec) == self.BASE
+        spec = RandomizationConfig(continuous={"step_reward": (0.0, 0.0)},
+                                   variants={"keep": 1.0})
+        assert randomize_env(self.BASE, spec, 3) == self.BASE
 
     def test_slip_clamped(self):
-        spec = RandomizationSpec(continuous={"slip_prob": (0.0, 100.0)},
-                                 variants={"keep": 1.0}, seed=1)
-        seen = {randomize_env(self.BASE, dataclasses.replace(spec, seed=s)).slip_prob
-                for s in range(30)}
+        spec = RandomizationConfig(continuous={"slip_prob": (0.0, 100.0)},
+                                   variants={"keep": 1.0})
+        seen = {randomize_env(self.BASE, spec, s).slip_prob for s in range(30)}
         assert all(0.0 <= v <= 0.95 for v in seen)
         assert 0.95 in seen  # huge sigma forces the upper clamp
 
     def test_deterministic_under_seed(self):
-        spec = RandomizationSpec(continuous={"step_reward": (0.0, 0.5)},
-                                 variants={"keep": 0.5, "swap_start_goal": 0.5},
-                                 seed=77)
-        assert randomize_env(self.BASE, spec) == randomize_env(self.BASE, spec)
+        spec = RandomizationConfig(continuous={"step_reward": (0.0, 0.5)},
+                                   variants={"keep": 0.5, "swap_start_goal": 0.5})
+        assert randomize_env(self.BASE, spec, 77) == randomize_env(self.BASE, spec, 77)
 
     def test_swap_variant(self):
-        spec = RandomizationSpec(continuous={}, variants={"swap_start_goal": 1.0},
-                                 seed=0)
-        env = randomize_env(self.BASE, spec)
+        spec = RandomizationConfig(continuous={}, variants={"swap_start_goal": 1.0})
+        env = randomize_env(self.BASE, spec, 0)
         assert env.start == self.BASE.goal and env.goal == self.BASE.start
 
+    # a spec is checked once, when it is built, never per draw
+
     def test_unknown_parameter(self):
-        spec = RandomizationSpec(continuous={"gravity": (0.0, 1.0)},
-                                 variants={"keep": 1.0}, seed=0)
-        with pytest.raises(ConfigError):
-            randomize_env(self.BASE, spec)
+        with pytest.raises(ConfigError, match=r"^randomization\.continuous: unknown "
+                                              r"parameter 'gravity'"):
+            RandomizationConfig(continuous={"gravity": (0.0, 1.0)}, variants={"keep": 1.0})
 
     def test_bad_variant_mass(self):
-        spec = RandomizationSpec(continuous={}, variants={"keep": 0.7}, seed=0)
-        with pytest.raises(ConfigError):
-            randomize_env(self.BASE, spec)
+        with pytest.raises(ConfigError, match=r"^randomization\.variants: probabilities "
+                                              r"sum to 0\.7"):
+            RandomizationConfig(continuous={}, variants={"keep": 0.7})
+
+    @pytest.mark.parametrize("continuous,variants,message", [
+        ({"step_reward": (0.0, -1.0)}, {"keep": 1.0},
+         r"^randomization\.continuous\.step_reward: sigma must be >= 0"),
+        ({}, {}, r"^randomization\.variants needs at least one variant"),
+        ({}, {"teleport": 1.0}, r"^randomization\.variants: unknown variant 'teleport'"),
+        ({}, {"keep": 1.5, "swap_start_goal": -0.5},
+         r"^randomization\.variants\.swap_start_goal: probability must be >= 0"),
+    ], ids=["negative-sigma", "no-variants", "unknown-variant", "negative-probability"])
+    def test_rejected_when_built(self, continuous, variants, message):
+        with pytest.raises(ConfigError, match=message):
+            RandomizationConfig(continuous=continuous, variants=variants)
 
 
 class TestRewardDiscrepancy:
