@@ -94,7 +94,16 @@ class RunConfig:
     out_dir: str = "msr_out"
 
     def validate(self) -> None:
-        self.generator.validate()
+        try:
+            self.generator.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"generator.{exc}") from None
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        for name in ("internal_state", "instruction"):
+            value = getattr(self, name)
+            if value is not None and len(value) != 2:
+                raise ConfigError(f"{name} must hold 2 values, got {len(value)}")
         if self.generator.n_actions > len(MOVES):
             raise ConfigError(f"generator.n_actions must be <= {len(MOVES)}, the grid moves that "
                               f"realize actions, got {self.generator.n_actions}")

@@ -18,8 +18,12 @@ Label noise on the integer labels re-draws uniformly in the opposite half of
 the class range, so the binary half-partition view used by the evaluation
 steps disagrees with the oracle exactly at the flip rate.
 
-Record i of a modality draws from a substream keyed by (seed, modality, i):
-content is independent of every other record and of n_per_modality.
+Generation is column-at-a-time: each modality draws one (n_per_modality,
+11 + feature_dim) block of keyed uniforms (`seeding.keyed_uniforms`), whose
+columns are valid, relevant, action, mem, trust, the features, four flip
+draws and two opposite-half draws. Row i is keyed by (seed, modality, i), so
+a record's content is independent of every other record and of
+n_per_modality.
 """
 
 from dataclasses import dataclass, field
@@ -110,12 +114,16 @@ class GeneratorConfig:
         return cfg
 
 
-def opposite_half(label: int, n_classes: int, rng) -> int:
-    """Uniform draw from the half of [0, n) that does not contain label."""
+def opposite_half(label, n_classes: int, u):
+    """Uniform pick from the half of [0, n) that does not contain label, made
+    by a uniform u on [0, 1) (drawn from u when it is a Generator). label and
+    u may be arrays of one shape."""
+    if isinstance(u, np.random.Generator):
+        u = u.random(np.shape(label))
     half = n_classes // 2
-    if label < half:
-        return int(rng.integers(half, n_classes))
-    return int(rng.integers(0, half))
+    lower = np.asarray(label) < half
+    width = np.where(lower, n_classes - half, half)
+    return np.where(lower, half, 0) + np.floor(u * width).astype(np.int64)
 
 
 def half_partition(label: int, n_classes: int) -> bool:
@@ -169,23 +177,28 @@ class FeatureGeometry:
         # min distance between signed one-hot centers = separation
         return self.separation / math.sqrt(2.0)
 
-    def relevance_center(self, relevant: bool) -> np.ndarray:
-        c = np.zeros(self.feature_dim)
-        sign = -1.0 if relevant else 1.0
-        for d in self.relevance_dims:
-            c[d] = sign * self.relevance_magnitude
+    def relevance_center(self, relevant) -> np.ndarray:
+        """Cluster center of a relevance flag; (N, d) centers of N flags."""
+        rel = np.asarray(relevant, dtype=bool)
+        c = np.zeros(rel.shape + (self.feature_dim,))
+        c[..., list(self.relevance_dims)] = np.where(
+            rel, -self.relevance_magnitude, self.relevance_magnitude)[..., None]
         return c
 
-    def _class_center(self, dims, label: int) -> np.ndarray:
-        c = np.zeros(self.feature_dim)
-        sign = 1.0 if label % 2 == 0 else -1.0
-        c[dims[label // 2]] = sign * self.class_magnitude
+    def _class_center(self, dims, label) -> np.ndarray:
+        lab = np.asarray(label, dtype=np.int64)
+        c = np.zeros(lab.shape + (self.feature_dim,))
+        value = np.where(lab % 2 == 0, self.class_magnitude, -self.class_magnitude)
+        dim = np.asarray(dims)[lab // 2]
+        np.put_along_axis(c, dim[..., None], value[..., None], axis=-1)
         return c
 
-    def action_center(self, label: int) -> np.ndarray:
+    def action_center(self, label) -> np.ndarray:
+        """Cluster center of an action label; (N, d) centers of N labels."""
         return self._class_center(self.action_dims, label)
 
-    def memory_center(self, label: int) -> np.ndarray:
+    def memory_center(self, label) -> np.ndarray:
+        """Cluster center of a memory label; (N, d) centers of N labels."""
         return self._class_center(self.memory_dims, label)
 
     def action_directions(self) -> np.ndarray:
@@ -271,47 +284,39 @@ def generate(cfg: GeneratorConfig) -> Dataset:
     cfg.validate()
     geom = FeatureGeometry.from_config(cfg)
     mean, spread = cfg.trust_distribution
+    n, d = cfg.n_per_modality, cfg.feature_dim
     records = []
-    next_id = 0
     for m_idx, modality in enumerate(MODALITIES):
-        p = cfg.label_noise[modality]
-        for i in range(cfg.n_per_modality):
-            rng = seeding.substream(cfg.seed, seeding.DATASET_RECORD, m_idx, i)
-            valid = rng.random() < 0.5
-            relevant = rng.random() < 0.5
-            action = int(rng.integers(0, cfg.n_actions))
-            mem = int(rng.integers(0, cfg.n_memory_classes))
+        u = seeding.keyed_uniforms(cfg.seed, seeding.DATASET_RECORD, m_idx,
+                                   np.arange(n), 11 + d)
+        valid = u[:, 0] < 0.5
+        relevant = u[:, 1] < 0.5
+        action = np.floor(u[:, 2] * cfg.n_actions).astype(np.int64)
+        mem = np.floor(u[:, 3] * cfg.n_memory_classes).astype(np.int64)
 
-            trust_noise = float(_truncated(rng.random(), _TRUST_TRUNC))
-            center = _TRUST_CENTER if valid else -_TRUST_CENTER
-            trust = mean + spread * (center + trust_noise)
-            trust = min(max(trust, 0.0), 1.0)
+        center = np.where(valid, _TRUST_CENTER, -_TRUST_CENTER)
+        trust = np.clip(mean + spread * (center + _truncated(u[:, 4], _TRUST_TRUNC)),
+                        0.0, 1.0)
 
-            features = _truncated(rng.random(cfg.feature_dim), geom.noise_bound)
-            features += geom.relevance_center(relevant)
-            features += geom.action_center(action)
-            features += geom.memory_center(mem)
+        features = _truncated(u[:, 5:5 + d], geom.noise_bound)
+        features += geom.relevance_center(relevant)
+        features += geom.action_center(action)
+        features += geom.memory_center(mem)
 
-            stored_valid = (not valid) if rng.random() < p else valid
-            stored_rel = (not relevant) if rng.random() < p else relevant
-            stored_action = action
-            if rng.random() < p:
-                stored_action = opposite_half(action, cfg.n_actions, rng)
-            stored_mem = mem
-            if rng.random() < p:
-                stored_mem = opposite_half(mem, cfg.n_memory_classes, rng)
+        flip = u[:, 5 + d:9 + d] < cfg.label_noise[modality]
+        stored_action = np.where(
+            flip[:, 2], opposite_half(action, cfg.n_actions, u[:, 9 + d]), action)
+        stored_mem = np.where(
+            flip[:, 3], opposite_half(mem, cfg.n_memory_classes, u[:, 10 + d]), mem)
 
-            records.append(ModalRecord(
-                id=next_id,
-                modality=modality,
-                features=tuple(float(x) for x in features),
-                trust=trust,
-                valid=stored_valid,
-                relevant=stored_rel,
-                action=stored_action,
-                mem_label=stored_mem,
-            ))
-            next_id += 1
+        ids = range(m_idx * n, (m_idx + 1) * n)
+        records.extend(
+            ModalRecord(id=rid, modality=modality, features=tuple(feats), trust=t,
+                        valid=v, relevant=r, action=a, mem_label=mlab)
+            for rid, feats, t, v, r, a, mlab in zip(
+                ids, features.tolist(), trust.tolist(), (valid ^ flip[:, 0]).tolist(),
+                (relevant ^ flip[:, 1]).tolist(), stored_action.tolist(),
+                stored_mem.tolist()))
     return Dataset(records=tuple(records), meta=_build_meta(cfg, geom))
 
 

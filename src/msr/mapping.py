@@ -2,9 +2,11 @@
 annotation: int, float, str, X | None, tuple[X, Y], tuple[X, ...],
 dict[K, V] or a nested dataclass. A value of the wrong type or length is a
 ConfigError that names its key. An int is accepted for a float field and
-kept as given; a bool is never a number."""
+kept as given; a bool is never a number, and NaN and infinities are not
+numbers either."""
 
 import dataclasses
+import math
 import types
 
 from .errors import ConfigError
@@ -59,6 +61,8 @@ def _value(tp, value, key: str):
     allowed = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{key} must be {_SCALARS[tp]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 

@@ -7,9 +7,9 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            stats, the LTM prototype store, config thresholds); records are
            pure functions of (record, context) and may run in any order or
            process. `score_chunk` runs steps 2-7 on CHUNK_RECORDS survivors
-           at a time as (N, ...) arrays, with each record drawing from its
-           own keyed streams, so every outcome equals the one-record result
-           bit for bit whatever the chunking.
+           at a time as (N, ...) arrays; each record's draws are a row of
+           keyed uniforms that depends only on its id, so every outcome
+           equals the one-record result bit for bit whatever the chunking.
   phase 2  a single-threaded merge in record-id order applies feedback:
            decision history means and feedback-adjusted utilities.
 
@@ -77,17 +77,18 @@ from .scenario import (
 from .sim2real import (
     ACTIONS,
     AlignmentModel,
+    EnvBatch,
     GridEnv,
     PolicyTable,
     align_features,
     optimize_policy,
+    randomize_batch,
     randomize_env,
     refine_policy,
     reward_discrepancy,
     reward_table,
     rollout,
     solve_batch,
-    transition_tables,
 )
 
 # Single-record layer functions, each a thin form of a batched function that
@@ -120,7 +121,8 @@ class ModalityContext:
     instruction: np.ndarray
     neutral_map: np.ndarray        # feature map of a zero sensor channel
     context_weights: ContextWeights
-    envs: tuple                    # (sim base, real env) per goal direction
+    sim_bases: EnvBatch            # unrandomized simulated env per goal direction
+    real_envs: EnvBatch            # real env per goal direction
 
 
 @dataclass
@@ -145,11 +147,17 @@ class RecordOutcome:
     confidence: float
 
 
-def build_envs(cfg: RunConfig, envs: tuple, direction: int, env_seed: int):
-    """Per-record simulated (randomized) and real environments from the
-    `GridSpec.envs` pairs."""
+def env_draws(cfg: RunConfig, modality_index: int, ids) -> np.ndarray:
+    """Each record's row of open uniforms for `randomize_batch`."""
+    return seeding.keyed_uniforms(cfg.seed, seeding.ENV_RANDOMIZATION, modality_index, ids,
+                                  len(cfg.randomization.continuous) + 1, open_interval=True)
+
+
+def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
+    """One record's simulated (randomized) and real environments from the
+    `GridSpec.envs` pairs and its `env_draws` row."""
     sim_base, real_env = envs[direction]
-    return randomize_env(sim_base, cfg.randomization, env_seed), real_env
+    return randomize_env(sim_base, cfg.randomization, draws), real_env
 
 
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
@@ -184,12 +192,14 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     internal = np.asarray(cfg.internal_state or (0.0, 0.0), dtype=float)
     instruction = np.asarray(cfg.instruction or (0.0, 0.0), dtype=float)
     neutral = feature_map(integrate(np.zeros(2), internal, instruction, cfg.weights))
+    envs = cfg.grid.envs()
     return ModalityContext(
         cfg=cfg, modality=modality, modality_index=MODALITIES.index(modality),
         stats=stats, geometry=geometry, store=store, subtasks=ordered,
         internal=internal, instruction=instruction, neutral_map=neutral,
         context_weights=ContextWeights(cfg.context_weights),
-        envs=cfg.grid.envs(),
+        sim_bases=EnvBatch.of([sim for sim, _ in envs]),
+        real_envs=EnvBatch.of([real for _, real in envs]),
     )
 
 
@@ -197,8 +207,8 @@ def score_chunk(ctx: ModalityContext, records) -> list:
     """Run steps 2-7 for a chunk of one modality's survivors as (N, ...)
     arrays; one RecordOutcome per record, in input order.
 
-    Pure given (ctx, records): every record draws only from its own keyed
-    streams, so any split of the survivors into chunks gives the same
+    Pure given (ctx, records): every record draws only from its own rows of
+    keyed uniforms, so any split of the survivors into chunks gives the same
     outcomes. Dot products and norms go through `row_dot` and sums of
     scenario attributes through `math.fsum` per row, so each value equals
     the one-record-at-a-time arithmetic bit for bit.
@@ -219,13 +229,14 @@ def score_chunk(ctx: ModalityContext, records) -> list:
     # pool column j is scenario index j (m own, then m neutral-reference)
     unified = integrate(sensor_full[:, rel], ctx.internal, ctx.instruction, cfg.weights)
     semantic = semantic_features(unified)
+    n_noise = m * unified.shape[1]
     own = perturb(feature_map(unified), m, cfg.noise_width,
-                  [seeding.substream(cfg.seed, seeding.SCENARIO_NOISE,
-                                     ctx.modality_index, i) for i in ids])
+                  seeding.keyed_uniforms(cfg.seed, seeding.SCENARIO_NOISE,
+                                         ctx.modality_index, ids, n_noise))
     reference = perturb(np.broadcast_to(ctx.neutral_map, unified.shape), m,
                         cfg.noise_width,
-                        [seeding.substream(cfg.seed, seeding.BASELINE_NOISE,
-                                           ctx.modality_index, i) for i in ids])
+                        seeding.keyed_uniforms(cfg.seed, seeding.BASELINE_NOISE,
+                                               ctx.modality_index, ids, n_noise))
     pool = np.concatenate([own, reference], axis=1)
 
     # attention: softmax relevance, top-k (ties by ascending index),
@@ -257,20 +268,18 @@ def score_chunk(ctx: ModalityContext, records) -> list:
     decision = first_best(utility)
     predicted = utility[rows, decision]
 
-    # sim2real: randomized sim env, exact policies, discrepancy re-plan
-    sim_envs, real_envs = zip(*[
-        build_envs(cfg, ctx.envs, a,
-                   seeding.derived_seed(cfg.seed, seeding.ENV_RANDOMIZATION,
-                                        ctx.modality_index, i))
-        for a, i in zip(decision.tolist(), ids)])
-    sim_nxt, sim_rewards = transition_tables(sim_envs)
-    real_nxt, real_rewards = transition_tables(real_envs)
+    # sim2real: randomized sim env, exact policies, discrepancy re-plan; the
+    # goal direction is the decision
+    sim_envs = randomize_batch(ctx.sim_bases.take(decision), cfg.randomization,
+                               env_draws(cfg, ctx.modality_index, ids))
+    real_envs = ctx.real_envs.take(decision)
+    sim_nxt, sim_rewards = sim_envs.tables()
+    real_nxt, real_rewards = real_envs.tables()
     delta = reward_discrepancy(real_rewards, sim_rewards)
     horizon = cfg.grid.horizon
-    sim_tables = solve_batch(sim_nxt, sim_rewards, [e.slip_prob for e in sim_envs],
-                             horizon, cfg.gamma)
+    sim_tables = solve_batch(sim_nxt, sim_rewards, sim_envs.slip_prob, horizon, cfg.gamma)
     refined_tables = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
-                                 [e.slip_prob for e in real_envs], horizon, cfg.gamma)
+                                 real_envs.slip_prob, horizon, cfg.gamma)
 
     start = tuple(cfg.grid.start)
     n_selected = min(cfg.k, 2 * m)
@@ -445,19 +454,19 @@ def _trajectory_features(env: GridEnv, policy, rng) -> list:
 
 def run_alignment(cfg: RunConfig, results) -> float:
     """Adversarial alignment over rollout features from the sim and real
-    environments of the first `align.samples` survivors per modality. Slips
+    environments of the first `align.samples` survivors per modality. Each
+    record's sim env is rebuilt from its phase-1 randomization draws; slips
     in both rollouts of a record draw from that record's own stream."""
     sim_rows, real_rows = [], []
     envs = cfg.grid.envs()
     for res in results:
         modality_index = MODALITIES.index(res.modality)
         picked = res.survivor_ids[: cfg.align.samples]
-        for rid in picked:
+        draws = env_draws(cfg, modality_index, picked)
+        for rid, row in zip(picked, draws):
             out = res.outcomes[rid]
-            env_seed = seeding.derived_seed(
-                cfg.seed, seeding.ENV_RANDOMIZATION, modality_index, rid)
             slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, modality_index, rid)
-            sim_env, real_env = build_envs(cfg, envs, out.decision_id, env_seed)
+            sim_env, real_env = build_envs(cfg, envs, out.decision_id, row)
             sim_rows.extend(_trajectory_features(
                 sim_env, optimize_policy(sim_env, cfg.gamma), slips))
             delta = reward_discrepancy(reward_table(real_env), reward_table(sim_env))

@@ -64,25 +64,27 @@ def feature_map(unified) -> np.ndarray:
     return np.exp(-np.asarray(unified, dtype=float))
 
 
-def perturb(map_rows, m_count: int, noise_width: float, rngs) -> np.ndarray:
+def perturb(map_rows, m_count: int, noise_width: float, u) -> np.ndarray:
     """(N, m_count, d) scenario attributes: each (d,) row of map_rows plus
-    m_count draws of uniform noise on [-noise_width, +noise_width) per
-    attribute, taken from that row's own generator in rngs."""
+    m_count rows of uniform noise on [-noise_width, +noise_width) per
+    attribute, made from that row's (m_count * d) uniforms on [0, 1) in the
+    (N, m_count * d) array u."""
     if m_count < 1:
         raise ConfigError(f"m_count must be >= 1, got {m_count}")
     if noise_width < 0.0:
         raise ConfigError(f"noise_width must be >= 0, got {noise_width}")
     m = np.asarray(map_rows, dtype=float)
-    size = (m_count, m.shape[-1])
-    noise = np.stack([gen.uniform(-noise_width, noise_width, size=size) for gen in rngs])
-    return m[:, None, :] + noise
+    noise = -noise_width + 2.0 * noise_width * np.asarray(u, dtype=float)
+    return m[:, None, :] + noise.reshape(m.shape[0], m_count, m.shape[-1])
 
 
 def generate_scenarios(map_values, m_count: int, noise_width: float, rng) -> list:
     """Perturb the feature map m_count times (see `perturb`). Deterministic
     for a given seed; pass an int seed or a Generator."""
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    attrs = perturb(np.asarray(map_values, dtype=float)[None], m_count, noise_width, [gen])[0]
+    row = np.asarray(map_values, dtype=float)[None]
+    u = gen.random((1, max(m_count, 0) * row.shape[1]))
+    attrs = perturb(row, m_count, noise_width, u)[0]
     return [Scenario(index=j, attributes=a, utility=scenario_utility(a))
             for j, a in enumerate(attrs)]
 

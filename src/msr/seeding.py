@@ -1,8 +1,18 @@
-"""Labeled derivation of per-purpose random substreams from one master seed.
+"""Labeled random streams derived from one master seed.
 
-Every random draw in the package comes from a generator built here, keyed by
-(master seed, purpose, *indices). Record-level streams depend only on their
-own key, so generation order and worker layout cannot change results.
+Every random draw in the package is keyed by (master seed, purpose, *indices).
+Record-level draws depend only on their own key, so generation order, chunking
+and worker layout cannot change results.
+
+Per-record draws come from `keyed_uniforms`, a counter-based generator: draw j
+of a record is the SplitMix64 finaliser (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014) applied to the record's key plus
+j + 1 golden-ratio increments, which is output j of a SplitMix64 stream
+seeded with the key. The key absorbs seed, purpose, modality and record id
+through the same finaliser. Everything is evaluated on uint64 arrays, so one
+call draws a whole modality. `substream` builds a numpy Generator for the few
+draws that are not per record in the hot path (alignment rollouts and its
+holdout split).
 """
 
 import numpy as np
@@ -14,14 +24,46 @@ BASELINE_NOISE = 2
 ENV_RANDOMIZATION = 3
 ALIGNMENT = 4
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of a uint64 array (never a numpy scalar: scalar
+    uint64 arithmetic warns on the wrap-around this relies on)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
+                   open_interval: bool = False) -> np.ndarray:
+    """(len(ids), n) uniforms; row i holds draws 0..n-1 of record ids[i].
+
+    On [0, 1) from the top 53 bits of each output, or on (0, 1) with
+    `open_interval` (top 52 bits plus half a step), for inverse-CDF
+    transforms that must not see 0.
+    """
+    key = np.full(1, master_seed, dtype=np.uint64)
+    for part in (np.full(1, purpose, dtype=np.uint64), np.full(1, modality, dtype=np.uint64),
+                 np.asarray(ids, dtype=np.uint64).reshape(-1)):
+        key = _mix(key ^ (part + _GOLDEN))
+    step = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    bits = _mix(key[:, None] + step[None, :])
+    if open_interval:
+        return ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for the given purpose key."""
+    """Independent numpy generator for the given purpose key."""
     ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
 
 def derived_seed(master_seed: int, *key: int) -> int:
-    """Stable 63-bit integer seed for APIs that take a plain seed."""
+    """Stable 63-bit integer seed for APIs that take a plain seed. No stream
+    of the package uses it; the benchmark's tracer wraps it by name."""
     ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0] >> 1)

@@ -16,7 +16,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .errors import ConfigError, EmptyInputError, ShapeError, StateLookupError
 
@@ -82,17 +82,77 @@ def next_state_table(env: GridEnv) -> np.ndarray:
     return _next_table(env.width, env.height, env.state_index(env.goal))
 
 
+@dataclass(frozen=True)
+class EnvBatch:
+    """N environments of one grid size and horizon as columns: start and goal
+    cells as state indices, rewards and slip as (N,) floats."""
+
+    width: int
+    height: int
+    horizon: int
+    start: np.ndarray
+    goal: np.ndarray
+    step_reward: np.ndarray
+    goal_reward: np.ndarray
+    slip_prob: np.ndarray
+
+    @classmethod
+    def of(cls, envs) -> "EnvBatch":
+        """Columns of GridEnvs that share one grid size and horizon."""
+        def column(name):
+            return np.asarray([getattr(e, name) for e in envs], dtype=float)
+
+        first = envs[0]
+        return cls(width=first.width, height=first.height, horizon=first.horizon,
+                   start=np.asarray([e.state_index(e.start) for e in envs], dtype=np.int64),
+                   goal=np.asarray([e.state_index(e.goal) for e in envs], dtype=np.int64),
+                   step_reward=column("step_reward"), goal_reward=column("goal_reward"),
+                   slip_prob=column("slip_prob"))
+
+    def take(self, rows) -> "EnvBatch":
+        """The environments at the given row indices, in that order."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in
+                                ("start", "goal", "step_reward", "goal_reward", "slip_prob")})
+
+    def env(self, row: int) -> GridEnv:
+        def cell(index):
+            return (int(index) % self.width, int(index) // self.width)
+
+        return GridEnv(width=self.width, height=self.height, start=cell(self.start[row]),
+                       goal=cell(self.goal[row]),
+                       step_reward=float(self.step_reward[row]),
+                       goal_reward=float(self.goal_reward[row]),
+                       slip_prob=float(self.slip_prob[row]), horizon=self.horizon)
+
+    def check(self) -> None:
+        """`GridEnv`'s per-environment checks, over all rows at once."""
+        n_states = self.width * self.height
+        for name, cells in (("start", self.start), ("goal", self.goal)):
+            if not np.all((cells >= 0) & (cells < n_states)):
+                raise ConfigError(f"{name} outside the {self.width}x{self.height} grid")
+        if np.any(self.start == self.goal):
+            raise ConfigError("start and goal must differ")
+        if not np.all((self.slip_prob >= 0.0) & (self.slip_prob < 1.0)):
+            raise ConfigError(f"slip_prob must be in [0, 1), got {self.slip_prob.min()!r}"
+                              f"..{self.slip_prob.max()!r}")
+
+    def tables(self):
+        """(N, n_states, 4) next-state and reward tables; see
+        `next_state_table` and `reward_table`."""
+        goals, inverse = np.unique(self.goal, return_inverse=True)
+        nxt = np.stack([_next_table(self.width, self.height, g)
+                        for g in goals.tolist()])[inverse]
+        goal = self.goal[:, None, None]
+        rewards = self.step_reward[:, None, None] + np.where(
+            nxt == goal, self.goal_reward[:, None, None], 0.0)
+        rewards[np.arange(len(self.goal)), self.goal] = 0.0
+        return nxt, rewards
+
+
 def transition_tables(envs):
     """Stacked (N, n_states, 4) next-state and reward tables of environments
     that share one grid size; see `next_state_table` and `reward_table`."""
-    width, height = envs[0].width, envs[0].height
-    goals = np.asarray([e.state_index(e.goal) for e in envs], dtype=np.int64)
-    nxt = np.stack([_next_table(width, height, g) for g in goals.tolist()])
-    step = np.asarray([e.step_reward for e in envs], dtype=float)[:, None, None]
-    bonus = np.asarray([e.goal_reward for e in envs], dtype=float)[:, None, None]
-    rewards = step + np.where(nxt == goals[:, None, None], bonus, 0.0)
-    rewards[np.arange(len(envs)), goals] = 0.0
-    return nxt, rewards
+    return EnvBatch.of(envs).tables()
 
 
 def reward_table(env: GridEnv) -> np.ndarray:
@@ -205,28 +265,42 @@ class RandomizationConfig:
                               "expected 1")
 
 
-def randomize_env(base: GridEnv, spec: RandomizationConfig, seed: int) -> GridEnv:
-    """Randomized copy of the base environment, reproducible from `seed`.
+def randomize_batch(bases: EnvBatch, spec: RandomizationConfig, draws) -> EnvBatch:
+    """Randomized copies of N base environments, made from each row of the
+    (N, len(spec.continuous) + 1) open uniforms on (0, 1) in `draws`.
 
-    Continuous parameters move by a Gaussian draw (sorted parameter order,
-    then the variant draw, so the stream layout is fixed); slip_prob is
-    clamped to [0, 0.95]. The categorical variant either keeps the layout or
-    swaps start and goal.
+    Continuous parameters move by a Gaussian draw, ndtri of the row's
+    uniforms in sorted parameter order; slip_prob is clamped to [0, 0.95].
+    The last uniform picks the variant over the cumulative probabilities of
+    the sorted variant names: keep the layout or swap start and goal.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    u = np.asarray(draws, dtype=float)
+    if u.shape != (len(bases.goal), len(spec.continuous) + 1):
+        raise ShapeError(f"randomization draws {u.shape} for {len(bases.goal)} environments "
+                         f"and {len(spec.continuous)} parameters")
     changes = {}
-    for name in sorted(spec.continuous):
+    for j, name in enumerate(sorted(spec.continuous)):
         mu, sigma = spec.continuous[name]
-        value = getattr(base, name) + mu + sigma * rng.standard_normal()
+        value = getattr(bases, name) + mu + sigma * ndtri(u[:, j])
         if name == "slip_prob":
-            value = min(max(value, 0.0), _SLIP_MAX)
+            value = np.clip(value, 0.0, _SLIP_MAX)
         changes[name] = value
     names = sorted(spec.variants)
-    probs = np.asarray([spec.variants[n] for n in names], dtype=float)
-    variant = names[int(rng.choice(len(names), p=probs / probs.sum()))]
-    if variant == "swap_start_goal":
-        changes["start"], changes["goal"] = base.goal, base.start
-    return replace(base, **changes)
+    cumulative = np.cumsum([spec.variants[n] for n in names], dtype=float)
+    variant = np.searchsorted(cumulative / cumulative[-1], u[:, -1], side="right")
+    if "swap_start_goal" in names:
+        swap = variant == names.index("swap_start_goal")
+        changes["start"] = np.where(swap, bases.goal, bases.start)
+        changes["goal"] = np.where(swap, bases.start, bases.goal)
+    randomized = replace(bases, **changes)
+    randomized.check()
+    return randomized
+
+
+def randomize_env(base: GridEnv, spec: RandomizationConfig, draws) -> GridEnv:
+    """Randomized copy of one base environment from its row of
+    len(spec.continuous) + 1 open uniforms; see `randomize_batch`."""
+    return randomize_batch(EnvBatch.of([base]), spec, np.asarray(draws, dtype=float)[None]).env(0)
 
 
 @dataclass(frozen=True)

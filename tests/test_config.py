@@ -52,6 +52,15 @@ PROBES = [
     ("weights.sensor", {"weights": {"sensor": -0.2, "internal": 0.6, "instruction": 0.6}}),
     ("generator.n_actions",
      {"generator": {"n_per_modality": 20, "n_actions": 6, "feature_dim": 10}}),
+    # a negative run seed used to end in a raw traceback from the stream setup
+    ("seed", {"seed": -1, "generator": {"seed": 1}}),
+    ("seed", {"seed": 2 ** 64}),
+    ("generator.seed", {"generator": {"n_per_modality": 20, "seed": -1}}),
+    ("generator.n_per_modality", {"generator": {"n_per_modality": 0}}),
+    # non-finite numbers used to run the whole pipeline and fail writing JSON
+    ("grid.real_step_reward", {"grid": {"real_step_reward": float("nan")}}),
+    ("lambda_feedback", {"lambda_feedback": float("inf")}),
+    ("randomization.variants.keep", {"randomization": {"variants": {"keep": float("-inf")}}}),
 ]
 
 
@@ -133,6 +142,17 @@ def test_optional_values_accept_null():
 def test_config_errors_name_the_key(fragment, message):
     with pytest.raises(ConfigError, match=message):
         RunConfig.from_mapping(fragment)
+
+
+@pytest.mark.parametrize("fragment,message", [
+    ({"internal_state": (1.0, 2.0, 3.0)}, r"^internal_state must hold 2 values, got 3"),
+    ({"instruction": (1.0,)}, r"^instruction must hold 2 values, got 1"),
+    ({"seed": -1}, r"^seed must be a 64-bit unsigned integer"),
+])
+def test_config_built_in_python_is_validated(fragment, message):
+    # RunConfig(...) skips the mapper, so validate() must catch these itself
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**fragment).validate()
 
 
 def test_top_level_must_be_an_object():

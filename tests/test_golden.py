@@ -1,8 +1,11 @@
 """Golden output digests: fixed runs must reproduce every output file, every
-phase-1 outcome and every policy table byte for byte. The digests were taken
-with the one-record-at-a-time scorer that chunked phase 1 replaced, so they
-tie the batched code to it. A change that moves a digest on purpose updates
-it here and says why in CHANGES.md."""
+phase-1 outcome and every policy table byte for byte. The output and outcome
+digests were taken once with the counter-based keyed streams
+(`seeding.keyed_uniforms`) that replaced the per-record numpy SeedSequence
+streams, at the same configs as before; the phase-1 code around the streams
+was already tied bit for bit to the one-record-at-a-time scorer. The policy
+tables do not depend on the streams and keep their original digest. A change
+that moves a digest on purpose updates it here and says why in CHANGES.md."""
 
 from dataclasses import astuple, replace
 import hashlib
@@ -15,25 +18,15 @@ import pytest
 from msr.config import RunConfig
 from msr.dataset import MODALITIES, GeneratorConfig, generate
 from msr.pipeline import execute_run, run_modality
-from msr.sim2real import (
-    GridEnv,
-    RandomizationConfig,
-    randomize_env,
-    reward_discrepancy,
-    solve_batch,
-    transition_tables,
-)
+from msr.sim2real import GridEnv, reward_discrepancy, solve_batch, transition_tables
 
-# run_summary.json echoes the config, so its digests here were retaken when
-# config keys that change no other output were removed; every other digest
-# is the original.
 GOLDEN = {
-    "report.md": "084158b93912feeca4ad22c0dc3880d5928ad1b216d98f77388810f10f9c35b0",
-    "report_auditory.csv": "7408b7cf75e75634c2f754e1975e7fc38927984c721572d239be9bbf692bb7d6",
-    "report_tactile.csv": "4e5c98ed166f5b06c14b5893b6e4815fb94b49f41c7efe7e3c12b2bf54898866",
-    "report_visual.csv": "32852cac2117c3087c0cdd77bfa7d0394191cc4ed942412ca71a65bbdf0f1745",
-    "run_summary.json": "37472053d8e5f0c5c79c487c459ab85e4e71bd75507f1b0edf8d9a659177c49b",
-    "trace.jsonl": "46257a5845842a5599814ece4cffba0cc56847ea59b364ad4cb991fec7000c04",
+    "report.md": "418feb5b30573a0f31d88ca6c38f3f706a143f9af9635c1d278fa85542fb697f",
+    "report_auditory.csv": "833df5da752992fcadc065a3c0bd5b0466ca7713ca19dd924823fee2dae1ff99",
+    "report_tactile.csv": "183520044bb1e963327480811263682fb033afa5f66b139b1df948f1543ead8e",
+    "report_visual.csv": "3ada34f3614be944e4ee0b46eba0276326bfb2483a4410e5475655b96ef69cbe",
+    "run_summary.json": "a7cfb653b51737a23529ed940cdf8b8a443acb10f573818e2c1bd577600cac02",
+    "trace.jsonl": "8615a63a4d71ad7a0761e538b5f4d2d249ecc17ef1576be18b61e8226431cec1",
 }
 
 # Configs that reach the stochastic, swapped, wide top-k, sparse-readout and
@@ -56,55 +49,57 @@ CONFIGS = {
 # first greedy action, so "slip" and "grid-7x6" agree with "default";
 # SOLVER_TABLES pins the tables themselves.
 OUTCOMES = {
-    "default": "75ed0ba4c734ab867f68aef610e68cef70f2df1f5f51deeea0937a670c92d7ca",
-    "slip": "75ed0ba4c734ab867f68aef610e68cef70f2df1f5f51deeea0937a670c92d7ca",
-    "swap-randomized": "71a9ada7f6e881d9ebcdfaa8dbbea3060ff49bc3986c8c05eb47adc097ef508f",
-    "swap-always": "78075accd4772f3fc88373ef585e7a93b7db88a83d71459ec3967c98eb5e1be0",
-    "k-beyond-pool": "c069db0096dc629b54362aa7d9a90c4a0d66e26fc93b304aee429c9791cbf08b",
-    "sparse-readout": "a39e7ab5de5ea3d305a0b55a936ca9da5d578d8f427b17a13c6b2c4d2684a73f",
-    "grid-7x6": "75ed0ba4c734ab867f68aef610e68cef70f2df1f5f51deeea0937a670c92d7ca",
+    "default": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
+    "slip": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
+    "swap-randomized": "514baa55fcc82543effec91a9f830084a3f71607032816e96989599b2c2917ab",
+    "swap-always": "82ff2b353e3d2a187f9e8e1cd2db4762b5b5ba587c0f756cc3109f0e7ea4aba7",
+    "k-beyond-pool": "f11d26d8d286a204030d56adc38cba6a7e10f36988c2d71844c35122b03d335b",
+    "sparse-readout": "533ee3f7c9dd1268354dac78ff780f6168f68ab1a346a2e5ebe17d9dc39a0ec1",
+    "grid-7x6": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
 }
 
 # Output files of the same runs, for the configs whose alignment rollouts
 # are deterministic (a slippery rollout used to end the run in an error).
 CONFIG_FILES = {
     "swap-always": {
-        "report.md": "95c0dcb6ead741414a92f0d547d56899122cbb3e8ad3723e61c6317c6dbcd621",
-        "report_auditory.csv": "d3dbacda37a1fdba745a52079852d67273de266f5618ccbeade8a4a69ac37195",
-        "report_tactile.csv": "21decc2b9e0c5aa35aa9714b1b72b7ec795daa70fbd6601962b9446424312de1",
-        "report_visual.csv": "ead01e8e2747e05c0e330ad250b7083258e36abb79bbf992b66937b768a94c32",
-        "run_summary.json": "696f1aeda321b64ffdb996fb261781aeada907fa27a75bd13b85ca9b8d1a4f8f",
-        "trace.jsonl": "9e31cb989c0a41694f4fef68326e94b18f2359adc5a739b520d65114576bac3d",
+        "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
+        "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
+        "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
+        "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
+        "run_summary.json": "281e7c0f8ed55a6b35fe1165178a7cdd6ec78a94f090b78b04ee7908c2c4c3af",
+        "trace.jsonl": "9afbc8f814de3d3fdc40054cec7c5c39a884192c622164d1c143d839ca1d0408",
     },
     "k-beyond-pool": {
-        "report.md": "eea85873e6242cc210ed7e583632f93307f8a45c4d32b1efd9ee81b31e065386",
-        "report_auditory.csv": "f0de6b3692bd8c92ebef41b6c4b95d6a618ee06815109504588bf7f42548b7a7",
-        "report_tactile.csv": "f571dd40513e8c2f9d29c046d2dcf3b74e91756efdc81563f746562b26fa21af",
-        "report_visual.csv": "58c83f1356429ee5a647d7eb9e60fe5f676fbf985dde0bc46c713f215d0ef3b5",
-        "run_summary.json": "a236c28d86902248a23622a4b2b2dbf528745f89f16d187703e0e0f72a0a203c",
-        "trace.jsonl": "a1752062476eed89380bf4c33e500c963df2c86862e13671cd75662f730a9931",
+        "report.md": "e60de389d8dc4da03cccfaa04aaf14304d00df5d00613a5f8d09a88fca48adf1",
+        "report_auditory.csv": "f59d90e4a8f63a28c5cbdd1123563befdb66b4584adafffefee8b189ae833334",
+        "report_tactile.csv": "8958d5d2b5660574cf60c5ef097f42a11be1ec12262cc3b5eb7647ac3f34c48c",
+        "report_visual.csv": "a151ba02e92c224e90bba69d19be797e3a9c12878a01ffb9e0b62a61dc0384ab",
+        "run_summary.json": "52a41ffda69a315cfe62fa0a08037bce28bce9dd3eb272eadaaa3f2022c05ae1",
+        "trace.jsonl": "968d3674a43af9921e871a4f691af242b98aaf035d5a0d415114593380a98b54",
     },
     "sparse-readout": {
-        "report.md": "95c0dcb6ead741414a92f0d547d56899122cbb3e8ad3723e61c6317c6dbcd621",
-        "report_auditory.csv": "d3dbacda37a1fdba745a52079852d67273de266f5618ccbeade8a4a69ac37195",
-        "report_tactile.csv": "21decc2b9e0c5aa35aa9714b1b72b7ec795daa70fbd6601962b9446424312de1",
-        "report_visual.csv": "ead01e8e2747e05c0e330ad250b7083258e36abb79bbf992b66937b768a94c32",
-        "run_summary.json": "354ca205e434b8bfb5d0a5cc77e436ffcd406506bd4a5babace7859b3a1919f5",
-        "trace.jsonl": "4e188d714a88c1f530816e1ef21f48306141a619054339b0bcab77f691273c7e",
+        "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
+        "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
+        "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
+        "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
+        "run_summary.json": "486721cfb034e64b5d2c66da6d530ae993cf3cf06e68c2fe5a63c028e5e9b28b",
+        "trace.jsonl": "a233fb83a05c17f4f3c83a2c107d552f6aab13aa6514e1b189c2204580888a2c",
     },
     "grid-7x6": {
-        "report.md": "95c0dcb6ead741414a92f0d547d56899122cbb3e8ad3723e61c6317c6dbcd621",
-        "report_auditory.csv": "d3dbacda37a1fdba745a52079852d67273de266f5618ccbeade8a4a69ac37195",
-        "report_tactile.csv": "21decc2b9e0c5aa35aa9714b1b72b7ec795daa70fbd6601962b9446424312de1",
-        "report_visual.csv": "ead01e8e2747e05c0e330ad250b7083258e36abb79bbf992b66937b768a94c32",
-        "run_summary.json": "ead59415714e12e10654acbec46d08379fa6442af7cd58205b5106ff48e8cbab",
-        "trace.jsonl": "3056c32551e3dd54b3275ad0a6fe9463d2a7e99495bda5fbec4bb992aa0eafa9",
+        "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
+        "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
+        "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
+        "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
+        "run_summary.json": "5f9627b4d3e76ca271fb706d75772c06ff129c9d1c9d794b84cb7dd8cb0d2305",
+        "trace.jsonl": "12eafc6ac81e94472eeb07a04c554026aa75b84de7ae629e03a73a55b3374e0c",
     },
 }
 
 # Actions and values of the simulated and the refined real policy for 64
 # randomized environments (slip, goal and step reward drawn, start and goal
-# swapped in half of them) on a 5x5 and a 7x6 grid.
+# swapped in half of them) on a 5x5 and a 7x6 grid. The environments come
+# from the test's own numpy streams (`_randomized`), so this digest did not
+# move with the keyed streams.
 SOLVER_TABLES = "96922396d010d8fbbe94e402453bda09e4183228e29fa4a7b885bc4cb0ea87c2"
 
 
@@ -159,11 +154,22 @@ def test_outcome_digests(tmp_path, name):
     assert digest.hexdigest() == OUTCOMES[name]
 
 
+def _randomized(base, seed):
+    """The environment the pre-keyed-stream randomize_env drew for this seed:
+    a normal per sorted continuous parameter (slip clamped to [0, 0.95]),
+    then the start/goal swap with probability 1/2."""
+    rng = np.random.default_rng(seed)
+    changes = {}
+    for name, (mu, sigma) in (("goal_reward", (0.0, 1.0)), ("slip_prob", (0.1, 0.1)),
+                              ("step_reward", (0.0, 0.05))):
+        value = getattr(base, name) + mu + sigma * rng.standard_normal()
+        changes[name] = min(max(value, 0.0), 0.95) if name == "slip_prob" else value
+    if rng.choice(2, p=np.array([0.5, 0.5])) == 1:
+        changes["start"], changes["goal"] = base.goal, base.start
+    return replace(base, **changes)
+
+
 def test_batched_solver_tables():
-    spec = RandomizationConfig(
-        continuous={"slip_prob": (0.1, 0.1), "goal_reward": (0.0, 1.0),
-                    "step_reward": (0.0, 0.05)},
-        variants={"keep": 0.5, "swap_start_goal": 0.5})
     digest = hashlib.sha256()
     for width, height, start, horizon in ((5, 5, (2, 2), 4), (7, 6, (3, 3), 6)):
         sims, reals = [], []
@@ -171,7 +177,7 @@ def test_batched_solver_tables():
             base = GridEnv(width=width, height=height, start=start,
                            goal=(start[0] + 2 * dx, start[1] + 2 * dy), horizon=horizon)
             for seed in range(8):
-                sims.append(randomize_env(base, spec, seed))
+                sims.append(_randomized(base, seed))
                 reals.append(replace(base, step_reward=-1.2))
         sim_nxt, sim_rewards = transition_tables(sims)
         real_nxt, real_rewards = transition_tables(reals)

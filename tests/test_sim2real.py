@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from msr.errors import ConfigError, ShapeError, StateLookupError
 from msr.sim2real import (
     AlignmentModel,
+    EnvBatch,
     GridEnv,
     RandomizationConfig,
     Trajectory,
@@ -17,11 +18,13 @@ from msr.sim2real import (
     discounted_return,
     next_state_table,
     optimize_policy,
+    randomize_batch,
     randomize_env,
     refine_policy,
     reward_discrepancy,
     reward_table,
     rollout,
+    transition_tables,
 )
 
 
@@ -185,24 +188,66 @@ class TestRandomizeEnv:
     def test_degenerate_spec_is_identity(self):
         spec = RandomizationConfig(continuous={"step_reward": (0.0, 0.0)},
                                    variants={"keep": 1.0})
-        assert randomize_env(self.BASE, spec, 3) == self.BASE
+        assert randomize_env(self.BASE, spec, [0.3, 0.6]) == self.BASE
 
     def test_slip_clamped(self):
         spec = RandomizationConfig(continuous={"slip_prob": (0.0, 100.0)},
                                    variants={"keep": 1.0})
-        seen = {randomize_env(self.BASE, spec, s).slip_prob for s in range(30)}
+        seen = {randomize_env(self.BASE, spec, [u, 0.5]).slip_prob
+                for u in np.linspace(0.01, 0.99, 30)}
         assert all(0.0 <= v <= 0.95 for v in seen)
         assert 0.95 in seen  # huge sigma forces the upper clamp
 
     def test_deterministic_under_seed(self):
         spec = RandomizationConfig(continuous={"step_reward": (0.0, 0.5)},
                                    variants={"keep": 0.5, "swap_start_goal": 0.5})
-        assert randomize_env(self.BASE, spec, 77) == randomize_env(self.BASE, spec, 77)
+        draws = [0.77, 0.4]
+        assert randomize_env(self.BASE, spec, draws) == randomize_env(self.BASE, spec, draws)
 
     def test_swap_variant(self):
         spec = RandomizationConfig(continuous={}, variants={"swap_start_goal": 1.0})
-        env = randomize_env(self.BASE, spec, 0)
+        env = randomize_env(self.BASE, spec, [0.5])
         assert env.start == self.BASE.goal and env.goal == self.BASE.start
+
+    def test_variant_zero_probability_never_drawn(self):
+        spec = RandomizationConfig(continuous={},
+                                   variants={"keep": 0.0, "swap_start_goal": 1.0})
+        for u in (1e-300, 0.5, 1.0 - 2.0 ** -53):
+            assert randomize_env(self.BASE, spec, [u]).start == self.BASE.goal
+
+    def test_draw_row_length_checked(self):
+        spec = RandomizationConfig(continuous={"step_reward": (0.0, 0.5)},
+                                   variants={"keep": 1.0})
+        with pytest.raises(ShapeError, match="randomization draws"):
+            randomize_env(self.BASE, spec, [0.5])
+
+    @settings(max_examples=40, deadline=None)
+    @given(draws=st.lists(st.tuples(*[st.floats(1e-9, 1.0 - 1e-9)] * 4),
+                          min_size=1, max_size=12),
+           goal_dirs=st.data())
+    def test_batch_rows_equal_one_record_form(self, draws, goal_dirs):
+        spec = RandomizationConfig(
+            continuous={"slip_prob": (0.1, 0.3), "goal_reward": (0.0, 1.0),
+                        "step_reward": (0.0, 0.05)},
+            variants={"keep": 0.5, "swap_start_goal": 0.5})
+        goals = ((3, 3), (0, 3), (3, 0))
+        bases = [dataclasses.replace(self.BASE, goal=goals[goal_dirs.draw(st.integers(0, 2))])
+                 for _ in draws]
+        batch = randomize_batch(EnvBatch.of(bases), spec, draws)
+        envs = [randomize_env(b, spec, row) for b, row in zip(bases, draws)]
+        assert [batch.env(i) for i in range(len(draws))] == envs
+        nxt, rewards = batch.tables()
+        want_nxt, want_rewards = transition_tables(envs)
+        assert np.array_equal(nxt, want_nxt) and np.array_equal(rewards, want_rewards)
+
+    def test_batch_keeps_the_per_env_checks(self):
+        spec = RandomizationConfig(continuous={}, variants={"keep": 1.0})
+        bases = EnvBatch.of([self.BASE, self.BASE])
+        for changed, message in (({"slip_prob": np.array([0.1, 1.0])}, "slip_prob"),
+                                 ({"goal": bases.start}, "start and goal must differ"),
+                                 ({"goal": np.array([15, 16])}, "goal outside the 4x4")):
+            with pytest.raises(ConfigError, match=message):
+                randomize_batch(dataclasses.replace(bases, **changed), spec, [[0.5], [0.5]])
 
     # a spec is checked once, when it is built, never per draw
 
