@@ -13,7 +13,7 @@ import sys
 
 from .config import RunConfig
 from .dataset import MODALITIES, generate, save
-from .errors import ConfigError, MsrError
+from .errors import ConfigError, MsrError, ParseError
 from .evaluation import markdown_from_values, parse_report_csv
 from .pipeline import execute_run
 
@@ -38,7 +38,7 @@ def _load_config(path: str | None) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return RunConfig.from_mapping(raw), raw
 
@@ -114,8 +114,11 @@ def cmd_report(args) -> int:
             if args.modality:
                 raise ConfigError(f"missing report file {path}")
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            values[modality] = parse_report_csv(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                values[modality] = parse_report_csv(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not values:
         raise ConfigError(f"no report_<modality>.csv files found in {directory}")
     print(markdown_from_values(values, band=args.band))

@@ -116,10 +116,7 @@ class GeneratorConfig:
 
 def opposite_half(label, n_classes: int, u):
     """Uniform pick from the half of [0, n) that does not contain label, made
-    by a uniform u on [0, 1) (drawn from u when it is a Generator). label and
-    u may be arrays of one shape."""
-    if isinstance(u, np.random.Generator):
-        u = u.random(np.shape(label))
+    by a uniform u on [0, 1). label and u may be arrays of one shape."""
     half = n_classes // 2
     lower = np.asarray(label) < half
     width = np.where(lower, n_classes - half, half)
@@ -347,7 +344,7 @@ def load(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or set(payload) != {"meta", "records"}:
         raise ParseError("top level must be an object with keys meta, records")

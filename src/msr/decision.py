@@ -154,3 +154,16 @@ class FeedbackHistory:
         """Running mean of past outcomes; 0.0 for an unseen decision id."""
         count, total = self.totals.get(int(decision_id), (0, 0.0))
         return total / count if count else 0.0
+
+
+def feedback_means(decision_ids, outcomes) -> np.ndarray:
+    """Each row's `FeedbackHistory.mean` just before its outcome is added, rows
+    in order; bit for bit, as totals add left to right from 0.0."""
+    ids = np.asarray(decision_ids)
+    values = np.asarray(outcomes, dtype=float)
+    means = np.zeros(len(values))
+    for decision_id in np.unique(ids):
+        rows = np.flatnonzero(ids == decision_id)
+        totals = np.cumsum(np.concatenate(([0.0], values[rows[:-1]])))
+        means[rows] = totals / np.maximum(np.arange(len(rows)), 1)
+    return means

@@ -8,6 +8,8 @@ Markdown document, values rounded to 3 decimals.
 
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import EmptyInputError, IncompleteRunError, ParseError
 from .ingest import MODALITY_ORDER
 from .rounding import round_half_away
@@ -28,6 +30,13 @@ class StepConfusion:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
+
+    @classmethod
+    def tally(cls, step: int, predicted, actual) -> "StepConfusion":
+        """`record_outcome` over each pair of two boolean columns."""
+        p, a = np.asarray(predicted, dtype=bool), np.asarray(actual, dtype=bool)
+        return cls(step, tp=int(np.sum(p & a)), tn=int(np.sum(~p & ~a)),
+                   fp=int(np.sum(p & ~a)), fn=int(np.sum(~p & a)))
 
 
 def record_outcome(conf: StepConfusion, predicted: bool, actual: bool) -> None:

@@ -1,9 +1,10 @@
 """Final action emission and feedback routing.
 
-The executor turns the winning decision plus the refined policy into one
-ActionCommand per surviving record, then routes the observed outcome back:
-the outcome joins the decision's feedback history and the episode's scenario
-vector lands in short-term memory.
+A run's command per surviving record is the refined policy's action at the
+start cell, read from the batched policy tables, with `check_confidence` on
+its confidence. `select_optimal_action` and `route_feedback` are one-record
+forms: one ActionCommand, and the outcome routed into the decision's feedback
+history with the episode's scenario vector into short-term memory.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,15 @@ class ActionCommand:
     confidence: float
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ConfigError(f"confidence must be in [0, 1], got {self.confidence}")
+        check_confidence(self.confidence)
+
+
+def check_confidence(confidence) -> None:
+    """Raise ConfigError naming the first confidence outside [0, 1]."""
+    c = np.asarray(confidence)
+    bad = ~((c >= 0.0) & (c <= 1.0))
+    if bad.any():
+        raise ConfigError(f"confidence must be in [0, 1], got {c[bad][0].item()}")
 
 
 @dataclass(frozen=True)

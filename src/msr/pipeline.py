@@ -10,8 +10,8 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            at a time as (N, ...) arrays; each record's draws are a row of
            keyed uniforms that depends only on its id, so every outcome
            equals the one-record result bit for bit whatever the chunking.
-  phase 2  a single-threaded merge in record-id order applies feedback:
-           decision history means and feedback-adjusted utilities.
+  phase 2  the merge over the concatenated columns in record-id order applies
+           feedback: decision history means and feedback-adjusted utilities.
 
 Step semantics per record (predicted vs actual):
   1  kept by the trust filter            vs the stored valid flag
@@ -24,7 +24,7 @@ Step semantics per record (predicted vs actual):
                                          vs lower-half membership of mem_label
   5  lower-half membership of the selected decision id   vs that of action
   6  same for the refined policy's first action           vs that of action
-  7  same for the emitted ActionCommand's action          vs that of action
+  7  same for the executor's command (step 6's action)    vs that of action
 
 Steps 4-7 compare through the half-partition view because the generator's
 label noise always flips across that partition: the binary disagreement rate
@@ -32,7 +32,7 @@ equals the label flip rate exactly, which keeps all four confusion cells
 populated.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import json
 import multiprocessing
 import os
@@ -53,18 +53,17 @@ from .dataset import (
 )
 from .decision import (
     ContextWeights,
-    DecisionCandidate,
-    FeedbackHistory,
     Subtask,
     TaskTemplate,
     decision_utilities,
     decompose,
+    feedback_means,
     first_best,
     subtask_priority,
 )
 from .errors import EmptyInputError
-from .evaluation import N_STEPS, StepConfusion, record_outcome, report
-from .executor import select_optimal_action
+from .evaluation import StepConfusion, report
+from .executor import check_confidence
 from .ingest import extract_features, filter_by_trust, fit_norm_stats, fuse, normalize
 from .memory import LTM, MemoryEntry, MemoryStore, cosine_scores
 from .scenario import (
@@ -79,7 +78,6 @@ from .sim2real import (
     AlignmentModel,
     EnvBatch,
     GridEnv,
-    PolicyTable,
     align_features,
     optimize_policy,
     randomize_batch,
@@ -92,12 +90,13 @@ from .sim2real import (
 )
 
 # Single-record layer functions, each a thin form of a batched function that
-# phase 1 calls, and route_feedback, which the phase-2 merge no longer needs.
-# perfbench's tracer looks up every layer function it wraps in this module,
-# so the names stay importable from here.
+# phase 1 or the merge calls, and route_feedback, which the merge no longer
+# needs. perfbench's tracer looks up every layer function it wraps in this
+# module, so the names stay importable from here.
 from .attention import top_k_by_relevance  # noqa: F401
 from .decision import decision_utility, select_decision  # noqa: F401
-from .executor import route_feedback  # noqa: F401
+from .evaluation import record_outcome  # noqa: F401
+from .executor import route_feedback, select_optimal_action  # noqa: F401
 from .memory import cosine_score  # noqa: F401
 from .scenario import generate_scenarios, scenario_utility  # noqa: F401
 
@@ -125,26 +124,32 @@ class ModalityContext:
     real_envs: EnvBatch            # real env per goal direction
 
 
-@dataclass
-class RecordOutcome:
-    """Everything phase 1 learns about one surviving record."""
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """Everything phase 1 learns about surviving records, one row per record
+    in input order: (N,) columns, (N, 2) for semantic and refined_attributes.
+    policy_action is also the executor's command."""
 
-    record_id: int
-    semantic: tuple
-    own_in_topk: int
-    relevance_mass: float
-    pred_step2: bool
-    pred_step3: bool
-    retrieved_label: int
-    readout_cosine: float
-    refined_attributes: tuple
-    refined_utility: float
-    decision_id: int
-    predicted_outcome: float
-    sim_first_action: int
-    policy_action: int
-    command_action: int
-    confidence: float
+    record_id: np.ndarray
+    semantic: np.ndarray
+    own_in_topk: np.ndarray
+    relevance_mass: np.ndarray
+    pred_step2: np.ndarray
+    pred_step3: np.ndarray
+    retrieved_label: np.ndarray
+    readout_cosine: np.ndarray
+    refined_attributes: np.ndarray
+    refined_utility: np.ndarray
+    decision_id: np.ndarray
+    predicted_outcome: np.ndarray
+    sim_first_action: np.ndarray
+    policy_action: np.ndarray
+    confidence: np.ndarray
+
+    @classmethod
+    def concat(cls, parts) -> "Outcomes":
+        return cls(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                      for f in fields(cls)})
 
 
 def env_draws(cfg: RunConfig, modality_index: int, ids) -> np.ndarray:
@@ -161,15 +166,12 @@ def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
 
 
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
-                  records) -> ModalityContext:
-    """Fit normalization stats on the filtered stream and freeze the
+                  survivors) -> ModalityContext:
+    """Fit normalization stats on the trust filter's survivors and freeze the
     prototype memory, subtask templates, and channel constants."""
     geometry = FeatureGeometry.from_config(gen_cfg)
-    survivors = filter_by_trust(records, cfg.tau)
     if not survivors:
-        raise EmptyInputError(
-            f"no {modality} records survived the trust filter (tau={cfg.tau})"
-        )
+        raise EmptyInputError(f"no {modality} records survived the trust filter (tau={cfg.tau})")
     pooled = np.concatenate([np.asarray(r.features) for r in survivors])
     stats = fit_norm_stats(pooled)
 
@@ -203,9 +205,9 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     )
 
 
-def score_chunk(ctx: ModalityContext, records) -> list:
+def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     """Run steps 2-7 for a chunk of one modality's survivors as (N, ...)
-    arrays; one RecordOutcome per record, in input order.
+    arrays; one Outcomes row per record, in input order.
 
     Pure given (ctx, records): every record draws only from its own rows of
     keyed uniforms, so any split of the survivors into chunks gives the same
@@ -281,48 +283,32 @@ def score_chunk(ctx: ModalityContext, records) -> list:
     refined_tables = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
                                  real_envs.slip_prob, horizon, cfg.gamma)
 
-    start = tuple(cfg.grid.start)
-    n_selected = min(cfg.k, 2 * m)
-    outcomes = []
-    for (j, rid, sem, n_own, mass, entry, cos, attrs, ref_u, dec, pred, conf,
-         sim_a, sim_v, ref_a, ref_v) in zip(
-            rows.tolist(), ids, semantic.tolist(), own_in_topk.tolist(),
-            own_mass.tolist(), retrieved, readout_cos.tolist(), refined.tolist(),
-            refined_utility.tolist(), decision.tolist(), predicted.tolist(),
-            confidence.tolist(), *sim_tables, *refined_tables):
-        sim_policy = PolicyTable(actions=sim_a, values=sim_v, gamma=cfg.gamma,
-                                 width=cfg.grid.width, height=cfg.grid.height,
-                                 horizon=horizon)
-        refined_policy = PolicyTable(actions=ref_a, values=ref_v, gamma=cfg.gamma,
-                                     width=cfg.grid.width, height=cfg.grid.height,
-                                     horizon=horizon)
-        # executor: emit the command with the carried relevance confidence
-        chosen = DecisionCandidate(id=dec, context=context[j], predicted_outcome=pred)
-        command = select_optimal_action(chosen, refined_policy, start, conf, rid)
-        outcomes.append(RecordOutcome(
-            record_id=rid,
-            semantic=tuple(sem),
-            own_in_topk=n_own,
-            relevance_mass=mass,
-            pred_step2=2 * n_own > n_selected,
-            pred_step3=mass > cfg.rel_threshold,
-            retrieved_label=entry.label,
-            readout_cosine=cos,
-            refined_attributes=tuple(attrs),
-            refined_utility=ref_u,
-            decision_id=dec,
-            predicted_outcome=pred,
-            sim_first_action=sim_policy.action(start),
-            policy_action=refined_policy.action(start),
-            command_action=command.action,
-            confidence=conf,
-        ))
-    return outcomes
+    # executor: the command is the refined policy's action at the start cell,
+    # sent with the relevance confidence carried from scenario selection
+    check_confidence(confidence)
+    start = cfg.grid.start[1] * cfg.grid.width + cfg.grid.start[0]
+    return Outcomes(
+        record_id=np.asarray(ids),
+        semantic=semantic,
+        own_in_topk=own_in_topk,
+        relevance_mass=own_mass,
+        pred_step2=2 * own_in_topk > min(cfg.k, 2 * m),
+        pred_step3=own_mass > cfg.rel_threshold,
+        retrieved_label=np.asarray([entry.label for entry in retrieved]),
+        readout_cosine=readout_cos,
+        refined_attributes=refined,
+        refined_utility=refined_utility,
+        decision_id=decision,
+        predicted_outcome=predicted,
+        sim_first_action=sim_tables[0][rows, horizon - 1, start],
+        policy_action=refined_tables[0][rows, horizon - 1, start],
+        confidence=confidence,
+    )
 
 
-def process_record(ctx: ModalityContext, record) -> RecordOutcome:
+def process_record(ctx: ModalityContext, record) -> Outcomes:
     """Run one surviving record through steps 2-7. Pure given (ctx, record)."""
-    return score_chunk(ctx, [record])[0]
+    return score_chunk(ctx, [record])
 
 
 # Survivors per score_chunk call. Time per record is flat from 64 to 1024;
@@ -355,87 +341,63 @@ def score_records(ctx: ModalityContext, survivors, workers: int):
         with multiprocessing.Pool(processes=workers, initializer=_worker_init,
                                   initargs=(ctx, survivors)) as pool:
             parts = pool.map(_worker_chunk, bounds)
-    return [out for part in parts for out in part]
+    return Outcomes.concat(parts)
 
 
 @dataclass
 class ModalityResult:
     modality: str
     confusions: dict          # step -> StepConfusion
-    trace_lines: list         # (record_id, dict)
-    survivor_ids: list
-    outcomes: dict            # record_id -> RecordOutcome
+    trace_lines: list         # one dict per record
+    outcomes: Outcomes
 
 
 def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                  records, workers: int) -> ModalityResult:
-    ctx = build_context(cfg, gen_cfg, modality, records)
     survivors = filter_by_trust(records, cfg.tau)
+    ctx = build_context(cfg, gen_cfg, modality, survivors)
+    out = score_records(ctx, survivors, workers)
     kept_ids = {r.id for r in survivors}
 
-    confusions = {step: StepConfusion(step) for step in range(1, N_STEPS + 1)}
-    for r in records:
-        record_outcome(confusions[1], r.id in kept_ids, r.valid)
-
-    outcomes = score_records(ctx, survivors, workers)
-    by_id = {}
-    n_act = ctx.geometry.n_actions
-    n_mem = ctx.geometry.n_memory_classes
-    for r, out in zip(survivors, outcomes):
-        record_outcome(confusions[2], out.pred_step2, r.relevant)
-        record_outcome(confusions[3], out.pred_step3, r.relevant)
-        record_outcome(confusions[4], half_partition(out.retrieved_label, n_mem),
-                       half_partition(r.mem_label, n_mem))
-        record_outcome(confusions[5], half_partition(out.decision_id, n_act),
-                       half_partition(r.action, n_act))
-        record_outcome(confusions[6], half_partition(out.policy_action, n_act),
-                       half_partition(r.action, n_act))
-        record_outcome(confusions[7], half_partition(out.command_action, n_act),
-                       half_partition(r.action, n_act))
-        by_id[r.id] = out
+    n_act, n_mem = ctx.geometry.n_actions, ctx.geometry.n_memory_classes
+    relevant = [r.relevant for r in survivors]
+    action = np.asarray([r.action for r in survivors])
+    actual = half_partition(action, n_act)
+    # (predicted, actual) per step; step 7's command is step 6's action
+    pairs = [([r.id in kept_ids for r in records], [r.valid for r in records]),
+             (out.pred_step2, relevant), (out.pred_step3, relevant),
+             (half_partition(out.retrieved_label, n_mem),
+              half_partition(np.asarray([r.mem_label for r in survivors]), n_mem)),
+             (half_partition(out.decision_id, n_act), actual),
+             *[(half_partition(out.policy_action, n_act), actual)] * 2]
+    confusions = {step: StepConfusion.tally(step, predicted, actual)
+                  for step, (predicted, actual) in enumerate(pairs, start=1)}
 
     # phase 2: feedback merge in record-id order
-    history = FeedbackHistory()
-    trace_lines = []
-    for r in records:
-        if r.id not in by_id:
-            trace_lines.append((r.id, {"id": r.id, "modality": modality,
-                                       "trust": r.trust, "kept": False}))
-            continue
-        out = by_id[r.id]
-        matched = out.command_action == r.action
-        outcome = float(matched)
-        feedback_before = history.mean(out.decision_id)
-        adjusted = out.predicted_outcome + cfg.lambda_feedback * feedback_before
-        history.add(out.decision_id, outcome)
-        trace_lines.append((r.id, {
-            "id": r.id,
-            "modality": modality,
-            "trust": r.trust,
-            "kept": True,
-            "semantic": list(out.semantic),
-            "relevance_mass": out.relevance_mass,
-            "own_in_topk": out.own_in_topk,
-            "retrieved_label": out.retrieved_label,
-            "decision": out.decision_id,
-            "subtask": ctx.subtasks[out.decision_id].id,
-            "sim_first_action": out.sim_first_action,
-            "action": out.command_action,
-            "confidence": out.confidence,
-            "matched": matched,
-            "outcome": outcome,
-            "feedback_mean": feedback_before,
-            "adjusted_utility": adjusted,
-            "steps": {
-                "s2": out.pred_step2, "s3": out.pred_step3,
-                "s4": out.retrieved_label, "s5": out.decision_id,
-                "s6": out.policy_action, "s7": out.command_action,
-            },
-        }))
+    matched = out.policy_action == action
+    outcome = matched.astype(float)
+    feedback = feedback_means(out.decision_id, outcome)
+    columns = {
+        "semantic": out.semantic, "relevance_mass": out.relevance_mass,
+        "own_in_topk": out.own_in_topk, "retrieved_label": out.retrieved_label,
+        "decision": out.decision_id,
+        "subtask": np.asarray([sub.id for sub in ctx.subtasks])[out.decision_id],
+        "sim_first_action": out.sim_first_action, "action": out.policy_action,
+        "confidence": out.confidence, "matched": matched, "outcome": outcome,
+        "feedback_mean": feedback,
+        "adjusted_utility": out.predicted_outcome + cfg.lambda_feedback * feedback,
+    }
+    trace_lines = [{"id": r.id, "modality": modality, "trust": r.trust, "kept": False}
+                   for r in records if r.id not in kept_ids]
+    for r, s2, s3, *values in zip(survivors, out.pred_step2.tolist(), out.pred_step3.tolist(),
+                                  *(column.tolist() for column in columns.values())):
+        line = {"id": r.id, "modality": modality, "trust": r.trust, "kept": True,
+                **dict(zip(columns, values))}
+        line["steps"] = {"s2": s2, "s3": s3, "s4": line["retrieved_label"],
+                         "s5": line["decision"], "s6": line["action"], "s7": line["action"]}
+        trace_lines.append(line)
     return ModalityResult(modality=modality, confusions=confusions,
-                          trace_lines=trace_lines,
-                          survivor_ids=[r.id for r in survivors],
-                          outcomes=by_id)
+                          trace_lines=trace_lines, outcomes=out)
 
 
 def _trajectory_features(env: GridEnv, policy, rng) -> list:
@@ -461,12 +423,11 @@ def run_alignment(cfg: RunConfig, results) -> float:
     envs = cfg.grid.envs()
     for res in results:
         modality_index = MODALITIES.index(res.modality)
-        picked = res.survivor_ids[: cfg.align.samples]
+        picked = res.outcomes.record_id[: cfg.align.samples].tolist()
         draws = env_draws(cfg, modality_index, picked)
-        for rid, row in zip(picked, draws):
-            out = res.outcomes[rid]
+        for rid, decision, row in zip(picked, res.outcomes.decision_id.tolist(), draws):
             slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, modality_index, rid)
-            sim_env, real_env = build_envs(cfg, envs, out.decision_id, row)
+            sim_env, real_env = build_envs(cfg, envs, decision, row)
             sim_rows.extend(_trajectory_features(
                 sim_env, optimize_policy(sim_env, cfg.gamma), slips))
             delta = reward_discrepancy(reward_table(real_env), reward_table(sim_env))
@@ -525,13 +486,11 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
         fh.write(rep.markdown)
 
     trace_path = os.path.join(target, TRACE_FILE)
-    lines = []
-    for res in results:
-        lines.extend(res.trace_lines)
-    lines.sort(key=lambda pair: pair[0])
+    lines = sorted((line for res in results for line in res.trace_lines),
+                   key=lambda line: line["id"])
     with open(trace_path, "w", encoding="utf-8") as fh:
-        for _, payload in lines:
-            fh.write(json.dumps(payload, separators=(",", ":"), allow_nan=False))
+        for line in lines:
+            fh.write(json.dumps(line, separators=(",", ":"), allow_nan=False))
             fh.write("\n")
 
     # workers and out_dir are execution details; dropping them keeps the
@@ -542,7 +501,7 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
     summary = {
         "config": config_echo,
         "dataset_meta": dataset.meta,
-        "survivors": {res.modality: len(res.survivor_ids) for res in results},
+        "survivors": {res.modality: len(res.outcomes.record_id) for res in results},
         "alignment_holdout_accuracy": accuracy,
         "outputs": sorted(
             [os.path.basename(p) for p in report_paths.values()]

@@ -149,16 +149,10 @@ class EnvBatch:
         return nxt, rewards
 
 
-def transition_tables(envs):
-    """Stacked (N, n_states, 4) next-state and reward tables of environments
-    that share one grid size; see `next_state_table` and `reward_table`."""
-    return EnvBatch.of(envs).tables()
-
-
 def reward_table(env: GridEnv) -> np.ndarray:
     """(n_states, 4) reward per executed move: step_reward everywhere outside
     the goal, plus goal_reward on moves that enter the goal."""
-    return transition_tables([env])[1][0]
+    return EnvBatch.of([env]).tables()[1][0]
 
 
 @dataclass
@@ -198,7 +192,7 @@ def _slip_mix(slip_probs) -> np.ndarray:
 
 def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
     """Backward induction for N environments of one grid size and horizon at
-    once: nxt and rewards are (N, n_states, 4) tables (`transition_tables`),
+    once: nxt and rewards are (N, n_states, 4) tables (`EnvBatch.tables`),
     slip_probs is (N,). Returns actions (N, horizon, n_states), where row h-1
     is the greedy action with h steps left, and values (N, horizon + 1,
     n_states). Each environment's tables equal its own solve bit for bit."""
@@ -328,10 +322,6 @@ def rollout(env: GridEnv, policy: PolicyTable, rng=None) -> Trajectory:
         if s == goal_idx:
             break
     return Trajectory(steps=tuple(steps))
-
-
-def discounted_return(traj: Trajectory, gamma: float) -> float:
-    return math.fsum(r * gamma ** t for t, (_, _, r) in enumerate(traj.steps))
 
 
 def reward_discrepancy(r_real, r_sim):

@@ -1,8 +1,9 @@
-"""Chunked phase 1 against itself: the outcomes of one survivor must not
-depend on which chunk it is scored in, on the chunk size, or on the worker
-count. Runs over the golden test's configs, whose outcome digests tie the
-same branches to the one-record-at-a-time scorer."""
+"""Chunked phase 1 against itself: the outcome columns of one survivor must
+not depend on which chunk it is scored in, on the chunk size, or on the
+worker count. Runs over the golden test's configs, whose outcome digests tie
+the same branches to the one-record-at-a-time scorer."""
 
+import dataclasses
 import functools
 
 import pytest
@@ -12,9 +13,17 @@ from msr import pipeline
 from msr.config import RunConfig
 from msr.dataset import generate
 from msr.ingest import filter_by_trust
-from msr.pipeline import build_context, process_record, score_chunk, score_records
+from msr.pipeline import Outcomes, build_context, process_record, score_chunk, score_records
 
 from test_golden import CONFIGS
+
+
+def assert_same_columns(got, want):
+    """Every column equal in dtype, shape and bytes."""
+    for field in dataclasses.fields(Outcomes):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 @functools.lru_cache(maxsize=None)
@@ -22,9 +31,8 @@ def scored(name):
     """(ctx, survivors, outcomes of the whole set as one chunk)."""
     cfg = RunConfig.from_mapping({"generator": {"n_per_modality": 120, "seed": 5},
                                   "seed": 5, **CONFIGS[name]})
-    records = generate(cfg.generator).by_modality("auditory")
-    ctx = build_context(cfg, cfg.generator, "auditory", records)
-    survivors = filter_by_trust(records, cfg.tau)
+    survivors = filter_by_trust(generate(cfg.generator).by_modality("auditory"), cfg.tau)
+    ctx = build_context(cfg, cfg.generator, "auditory", survivors)
     return ctx, survivors, score_chunk(ctx, survivors)
 
 
@@ -41,15 +49,15 @@ def test_any_split_gives_the_same_outcomes(name, sizes):
     parts, lo, i = [], 0, 0
     while lo < len(survivors):
         hi = lo + sizes[i % len(sizes)]
-        parts.extend(score_chunk(ctx, survivors[lo:hi]))
+        parts.append(score_chunk(ctx, survivors[lo:hi]))
         lo, i = hi, i + 1
-    assert parts == whole
+    assert_same_columns(Outcomes.concat(parts), whole)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_one_record_at_a_time(name):
     ctx, survivors, whole = scored(name)
-    assert [process_record(ctx, r) for r in survivors] == whole
+    assert_same_columns(Outcomes.concat([process_record(ctx, r) for r in survivors]), whole)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -57,4 +65,4 @@ def test_one_record_at_a_time(name):
 def test_worker_counts(monkeypatch, name, workers):
     ctx, survivors, whole = scored(name)
     monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 7)
-    assert score_records(ctx, survivors, workers) == whole
+    assert_same_columns(score_records(ctx, survivors, workers), whole)

@@ -139,3 +139,22 @@ class TestReport:
     def test_missing_inputs_nonzero(self, tmp_path, capsys):
         assert run_cli("report", "--out", str(tmp_path / "empty")) == 1
         assert "error:" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe\x00"
+
+
+@pytest.mark.parametrize("flags", [("run", "--data"), ("run", "--config"), ("gen", "--config")])
+def test_non_utf8_input_file_is_an_error(tmp_path, capsys, flags):
+    path = tmp_path / "input.json"
+    path.write_bytes(NOT_UTF8)
+    assert run_cli(*flags, str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codec can't decode" in err, err
+
+
+def test_non_utf8_report_csv_is_an_error(tmp_path, capsys):
+    (tmp_path / "report_visual.csv").write_bytes(NOT_UTF8)
+    assert run_cli("report", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'report_visual.csv'}: not UTF-8"), err

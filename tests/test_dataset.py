@@ -133,7 +133,7 @@ class TestOppositeHalf:
         for n in (2, 3, 4, 6):
             for label in range(n):
                 for _ in range(10):
-                    flipped = opposite_half(label, n, rng)
+                    flipped = opposite_half(label, n, rng.random())
                     assert half_partition(flipped, n) != half_partition(label, n)
                     assert flipped != label
 

@@ -11,6 +11,7 @@ from msr.decision import (
     TaskTemplate,
     decision_utility,
     decompose,
+    feedback_means,
     select_decision,
     subtask_priority,
 )
@@ -168,6 +169,19 @@ class TestFeedback:
         assert h.mean(3) == 0.0
         h.add(3, 1.0)
         assert h.mean(3) == pytest.approx(0.5)
+
+    @given(st.lists(st.tuples(st.integers(0, 5),
+                              st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1e300, 1e300))),
+                    max_size=200))
+    def test_feedback_means_equal_history_bit_for_bit(self, rows):
+        # the mean before each row's outcome joins the history, 0.0 while unseen
+        history = FeedbackHistory()
+        expected = []
+        for decision_id, outcome in rows:
+            expected.append(history.mean(decision_id))
+            history.add(decision_id, outcome)
+        got = feedback_means([d for d, _ in rows], [o for _, o in rows])
+        assert got.tobytes() == np.asarray(expected, dtype=float).tobytes()
 
     def test_unseen_decision_id(self):
         h = FeedbackHistory()

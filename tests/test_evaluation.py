@@ -45,6 +45,14 @@ class TestRecordOutcome:
         assert (conf.tp, conf.tn, conf.fp, conf.fn) == (
             tally["tp"], tally["tn"], tally["fp"], tally["fn"])
 
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=200))
+    def test_tally_of_columns_equals_record_outcome(self, pairs):
+        conf = StepConfusion(4)
+        for predicted, actual in pairs:
+            record_outcome(conf, predicted, actual)
+        columns = [p for p, _ in pairs], [a for _, a in pairs]
+        assert StepConfusion.tally(4, *columns) == conf
+
 
 class TestMetrics:
     def test_balanced_ninety(self):

@@ -7,7 +7,7 @@ was already tied bit for bit to the one-record-at-a-time scorer. The policy
 tables do not depend on the streams and keep their original digest. A change
 that moves a digest on purpose updates it here and says why in CHANGES.md."""
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 import hashlib
 import numbers
 import os
@@ -18,7 +18,7 @@ import pytest
 from msr.config import RunConfig
 from msr.dataset import MODALITIES, GeneratorConfig, generate
 from msr.pipeline import execute_run, run_modality
-from msr.sim2real import GridEnv, reward_discrepancy, solve_batch, transition_tables
+from msr.sim2real import EnvBatch, GridEnv, reward_discrepancy, solve_batch
 
 GOLDEN = {
     "report.md": "418feb5b30573a0f31d88ca6c38f3f706a143f9af9635c1d278fa85542fb697f",
@@ -44,10 +44,13 @@ CONFIGS = {
     "grid-7x6": {"grid": {"width": 7, "height": 6, "start": [3, 3], "horizon": 6}},
 }
 
-# sha256 over every survivor's RecordOutcome, all modalities, n=300 per
-# modality at seed 7. Slip and grid size change the value tables but not the
-# first greedy action, so "slip" and "grid-7x6" agree with "default";
-# SOLVER_TABLES pins the tables themselves.
+# sha256 over every survivor's phase-1 outcome row, all modalities, n=300 per
+# modality at seed 7. A row is read in OUTCOME_FIELDS order, the field order
+# of the per-record outcome object these digests were first taken from; its
+# command slot holds the refined policy's start action, as the command did.
+# Slip and grid size change the value tables but not the first greedy
+# action, so "slip" and "grid-7x6" agree with "default"; SOLVER_TABLES pins
+# the tables themselves.
 OUTCOMES = {
     "default": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
     "slip": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
@@ -57,6 +60,13 @@ OUTCOMES = {
     "sparse-readout": "533ee3f7c9dd1268354dac78ff780f6168f68ab1a346a2e5ebe17d9dc39a0ec1",
     "grid-7x6": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
 }
+
+OUTCOME_FIELDS = (
+    "record_id", "semantic", "own_in_topk", "relevance_mass", "pred_step2",
+    "pred_step3", "retrieved_label", "readout_cosine", "refined_attributes",
+    "refined_utility", "decision_id", "predicted_outcome", "sim_first_action",
+    "policy_action", "policy_action", "confidence",
+)
 
 # Output files of the same runs, for the configs whose alignment rollouts
 # are deterministic (a slippery rollout used to end the run in an error).
@@ -148,8 +158,9 @@ def test_outcome_digests(tmp_path, name):
     digest = hashlib.sha256()
     for modality in MODALITIES:
         res = run_modality(cfg, cfg.generator, modality, data.by_modality(modality), 1)
-        for rid in res.survivor_ids:
-            digest.update(repr(_plain(astuple(res.outcomes[rid]))).encode())
+        columns = [getattr(res.outcomes, name).tolist() for name in OUTCOME_FIELDS]
+        for row in zip(*columns):
+            digest.update(repr(_plain(row)).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == OUTCOMES[name]
 
@@ -179,8 +190,8 @@ def test_batched_solver_tables():
             for seed in range(8):
                 sims.append(_randomized(base, seed))
                 reals.append(replace(base, step_reward=-1.2))
-        sim_nxt, sim_rewards = transition_tables(sims)
-        real_nxt, real_rewards = transition_tables(reals)
+        sim_nxt, sim_rewards = EnvBatch.of(sims).tables()
+        real_nxt, real_rewards = EnvBatch.of(reals).tables()
         delta = reward_discrepancy(real_rewards, sim_rewards)
         sim = solve_batch(sim_nxt, sim_rewards, [e.slip_prob for e in sims], horizon, 0.9)
         real = solve_batch(real_nxt, real_rewards + 0.5 * delta,

@@ -12,6 +12,8 @@ from msr.evaluation import metrics
 from msr.ingest import filter_by_trust
 from msr.pipeline import build_context, execute_run, process_record
 
+from test_chunk_oracle import assert_same_columns
+
 GEN = GeneratorConfig(n_per_modality=200, seed=13)
 
 
@@ -39,49 +41,63 @@ class TestGoalWiring:
         assert err.startswith("error: grid: goal (2, -1) outside the 5x5 grid"), err
 
 
+def _survivors(cfg, modality):
+    return filter_by_trust(generate(GEN).by_modality(modality), cfg.tau)
+
+
 class TestProcessRecord:
     def test_pure_and_deterministic(self):
         cfg = RunConfig(generator=GEN, seed=13)
-        ds = generate(GEN)
-        records = ds.by_modality("visual")
-        ctx = build_context(cfg, GEN, "visual", records)
-        survivor = filter_by_trust(records, cfg.tau)[0]
-        a = process_record(ctx, survivor)
-        b = process_record(ctx, survivor)
-        assert a == b
+        survivors = _survivors(cfg, "visual")
+        ctx = build_context(cfg, GEN, "visual", survivors)
+        assert_same_columns(process_record(ctx, survivors[0]),
+                            process_record(ctx, survivors[0]))
 
     def test_decision_and_policy_agree_with_oracle(self):
         cfg = RunConfig(generator=GEN, seed=13)
-        ds = generate(GEN)
-        records = ds.by_modality("auditory")
-        ctx = build_context(cfg, GEN, "auditory", records)
+        survivors = _survivors(cfg, "auditory")
+        ctx = build_context(cfg, GEN, "auditory", survivors)
         geom = FeatureGeometry.from_config(GEN)
-        for r in filter_by_trust(records, cfg.tau)[:40]:
+        for r in survivors[:40]:
             out = process_record(ctx, r)
             latent = geom.oracle_action(np.asarray(r.features))
-            assert out.decision_id == latent
-            assert out.policy_action == latent
-            assert out.command_action == latent
+            assert out.decision_id.tolist() == [latent]
+            assert out.policy_action.tolist() == [latent]
 
     def test_retrieval_matches_memory_oracle(self):
         cfg = RunConfig(generator=GEN, seed=13)
-        ds = generate(GEN)
-        records = ds.by_modality("tactile")
-        ctx = build_context(cfg, GEN, "tactile", records)
+        survivors = _survivors(cfg, "tactile")
+        ctx = build_context(cfg, GEN, "tactile", survivors)
         geom = FeatureGeometry.from_config(GEN)
-        for r in filter_by_trust(records, cfg.tau)[:40]:
+        for r in survivors[:40]:
             out = process_record(ctx, r)
-            assert out.retrieved_label == geom.oracle_memory(np.asarray(r.features))
+            assert out.retrieved_label.tolist() == [geom.oracle_memory(np.asarray(r.features))]
 
     def test_confidence_is_a_probability(self):
         cfg = RunConfig(generator=GEN, seed=13)
-        ds = generate(GEN)
-        records = ds.by_modality("visual")
-        ctx = build_context(cfg, GEN, "visual", records)
-        for r in filter_by_trust(records, cfg.tau)[:10]:
+        survivors = _survivors(cfg, "visual")
+        ctx = build_context(cfg, GEN, "visual", survivors)
+        for r in survivors[:10]:
             out = process_record(ctx, r)
-            assert 0.0 < out.confidence < 1.0
-            assert 0.0 < out.relevance_mass < 1.0
+            assert 0.0 < out.confidence[0] < 1.0
+            assert 0.0 < out.relevance_mass[0] < 1.0
+
+
+def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
+    from msr import decision, evaluation, executor, pipeline, sim2real
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-record object or call in phase 1 or the merge")
+
+    for owner, name in ((sim2real.PolicyTable, "__init__"),
+                        (decision.DecisionCandidate, "__init__"),
+                        (decision.FeedbackHistory, "__init__"),
+                        (pipeline, "select_optimal_action"), (executor, "select_optimal_action"),
+                        (pipeline, "record_outcome"), (evaluation, "record_outcome")):
+        monkeypatch.setattr(owner, name, refuse)
+    cfg = RunConfig(generator=GEN, seed=13)
+    res = pipeline.run_modality(cfg, GEN, "visual", generate(GEN).by_modality("visual"), 1)
+    assert len(res.trace_lines) == GEN.n_per_modality
 
 
 class TestExecuteRun:

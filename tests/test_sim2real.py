@@ -11,11 +11,9 @@ from msr.sim2real import (
     EnvBatch,
     GridEnv,
     RandomizationConfig,
-    Trajectory,
     _adv_loss_grads,
     _task_grad,
     align_features,
-    discounted_return,
     next_state_table,
     optimize_policy,
     randomize_batch,
@@ -24,7 +22,6 @@ from msr.sim2real import (
     reward_discrepancy,
     reward_table,
     rollout,
-    transition_tables,
 )
 
 
@@ -154,33 +151,6 @@ class TestOptimizePolicy:
             enumerate_action_sequences(env, 0.97), abs=1e-9)
 
 
-class TestDiscountedReturn:
-    def _traj(self, rewards):
-        return Trajectory(tuple(((0, 0), 0, r) for r in rewards))
-
-    def test_gamma_one_sums(self):
-        assert discounted_return(self._traj([1.0, 2.0, 3.0]), 1.0) == pytest.approx(6.0)
-
-    def test_gamma_zero_first_term(self):
-        assert discounted_return(self._traj([5.0, 9.0, 9.0]), 0.0) == pytest.approx(5.0)
-
-    def test_gamma_half(self):
-        assert discounted_return(self._traj([1.0, 1.0, 1.0]), 0.5) == pytest.approx(1.75)
-
-    @given(
-        st.lists(st.floats(-5, 5), min_size=1, max_size=10),
-        st.integers(0, 9),
-        st.floats(0.01, 2.0),
-        st.floats(0, 1),
-    )
-    def test_monotone_in_single_reward(self, rewards, idx, bump, gamma):
-        idx = idx % len(rewards)
-        base = discounted_return(self._traj(rewards), gamma)
-        raised = list(rewards)
-        raised[idx] += bump
-        assert discounted_return(self._traj(raised), gamma) >= base - 1e-12
-
-
 class TestRandomizeEnv:
     BASE = GridEnv(width=4, height=4, start=(0, 0), goal=(3, 3),
                    step_reward=-1.0, goal_reward=10.0, slip_prob=0.1, horizon=5)
@@ -237,7 +207,7 @@ class TestRandomizeEnv:
         envs = [randomize_env(b, spec, row) for b, row in zip(bases, draws)]
         assert [batch.env(i) for i in range(len(draws))] == envs
         nxt, rewards = batch.tables()
-        want_nxt, want_rewards = transition_tables(envs)
+        want_nxt, want_rewards = EnvBatch.of(envs).tables()
         assert np.array_equal(nxt, want_nxt) and np.array_equal(rewards, want_rewards)
 
     def test_batch_keeps_the_per_env_checks(self):
@@ -353,7 +323,7 @@ class TestRollout:
         pol = optimize_policy(env, 1.0)
         traj = rollout(env, pol)
         assert [s for s, _, _ in traj.steps] == [(0, 0), (1, 0)]
-        assert discounted_return(traj, 1.0) == pytest.approx(pol.value(env.start))
+        assert sum(r for _, _, r in traj.steps) == pytest.approx(pol.value(env.start))
 
     def test_stochastic_requires_rng(self):
         env = GridEnv(width=2, height=2, start=(0, 0), goal=(1, 1),
