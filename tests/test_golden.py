@@ -68,9 +68,26 @@ OUTCOME_FIELDS = (
     "policy_action", "policy_action", "confidence",
 )
 
-# Output files of the same runs, for the configs whose alignment rollouts
-# are deterministic (a slippery rollout used to end the run in an error).
+# Output files of the same runs for every config but "default", which GOLDEN
+# pins on a larger corpus. "slip" and "swap-randomized" roll out slippery
+# environments in alignment, so their slips reach run_summary.json.
 CONFIG_FILES = {
+    "slip": {
+        "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
+        "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
+        "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
+        "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
+        "run_summary.json": "dfdaabadae14b0da66819be1b33fca704f92c7f134474f777fdb4fffc43f3350",
+        "trace.jsonl": "12eafc6ac81e94472eeb07a04c554026aa75b84de7ae629e03a73a55b3374e0c",
+    },
+    "swap-randomized": {
+        "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
+        "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
+        "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
+        "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
+        "run_summary.json": "162ee6e5d4fde8e94f17c9df0c3f4e69f03d0392c16f6389ee8f6a8170b49066",
+        "trace.jsonl": "77829d70f38b583a23bf7f0c19c2088b7bf1db3b22818752772426266d1d2f58",
+    },
     "swap-always": {
         "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
         "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
