@@ -340,12 +340,17 @@ def _is_number(value) -> bool:
 
 
 def load(path: str) -> Dataset:
-    """Read and fully re-validate a dataset file."""
+    """Read and fully re-validate a dataset file; every error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            return _parse(json.load(fh))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse(payload) -> Dataset:
     if not isinstance(payload, dict) or set(payload) != {"meta", "records"}:
         raise ParseError("top level must be an object with keys meta, records")
     meta = payload["meta"]
@@ -382,18 +387,14 @@ def load(path: str) -> Dataset:
         if not _is_int(rid):
             raise ParseError(f"record {idx}: id must be an integer")
         if rid <= prev_id or (idx == 0 and rid != 0):
-            raise ParseError(
-                f"record {idx}: id {rid} breaks the strictly-increasing-from-0 order"
-            )
+            raise ParseError(f"record {idx}: id {rid} breaks the strictly-increasing-from-0 order")
         prev_id = rid
         modality = row["modality"]
         if modality not in MODALITIES:
             raise ParseError(f"record {idx}: unknown modality {modality!r}")
         feats = row["features"]
         if not isinstance(feats, list) or len(feats) != cfg.feature_dim:
-            raise ParseError(
-                f"record {idx}: features must hold {cfg.feature_dim} numbers"
-            )
+            raise ParseError(f"record {idx}: features must hold {cfg.feature_dim} numbers")
         for j, x in enumerate(feats):
             if not _is_number(x) or not math.isfinite(x):
                 raise ParseError(f"record {idx}: features[{j}] not a finite number")
@@ -405,14 +406,10 @@ def load(path: str) -> Dataset:
                 raise ParseError(f"record {idx}: {flag} must be a boolean")
         action = row["action"]
         if not _is_int(action) or not 0 <= action < cfg.n_actions:
-            raise ParseError(
-                f"record {idx}: action {action!r} outside [0, {cfg.n_actions})"
-            )
+            raise ParseError(f"record {idx}: action {action!r} outside [0, {cfg.n_actions})")
         mem = row["mem_label"]
         if not _is_int(mem) or not 0 <= mem < cfg.n_memory_classes:
-            raise ParseError(
-                f"record {idx}: mem_label {mem!r} outside [0, {cfg.n_memory_classes})"
-            )
+            raise ParseError(f"record {idx}: mem_label {mem!r} outside [0, {cfg.n_memory_classes})")
         seen_counts[modality] += 1
         records.append(ModalRecord(
             id=rid, modality=modality,

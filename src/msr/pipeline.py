@@ -11,7 +11,11 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            keyed uniforms that depends only on its id, so every outcome
            equals the one-record result bit for bit whatever the chunking.
   phase 2  the merge over the concatenated columns in record-id order applies
-           feedback: decision history means and feedback-adjusted utilities.
+           feedback: decision history means and feedback-adjusted utilities,
+           and formats each record's trace line from the columns.
+
+Alignment plans the first `align.samples` survivors per modality again in
+one batch, as phase 1 does, and rolls each out over its rows of the tables.
 
 Step semantics per record (predicted vs actual):
   1  kept by the trust filter            vs the stored valid flag
@@ -77,22 +81,20 @@ from .sim2real import (
     ACTIONS,
     AlignmentModel,
     EnvBatch,
-    GridEnv,
+    SolvedBatch,
     align_features,
-    optimize_policy,
     randomize_batch,
     randomize_env,
-    refine_policy,
     reward_discrepancy,
-    reward_table,
-    rollout,
+    rollout_row,
     solve_batch,
 )
 
-# Single-record layer functions, each a thin form of a batched function that
-# phase 1 or the merge calls, and route_feedback, which the merge no longer
-# needs. perfbench's tracer looks up every layer function it wraps in this
-# module, so the names stay importable from here.
+# Single-record layer functions (and `build_envs` below), each a thin form of
+# a batched function that phase 1, the merge or alignment calls, and
+# route_feedback, which the merge no longer needs. perfbench's tracer looks
+# up every layer function it wraps in this module, so they stay importable.
+from .sim2real import optimize_policy, refine_policy, reward_table, rollout  # noqa: F401
 from .attention import top_k_by_relevance  # noqa: F401
 from .decision import decision_utility, select_decision  # noqa: F401
 from .evaluation import record_outcome  # noqa: F401
@@ -159,10 +161,8 @@ def env_draws(cfg: RunConfig, modality_index: int, ids) -> np.ndarray:
 
 
 def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
-    """One record's simulated (randomized) and real environments from the
-    `GridSpec.envs` pairs and its `env_draws` row."""
-    sim_base, real_env = envs[direction]
-    return randomize_env(sim_base, cfg.randomization, draws), real_env
+    """One record's randomized sim env and real env from `GridSpec.envs`."""
+    return randomize_env(envs[direction][0], cfg.randomization, draws), envs[direction][1]
 
 
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
@@ -205,6 +205,25 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     )
 
 
+def plan_sim2real(ctx: ModalityContext, ids, decision):
+    """Step 6 for N records: (sim, real) `SolvedBatch`es of each record's
+    randomized sim env, solved as is, and its real env, re-planned on
+    R_real + alpha * (R_real - R_sim); the goal direction is the decision."""
+    cfg = ctx.cfg
+    sim = randomize_batch(ctx.sim_bases.take(decision), cfg.randomization,
+                          env_draws(cfg, ctx.modality_index, ids))
+    real = ctx.real_envs.take(decision)
+    sim_nxt, sim_rewards = sim.tables()
+    real_nxt, real_rewards = real.tables()
+    delta = reward_discrepancy(real_rewards, sim_rewards)
+    horizon = cfg.grid.horizon
+    sim_actions = solve_batch(sim_nxt, sim_rewards, sim.slip_prob, horizon, cfg.gamma)[0]
+    real_actions = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
+                               real.slip_prob, horizon, cfg.gamma)[0]
+    return (SolvedBatch(sim, sim_nxt, sim_rewards, sim_actions),
+            SolvedBatch(real, real_nxt, real_rewards, real_actions))
+
+
 def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     """Run steps 2-7 for a chunk of one modality's survivors as (N, ...)
     arrays; one Outcomes row per record, in input order.
@@ -212,8 +231,8 @@ def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     Pure given (ctx, records): every record draws only from its own rows of
     keyed uniforms, so any split of the survivors into chunks gives the same
     outcomes. Dot products and norms go through `row_dot` and sums of
-    scenario attributes through `math.fsum` per row, so each value equals
-    the one-record-at-a-time arithmetic bit for bit.
+    scenario attributes are correctly rounded, as `math.fsum`'s are, so each
+    value equals the one-record-at-a-time arithmetic bit for bit.
     """
     cfg = ctx.cfg
     geom = ctx.geometry
@@ -270,21 +289,12 @@ def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     decision = first_best(utility)
     predicted = utility[rows, decision]
 
-    # sim2real: randomized sim env, exact policies, discrepancy re-plan; the
-    # goal direction is the decision
-    sim_envs = randomize_batch(ctx.sim_bases.take(decision), cfg.randomization,
-                               env_draws(cfg, ctx.modality_index, ids))
-    real_envs = ctx.real_envs.take(decision)
-    sim_nxt, sim_rewards = sim_envs.tables()
-    real_nxt, real_rewards = real_envs.tables()
-    delta = reward_discrepancy(real_rewards, sim_rewards)
-    horizon = cfg.grid.horizon
-    sim_tables = solve_batch(sim_nxt, sim_rewards, sim_envs.slip_prob, horizon, cfg.gamma)
-    refined_tables = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
-                                 real_envs.slip_prob, horizon, cfg.gamma)
+    # sim2real: randomized sim env, exact policies, discrepancy re-plan
+    sim, real = plan_sim2real(ctx, ids, decision)
 
-    # executor: the command is the refined policy's action at the start cell,
-    # sent with the relevance confidence carried from scenario selection
+    # executor: the command is the refined policy's action at the start cell
+    # with the whole horizon left, sent with the relevance confidence carried
+    # from scenario selection
     check_confidence(confidence)
     start = cfg.grid.start[1] * cfg.grid.width + cfg.grid.start[0]
     return Outcomes(
@@ -300,8 +310,8 @@ def score_chunk(ctx: ModalityContext, records) -> Outcomes:
         refined_utility=refined_utility,
         decision_id=decision,
         predicted_outcome=predicted,
-        sim_first_action=sim_tables[0][rows, horizon - 1, start],
-        policy_action=refined_tables[0][rows, horizon - 1, start],
+        sim_first_action=sim.actions[rows, -1, start],
+        policy_action=real.actions[rows, -1, start],
         confidence=confidence,
     )
 
@@ -344,12 +354,24 @@ def score_records(ctx: ModalityContext, survivors, workers: int):
     return Outcomes.concat(parts)
 
 
+# Trace lines in the bytes of json.dumps(line, separators=(",", ":")) with
+# keys in this order: floats through %r, which is float.__repr__ as in json,
+# ints through %d, strings and booleans encoded beforehand.
+_DROPPED_LINE = '{"id":%d,"modality":%s,"trust":%r,"kept":false}'
+_KEPT_LINE = ('{"id":%d,"modality":%s,"trust":%r,"kept":true,"semantic":[%r,%r],'
+              '"relevance_mass":%r,"own_in_topk":%d,"retrieved_label":%d,"decision":%d,'
+              '"subtask":%s,"sim_first_action":%d,"action":%d,"confidence":%r,'
+              '"matched":%s,"outcome":%r,"feedback_mean":%r,"adjusted_utility":%r,'
+              '"steps":{"s2":%s,"s3":%s,"s4":%d,"s5":%d,"s6":%d,"s7":%d}}')
+
+
 @dataclass
 class ModalityResult:
     modality: str
     confusions: dict          # step -> StepConfusion
-    trace_lines: list         # one dict per record
+    trace_lines: list         # (record id, trace line) per record
     outcomes: Outcomes
+    context: ModalityContext
 
 
 def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
@@ -377,62 +399,52 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     matched = out.policy_action == action
     outcome = matched.astype(float)
     feedback = feedback_means(out.decision_id, outcome)
-    columns = {
-        "semantic": out.semantic, "relevance_mass": out.relevance_mass,
-        "own_in_topk": out.own_in_topk, "retrieved_label": out.retrieved_label,
-        "decision": out.decision_id,
-        "subtask": np.asarray([sub.id for sub in ctx.subtasks])[out.decision_id],
-        "sim_first_action": out.sim_first_action, "action": out.policy_action,
-        "confidence": out.confidence, "matched": matched, "outcome": outcome,
-        "feedback_mean": feedback,
-        "adjusted_utility": out.predicted_outcome + cfg.lambda_feedback * feedback,
-    }
-    trace_lines = [{"id": r.id, "modality": modality, "trust": r.trust, "kept": False}
+    adjusted = out.predicted_outcome + cfg.lambda_feedback * feedback
+
+    # the trace: json's allow_nan=False, then one formatted line per record
+    floats = ([r.trust for r in records], out.semantic, out.relevance_mass, out.confidence,
+              feedback, adjusted)
+    if not all(np.isfinite(column).all() for column in floats):
+        raise ValueError("Out of range float values are not JSON compliant")
+    name = json.dumps(modality)
+    subtask = [json.dumps(sub.id) for sub in ctx.subtasks]
+    label, decision, act = (column.tolist() for column in
+                            (out.retrieved_label, out.decision_id, out.policy_action))
+    hit, s2, s3 = (np.where(column, "true", "false").tolist()
+                   for column in (matched, out.pred_step2, out.pred_step3))
+    kept = zip([r.id for r in survivors], [name] * len(survivors), [r.trust for r in survivors],
+               *out.semantic.T.tolist(), out.relevance_mass.tolist(),
+               out.own_in_topk.tolist(), label, decision, [subtask[d] for d in decision],
+               out.sim_first_action.tolist(), act, out.confidence.tolist(), hit,
+               outcome.tolist(), feedback.tolist(), adjusted.tolist(), s2, s3, label,
+               decision, act, act)
+    trace_lines = [(r.id, _DROPPED_LINE % (r.id, name, r.trust))
                    for r in records if r.id not in kept_ids]
-    for r, s2, s3, *values in zip(survivors, out.pred_step2.tolist(), out.pred_step3.tolist(),
-                                  *(column.tolist() for column in columns.values())):
-        line = {"id": r.id, "modality": modality, "trust": r.trust, "kept": True,
-                **dict(zip(columns, values))}
-        line["steps"] = {"s2": s2, "s3": s3, "s4": line["retrieved_label"],
-                         "s5": line["decision"], "s6": line["action"], "s7": line["action"]}
-        trace_lines.append(line)
+    trace_lines += [(row[0], _KEPT_LINE % row) for row in kept]
     return ModalityResult(modality=modality, confusions=confusions,
-                          trace_lines=trace_lines, outcomes=out)
+                          trace_lines=trace_lines, outcomes=out, context=ctx)
 
 
-def _trajectory_features(env: GridEnv, policy, rng) -> list:
-    traj = rollout(env, policy, rng)
-    t_total = max(env.horizon, 1)
-    rows = []
-    for t, ((x, y), _, reward) in enumerate(traj.steps):
-        rows.append([
-            x / max(env.width - 1, 1),
-            y / max(env.height - 1, 1),
-            t / t_total,
-            reward,
-        ])
-    return rows
+def _trajectory_features(solved: SolvedBatch, row: int, rng) -> list:
+    envs = solved.envs
+    return [[x / max(envs.width - 1, 1), y / max(envs.height - 1, 1), t / envs.horizon, reward]
+            for t, ((x, y), _, reward) in enumerate(rollout_row(solved, row, rng).steps)]
 
 
 def run_alignment(cfg: RunConfig, results) -> float:
     """Adversarial alignment over rollout features from the sim and real
-    environments of the first `align.samples` survivors per modality. Each
-    record's sim env is rebuilt from its phase-1 randomization draws; slips
-    in both rollouts of a record draw from that record's own stream."""
+    environments of the first `align.samples` survivors per modality, planned
+    again as in phase 1 in one batch per modality; slips in both rollouts of
+    a record draw from that record's own stream."""
     sim_rows, real_rows = [], []
-    envs = cfg.grid.envs()
     for res in results:
-        modality_index = MODALITIES.index(res.modality)
-        picked = res.outcomes.record_id[: cfg.align.samples].tolist()
-        draws = env_draws(cfg, modality_index, picked)
-        for rid, decision, row in zip(picked, res.outcomes.decision_id.tolist(), draws):
-            slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, modality_index, rid)
-            sim_env, real_env = build_envs(cfg, envs, decision, row)
-            sim_rows.extend(_trajectory_features(
-                sim_env, optimize_policy(sim_env, cfg.gamma), slips))
-            delta = reward_discrepancy(reward_table(real_env), reward_table(sim_env))
-            refined = refine_policy(real_env, delta, cfg.alpha, cfg.gamma)
-            real_rows.extend(_trajectory_features(real_env, refined, slips))
+        picked = res.outcomes.record_id[: cfg.align.samples]
+        sim, real = plan_sim2real(res.context, picked,
+                                  res.outcomes.decision_id[: cfg.align.samples])
+        for row, rid in enumerate(picked.tolist()):
+            slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, res.context.modality_index, rid)
+            sim_rows.extend(_trajectory_features(sim, row, slips))
+            real_rows.extend(_trajectory_features(real, row, slips))
     model = AlignmentModel.init(in_dim=4, lambda_task=cfg.align.lambda_task)
     _, accuracy = align_features(
         np.asarray(sim_rows), np.asarray(real_rows), model,
@@ -486,11 +498,9 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
         fh.write(rep.markdown)
 
     trace_path = os.path.join(target, TRACE_FILE)
-    lines = sorted((line for res in results for line in res.trace_lines),
-                   key=lambda line: line["id"])
     with open(trace_path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(json.dumps(line, separators=(",", ":"), allow_nan=False))
+        for _, line in sorted(line for res in results for line in res.trace_lines):
+            fh.write(line)
             fh.write("\n")
 
     # workers and out_dir are execution details; dropping them keeps the

@@ -53,10 +53,17 @@ def integrate(sensor, internal, instruction, weights: ModalityWeights) -> np.nda
 
 
 def semantic_features(unified) -> np.ndarray:
-    """Round each unified value to 2 decimals, ties away from zero."""
+    """Round each unified value to 2 decimals, ties away from zero, equal to
+    `round_half_away(x, 2)` bit for bit: below 1e6, |u|*100 is off by under
+    1e-8 and k / 100 is correctly rounded, as float(Decimal) is. Values within
+    1e-6 of a tie, huge and non-finite ones go through `round_half_away`."""
     u = np.asarray(unified, dtype=float)
-    rounded = [round_half_away(x, 2) for x in u.ravel().tolist()]
-    return np.asarray(rounded, dtype=float).reshape(u.shape)
+    small = np.abs(u) < 1e6              # False for NaN and inf
+    scaled = np.where(small, np.abs(u), 0.0) * 100.0
+    out = np.copysign(np.floor(scaled + 0.5) / 100.0, u)
+    slow = ~small | (np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6)
+    out[slow] = [round_half_away(x, 2) for x in u[slow].tolist()]
+    return out
 
 
 def feature_map(unified) -> np.ndarray:
@@ -95,8 +102,15 @@ def scenario_utility(attributes) -> float:
 
 
 def scenario_utilities(attributes) -> np.ndarray:
-    """`scenario_utility` of every row of an (..., d) attribute array."""
+    """`scenario_utility` of every row of an (..., d) attribute array. Two
+    values have one IEEE sum, the correctly rounded one fsum returns (`+ 0.0`
+    for its +0.0 from -0.0 + -0.0); a non-finite sum goes through fsum."""
     a = np.asarray(attributes, dtype=float)
+    if a.shape[-1] == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = a[..., 0] + a[..., 1] + 0.0
+        if np.isfinite(sums).all():
+            return sums
     rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
     sums = list(map(math.fsum, rows.tolist()))
     return np.asarray(sums, dtype=float).reshape(a.shape[:-1])

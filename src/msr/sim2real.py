@@ -14,6 +14,7 @@ right.
 from dataclasses import dataclass, field, replace
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -302,26 +303,42 @@ class Trajectory:
     steps: tuple  # ((state, action, reward), ...)
 
 
-def rollout(env: GridEnv, policy: PolicyTable, rng=None) -> Trajectory:
-    """Greedy rollout from the start; stops on goal entry or horizon."""
-    if env.slip_prob > 0.0 and rng is None:
+class SolvedBatch(NamedTuple):
+    """N environments with their (N, n_states, 4) `EnvBatch.tables` and the
+    (N, horizon, n_states) greedy actions of one `solve_batch` call."""
+
+    envs: EnvBatch
+    nxt: np.ndarray
+    rewards: np.ndarray
+    actions: np.ndarray
+
+
+def rollout_row(solved: SolvedBatch, row: int, rng=None) -> Trajectory:
+    """Greedy rollout of environment `row` of a solved batch from its start;
+    stops on goal entry or horizon. A slip draws `rng.random()` and then
+    `rng.choice` of the other three moves."""
+    envs = solved.envs
+    slip = float(envs.slip_prob[row])
+    if slip > 0.0 and rng is None:
         raise ConfigError("stochastic environment needs an rng for rollout")
-    nxt = next_state_table(env)
-    rewards = reward_table(env)
-    goal_idx = env.state_index(env.goal)
-    s = env.state_index(env.start)
+    nxt, rewards, actions = (table[row].tolist() for table in solved[1:])
+    s, goal = int(envs.start[row]), int(envs.goal[row])
     steps = []
-    for h in range(env.horizon, 0, -1):
-        x, y = s % env.width, s // env.width
-        a = policy.action((x, y), h)
-        move = a
-        if env.slip_prob > 0.0 and rng.random() < env.slip_prob:
+    for h in range(envs.horizon, 0, -1):
+        move = a = actions[h - 1][s]
+        if slip > 0.0 and rng.random() < slip:
             move = int(rng.choice([b for b in range(4) if b != a]))
-        steps.append(((x, y), a, float(rewards[s, move])))
-        s = int(nxt[s, move])
-        if s == goal_idx:
+        steps.append(((s % envs.width, s // envs.width), a, rewards[s][move]))
+        s = nxt[s][move]
+        if s == goal:
             break
     return Trajectory(steps=tuple(steps))
+
+
+def rollout(env: GridEnv, policy: PolicyTable, rng=None) -> Trajectory:
+    """Greedy rollout of one environment under its policy; see `rollout_row`."""
+    batch = EnvBatch.of([env])
+    return rollout_row(SolvedBatch(batch, *batch.tables(), policy.actions[None]), 0, rng)
 
 
 def reward_discrepancy(r_real, r_sim):

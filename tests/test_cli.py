@@ -158,3 +158,15 @@ def test_non_utf8_report_csv_is_an_error(tmp_path, capsys):
     assert run_cli("report", "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'report_visual.csv'}: not UTF-8"), err
+
+
+@pytest.mark.parametrize("text,message", [('{"meta": 1}', "top level must be an object"),
+                                          ("{", "invalid JSON")])
+def test_dataset_errors_name_the_file(small_config, tmp_path, capsys, text, message):
+    # with --config and --data both given, the message says which file failed
+    data = tmp_path / "data.json"
+    data.write_text(text)
+    assert run_cli("run", "--config", small_config, "--data", str(data),
+                   "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: {message}"), err

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,18 +219,21 @@ class TestLoadValidation:
 
     def test_feature_layout_inconsistent_with_generator(self, tmp_path, tiny_payload):
         tiny_payload["meta"]["feature_layout"]["padding"] = [6]
-        with pytest.raises(ParseError, match=r"^meta\.feature_layout .*inconsistent"):
-            load(self._write(tmp_path, tiny_payload))
+        path = self._write(tmp_path, tiny_payload)
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: meta\.feature_layout .*inconsistent"):
+            load(path)
 
     def test_unknown_meta_key(self, tmp_path, tiny_payload):
         tiny_payload["meta"]["note"] = "hand-edited"
-        with pytest.raises(ParseError, match=r"^meta\.note is not a meta key"):
-            load(self._write(tmp_path, tiny_payload))
+        path = self._write(tmp_path, tiny_payload)
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: meta\.note is not a meta key"):
+            load(path)
 
     def test_meta_counts_inconsistent_with_generator(self, tmp_path, tiny_payload):
         tiny_payload["meta"]["counts"]["visual"] = 3
-        with pytest.raises(ParseError, match=r"^meta\.counts .*inconsistent"):
-            load(self._write(tmp_path, tiny_payload))
+        path = self._write(tmp_path, tiny_payload)
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: meta\.counts .*inconsistent"):
+            load(path)
 
     def test_unexpected_field(self, tmp_path, tiny_payload):
         tiny_payload["records"][0]["extra"] = 1
