@@ -100,6 +100,25 @@ def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
     assert len(res.trace_lines) == GEN.n_per_modality
 
 
+def test_alignment_plans_in_batch(monkeypatch):
+    from msr import pipeline, sim2real
+    from msr.config import GridSpec
+    from msr.dataset import MODALITIES
+
+    cfg = RunConfig(generator=GEN, seed=13, grid=GridSpec(slip_prob=0.2))
+    data = generate(GEN)
+    results = [pipeline.run_modality(cfg, GEN, m, data.by_modality(m), 1) for m in MODALITIES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-environment plan or rollout in alignment")
+
+    for owner, name in ((sim2real, "_solve"), (sim2real.PolicyTable, "__init__"),
+                        (pipeline, "build_envs"), (pipeline, "optimize_policy"),
+                        (pipeline, "refine_policy"), (pipeline, "rollout")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert 0.0 <= pipeline.run_alignment(cfg, results) <= 1.0
+
+
 class TestExecuteRun:
     def test_outputs_written(self, run_result):
         res, cfg = run_result
