@@ -142,6 +142,26 @@ class TestSelectDecision:
         with pytest.raises(EmptyInputError):
             select_decision([], ContextWeights((1.0,)))
 
+    def test_tiny_entry_decides_at_every_scale(self):
+        # the float dot absorbs -1.4e-45 into 5*w at scale 3 and ties the two
+        cands = [
+            DecisionCandidate(0, np.array([0.0, -1.401298464324817e-45, 5.0])),
+            DecisionCandidate(1, np.array([0.0, 0.0, 5.0])),
+        ]
+        w = (1.0, 1.0, 1.3396548037043536)
+        for scale in (1.0, 3.0):
+            weights = ContextWeights(tuple(x * scale for x in w))
+            assert select_decision(cands, weights).id == 1
+
+    def test_nan_never_wins(self):
+        cands = [
+            DecisionCandidate(0, np.array([np.nan])),
+            DecisionCandidate(1, np.array([-np.inf])),
+            DecisionCandidate(2, np.array([-1.0])),
+        ]
+        assert select_decision(cands, ContextWeights((1.0,))).id == 2
+        assert select_decision(cands[:2], ContextWeights((1.0,))).id == 0
+
     @given(
         st.lists(
             st.lists(st.floats(-10, 10), min_size=3, max_size=3),
