@@ -9,6 +9,7 @@ that moves a digest on purpose updates it here and says why in CHANGES.md."""
 
 from dataclasses import replace
 import hashlib
+import json
 import numbers
 import os
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from msr.config import RunConfig
-from msr.dataset import MODALITIES, GeneratorConfig, generate
+from msr.dataset import MODALITIES, GeneratorConfig, generate, load, save
 from msr.pipeline import execute_run, run_modality
 from msr.sim2real import EnvBatch, GridEnv, reward_discrepancy, solve_batch
 
@@ -130,6 +131,23 @@ CONFIG_FILES = {
 SOLVER_TABLES = "96922396d010d8fbbe94e402453bda09e4183228e29fa4a7b885bc4cb0ea87c2"
 
 
+# sha256 of the file `save(generate(cfg))` writes, per generator config, and
+# of a `load` -> `save` round trip of a hand-edited file (`_hand_written`).
+DATASET_FILES = {
+    "n300-seed7": "d925c7f578e6e2caaed35f2d5b24986b612042996748f419ebe5138d55e622dd",
+    "default": "bb7b43d48aef429b451147a7b9c8ff9fbb1c60977cd36297f7c43664b1708a3d",
+    "wide-layout": "ff99b40b4a1dbec1d7904cdcc4bffce5dfac8aac9c8dc796fa83d375c643e5e5",
+}
+DATASET_ROUND_TRIP = "4fd28d0ed97a678905413adda205055222a88ead6ab3ba756995ce01ff3ed71c"
+
+DATASET_CONFIGS = {
+    "n300-seed7": GeneratorConfig(n_per_modality=300, seed=7),
+    "default": GeneratorConfig(),
+    "wide-layout": GeneratorConfig(n_per_modality=200, seed=3, feature_dim=11, n_actions=3,
+                                   n_memory_classes=5),
+}
+
+
 def _digests(directory):
     return {
         name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
@@ -218,3 +236,34 @@ def test_batched_solver_tables():
                 digest.update(np.asarray(actions, dtype=np.int64).tobytes())
                 digest.update(np.asarray(values, dtype=float).tobytes())
     assert digest.hexdigest() == SOLVER_TABLES
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_FILES))
+def test_dataset_file_digests(tmp_path, name):
+    path = tmp_path / "dataset.json"
+    save(generate(DATASET_CONFIGS[name]), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_FILES[name]
+
+
+def _hand_written(path):
+    """A valid dataset file in json.dumps' default spacing whose numbers the
+    generator never writes: integer features and trust, a negative zero, small
+    and large exponents and a subnormal."""
+    save(generate(GeneratorConfig(n_per_modality=2, seed=3)), path)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    records = payload["records"]
+    records[0]["features"][:6] = [1, -0.0, 1e-07, 1e16, 5e-324, -3]
+    records[1]["features"][2:5] = [2.5e-310, -1e-300, 123456789012345678]
+    records[2]["trust"] = 1
+    records[3]["trust"] = 0
+    records[4]["features"][7] = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def test_dataset_round_trip_digest(tmp_path):
+    source, again = tmp_path / "hand.json", tmp_path / "again.json"
+    _hand_written(str(source))
+    save(load(str(source)), str(again))
+    assert hashlib.sha256(again.read_bytes()).hexdigest() == DATASET_ROUND_TRIP
