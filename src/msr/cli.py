@@ -38,8 +38,10 @@ def _load_config(path: str | None) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: invalid JSON: nesting too deep") from None
     return RunConfig.from_mapping(raw), raw
 
 
@@ -75,7 +77,7 @@ def cmd_gen(args) -> int:
     save(dataset, args.out)
     for modality in MODALITIES:
         print(f"{modality}: {dataset.meta['counts'][modality]} records")
-    print(f"total: {len(dataset.records)} records -> {args.out}")
+    print(f"total: {sum(dataset.meta['counts'].values())} records -> {args.out}")
     return 0
 
 

@@ -24,11 +24,24 @@ columns are valid, relevant, action, mem, trust, the features, four flip
 draws and two opposite-half draws. Row i is keyed by (seed, modality, i), so
 a record's content is independent of every other record and of
 n_per_modality.
+
+Storage is by column too. A `Dataset` holds the meta block and one `Columns`
+per modality: ids, (n, feature_dim) features, trust, valid, relevant, action
+and mem_label, rows in id order. `save` formats the JSON text straight from
+the columns. `load` parses it with json.load and runs every record check as
+a check over a whole column; a fault names the lowest bad record and the
+first check it fails. `Dataset.records` is a read-only tuple of
+`ModalRecord`s derived from the columns on first access, for callers that
+want one object per record; nothing in msr reads it.
 """
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import chain, compress, repeat
 import json
 import math
+from operator import itemgetter, le, ne
 import os
 
 import numpy as np
@@ -246,13 +259,77 @@ class ModalRecord:
     mem_label: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """One modality's records, one row each, in id order: ids uint64,
+    features (n, feature_dim) float64, trust float64, valid and relevant
+    bool, action and mem_label int64."""
+
+    ids: np.ndarray
+    features: np.ndarray
+    trust: np.ndarray
+    valid: np.ndarray
+    relevant: np.ndarray
+    action: np.ndarray
+    mem_label: np.ndarray
+
+    # not iterable: a record is a row of every column, and one row is a slice
+    __iter__ = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "Columns":
+        """The rows that a slice, an index array or a boolean mask picks."""
+        return Columns(*(column[rows] for column in self.arrays()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Columns) and all(
+            np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
+
+    def arrays(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple
+    """The meta block and one `Columns` per modality of MODALITIES."""
+
+    columns: dict
     meta: dict
 
-    def by_modality(self, modality: str) -> list:
-        return [r for r in self.records if r.modality == modality]
+    def by_modality(self, modality: str) -> Columns:
+        return self.columns[modality]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Dataset) and self.meta == other.meta
+                and self.columns == other.columns)
+
+    @cached_property
+    def records(self) -> tuple:
+        """Every record as a ModalRecord, in id order: a read-only view of the
+        columns, built on first access, for callers that want one object per
+        record. msr itself never reads it."""
+        return tuple(
+            ModalRecord(rid, modality, tuple(feats), *rest)
+            for modality, block in _runs(self)
+            for rid, feats, *rest in zip(*(column.tolist() for column in block.arrays())))
+
+
+def _runs(dataset: Dataset):
+    """(modality, rows) blocks that list every record once, in id order: one
+    block per modality unless a hand-written file interleaves modalities."""
+    ids = np.concatenate([dataset.columns[m].ids for m in MODALITIES])
+    owner = np.repeat(np.arange(len(MODALITIES)),
+                      [len(dataset.columns[m]) for m in MODALITIES])
+    owner = owner[np.argsort(ids, kind="stable")]
+    edges = np.flatnonzero(np.diff(owner)) + 1
+    done = dict.fromkeys(MODALITIES, 0)
+    for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(owner)]):
+        modality = MODALITIES[owner[lo]]
+        start = done[modality]
+        done[modality] += hi - lo
+        yield modality, dataset.columns[modality][start:done[modality]]
 
 
 def _truncated(u, bound: float):
@@ -282,7 +359,7 @@ def generate(cfg: GeneratorConfig) -> Dataset:
     geom = FeatureGeometry.from_config(cfg)
     mean, spread = cfg.trust_distribution
     n, d = cfg.n_per_modality, cfg.feature_dim
-    records = []
+    columns = {}
     for m_idx, modality in enumerate(MODALITIES):
         u = seeding.keyed_uniforms(cfg.seed, seeding.DATASET_RECORD, m_idx,
                                    np.arange(n), 11 + d)
@@ -306,48 +383,75 @@ def generate(cfg: GeneratorConfig) -> Dataset:
         stored_mem = np.where(
             flip[:, 3], opposite_half(mem, cfg.n_memory_classes, u[:, 10 + d]), mem)
 
-        ids = range(m_idx * n, (m_idx + 1) * n)
-        records.extend(
-            ModalRecord(id=rid, modality=modality, features=tuple(feats), trust=t,
-                        valid=v, relevant=r, action=a, mem_label=mlab)
-            for rid, feats, t, v, r, a, mlab in zip(
-                ids, features.tolist(), trust.tolist(), (valid ^ flip[:, 0]).tolist(),
-                (relevant ^ flip[:, 1]).tolist(), stored_action.tolist(),
-                stored_mem.tolist()))
-    return Dataset(records=tuple(records), meta=_build_meta(cfg, geom))
+        columns[modality] = Columns(
+            ids=np.arange(m_idx * n, (m_idx + 1) * n, dtype=np.uint64), features=features,
+            trust=trust, valid=valid ^ flip[:, 0], relevant=relevant ^ flip[:, 1],
+            action=stored_action, mem_label=stored_mem)
+    return Dataset(columns=columns, meta=_build_meta(cfg, geom))
+
+
+# records written per formatting call of `save`
+SAVE_BLOCK = 1 << 14
+
+
+@contextmanager
+def atomic_open(path: str):
+    """A text file for writing that replaces `path` only once it is complete:
+    it is written as `path`.tmp and renamed into place; on an error the
+    temporary file goes and whatever was at `path` stays."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save(dataset: Dataset, path: str) -> None:
-    """Write the dataset as JSON with full float round-trip precision."""
-    payload = {
-        "meta": dataset.meta,
-        "records": [{name: getattr(r, name) for name in RECORD_FIELDS}
-                    for r in dataset.records],
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Write the dataset as JSON, records in id order: the bytes of
+    json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n",
+    formatted straight from the columns. Floats go through %r, which is
+    float.__repr__ as in json, so every float round-trips exactly."""
+    for columns in dataset.columns.values():
+        if not (np.isfinite(columns.features).all() and np.isfinite(columns.trust).all()):
+            raise ValueError("Out of range float values are not JSON compliant")
+    dim = dataset.columns[MODALITIES[0]].features.shape[1]
+    record = ('{"id":%d,"modality":%s,"features":[' + ",".join(["%r"] * dim)
+              + '],"trust":%r,"valid":%s,"relevant":%s,"action":%d,"mem_label":%d}')
+    meta = json.dumps(dataset.meta, separators=(",", ":"), allow_nan=False)
+    with atomic_open(path) as fh:
+        fh.write('{"meta":%s,"records":[' % meta)
+        sep = ""
+        for modality, block in _runs(dataset):
+            name = json.dumps(modality)
+            for lo in range(0, len(block), SAVE_BLOCK):
+                rows = block[lo:lo + SAVE_BLOCK]
+                flags = (np.where(column, "true", "false").tolist()
+                         for column in (rows.valid, rows.relevant))
+                fh.write(sep + ",".join(record % row for row in zip(
+                    rows.ids.tolist(), repeat(name), *rows.features.T.tolist(),
+                    rows.trust.tolist(), *flags, rows.action.tolist(),
+                    rows.mem_label.tolist())))
+                sep = ","
+        fh.write("]}\n")
 
 
 def load(path: str) -> Dataset:
     """Read and fully re-validate a dataset file; every error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return _parse(json.load(fh))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nesting too deep") from None
+    try:
+        return _parse(payload)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse(payload) -> Dataset:
@@ -372,51 +476,103 @@ def _parse(payload) -> Dataset:
         if key != "generator" and meta.get(key) != expected[key]:
             raise ParseError(f"meta.{key} {meta.get(key)!r} inconsistent with meta.generator, "
                              f"expected {expected[key]!r}")
-    counts = expected["counts"]
-
     rows = payload["records"]
     if not isinstance(rows, list):
         raise ParseError("records must be a list")
-    records = []
-    seen_counts = dict.fromkeys(MODALITIES, 0)
-    prev_id = -1
-    for idx, row in enumerate(rows):
-        if not isinstance(row, dict) or set(row) != set(RECORD_FIELDS):
-            raise ParseError(f"record {idx}: fields must be exactly {RECORD_FIELDS}")
-        rid = row["id"]
-        if not _is_int(rid):
-            raise ParseError(f"record {idx}: id must be an integer")
-        if rid <= prev_id or (idx == 0 and rid != 0):
-            raise ParseError(f"record {idx}: id {rid} breaks the strictly-increasing-from-0 order")
-        prev_id = rid
-        modality = row["modality"]
-        if modality not in MODALITIES:
-            raise ParseError(f"record {idx}: unknown modality {modality!r}")
-        feats = row["features"]
-        if not isinstance(feats, list) or len(feats) != cfg.feature_dim:
-            raise ParseError(f"record {idx}: features must hold {cfg.feature_dim} numbers")
-        for j, x in enumerate(feats):
-            if not _is_number(x) or not math.isfinite(x):
-                raise ParseError(f"record {idx}: features[{j}] not a finite number")
-        trust = row["trust"]
-        if not _is_number(trust) or not math.isfinite(trust) or not 0.0 <= trust <= 1.0:
-            raise ParseError(f"record {idx}: trust {trust!r} outside [0, 1]")
-        for flag in ("valid", "relevant"):
-            if not isinstance(row[flag], bool):
-                raise ParseError(f"record {idx}: {flag} must be a boolean")
-        action = row["action"]
-        if not _is_int(action) or not 0 <= action < cfg.n_actions:
-            raise ParseError(f"record {idx}: action {action!r} outside [0, {cfg.n_actions})")
-        mem = row["mem_label"]
-        if not _is_int(mem) or not 0 <= mem < cfg.n_memory_classes:
-            raise ParseError(f"record {idx}: mem_label {mem!r} outside [0, {cfg.n_memory_classes})")
-        seen_counts[modality] += 1
-        records.append(ModalRecord(
-            id=rid, modality=modality,
-            features=tuple(float(x) for x in feats),
-            trust=float(trust), valid=row["valid"], relevant=row["relevant"],
-            action=action, mem_label=mem,
-        ))
-    if seen_counts != counts:
-        raise ParseError(f"record counts {seen_counts} do not match meta {counts}")
-    return Dataset(records=tuple(records), meta=meta)
+    return Dataset(columns=_columns(rows, cfg, expected["counts"]), meta=meta)
+
+
+class _FirstFault:
+    """The lowest index of a record that fails a check, and the message of
+    the first check that fails there. Checks run in a fixed order, each over
+    the records below the lowest failure so far; those have passed every
+    earlier check, so a check may rely on what the earlier ones established."""
+
+    def __init__(self, rows: list):
+        self.rows = rows
+        self.stop = len(rows)
+        self.message = None
+
+    def column(self, name: str) -> list:
+        """Field `name` of every record below the lowest failure so far."""
+        return list(map(itemgetter(name), self.rows[:self.stop]))
+
+    def check(self, bad, message) -> None:
+        """bad: one flag per record from the first on; message(i): the
+        fault of record i."""
+        first = next(compress(range(self.stop), bad), None)
+        if first is not None:
+            self.stop = first
+            self.message = f"record {first}: {message(first)}"
+
+
+def _numbers(values: list) -> np.ndarray:
+    """values as float64, with NaN for any value that is not a JSON number
+    (a bool is not) or is an integer too large for a float, so that one
+    isfinite test finds every bad value."""
+    if set(map(type, values)) <= {float}:
+        return np.array(values, dtype=np.float64)
+    return np.array([_number(v) for v in values], dtype=np.float64)
+
+
+def _number(value) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        with suppress(OverflowError):
+            return float(value)
+    return math.nan
+
+
+def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> dict:
+    """Check every record, each check over a whole column, and split the
+    records into one `Columns` per modality. A fault is reported for the
+    lowest bad record, by the first check it fails in this order."""
+    fault = _FirstFault(rows)
+    keys = set(RECORD_FIELDS)
+    fault.check([type(row) is not dict or row.keys() != keys for row in rows],
+                lambda i: f"fields must be exactly {RECORD_FIELDS}")
+    ids = fault.column("id")
+    fault.check([type(rid) is not int for rid in ids], lambda i: "id must be an integer")
+    # record 0 has id 0, and every later id exceeds the one before it
+    fault.check([*map(ne, ids[:1], [0]), *map(le, ids[1:fault.stop], ids)],
+                lambda i: f"id {ids[i]} breaks the strictly-increasing-from-0 order")
+    fault.check([rid >= 2 ** 64 for rid in ids[:fault.stop]],
+                lambda i: f"id {ids[i]} outside [0, 2**64)")
+    modalities = fault.column("modality")
+    fault.check([m not in MODALITIES for m in modalities],
+                lambda i: f"unknown modality {modalities[i]!r}")
+    dim = cfg.feature_dim
+    raw = fault.column("features")
+    fault.check([type(f) is not list or len(f) != dim for f in raw],
+                lambda i: f"features must hold {dim} numbers")
+    features = _numbers(list(chain.from_iterable(raw[:fault.stop]))).reshape(-1, dim)
+    bad = ~np.isfinite(features)
+    fault.check(bad.any(axis=1),
+                lambda i: f"features[{int(np.argmax(bad[i]))}] not a finite number")
+    raw = fault.column("trust")
+    trust = _numbers(raw)
+    fault.check(~((trust >= 0.0) & (trust <= 1.0)), lambda i: f"trust {raw[i]!r} outside [0, 1]")
+    flags = {}
+    for flag in ("valid", "relevant"):
+        flags[flag] = fault.column(flag)
+        fault.check([type(v) is not bool for v in flags[flag]],
+                    lambda i: f"{flag} must be a boolean")
+    labels = {}
+    for name, n in (("action", cfg.n_actions), ("mem_label", cfg.n_memory_classes)):
+        labels[name] = fault.column(name)
+        fault.check([type(v) is not int or not 0 <= v < n for v in labels[name]],
+                    lambda i: f"{name} {labels[name][i]!r} outside [0, {n})")
+    if fault.message:
+        raise ParseError(fault.message)
+
+    owner = np.array(list(map({m: k for k, m in enumerate(MODALITIES)}.get, modalities)))
+    seen = {m: int(np.count_nonzero(owner == k)) for k, m in enumerate(MODALITIES)}
+    if seen != counts:
+        raise ParseError(f"record counts {seen} do not match meta {counts}")
+    table = Columns(ids=np.array(ids, dtype=np.uint64), features=features, trust=trust,
+                    valid=np.array(flags["valid"], dtype=bool),
+                    relevant=np.array(flags["relevant"], dtype=bool),
+                    action=np.array(labels["action"], dtype=np.int64),
+                    mem_label=np.array(labels["mem_label"], dtype=np.int64))
+    return {m: table[owner == k] for k, m in enumerate(MODALITIES)}

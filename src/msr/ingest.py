@@ -1,6 +1,6 @@
 """Sensor-side preprocessing: trust filtering, normalization, extraction, fusion.
 
-The four stages mirror the front of the pipeline: discard records whose trust
+The four stages mirror the front of the pipeline: mask out records whose trust
 score does not clear the threshold, z-normalize the surviving stream with one
 (mean, std) pair per modality, extract features (the identity), and combine
 the per-modality features into a single tagged bundle.
@@ -31,11 +31,11 @@ class FeatureBundle:
     entries: tuple  # ((modality, np.ndarray), ...) in MODALITY_ORDER
 
 
-def filter_by_trust(records, tau: float):
-    """Keep records whose trust is strictly greater than tau, order preserved."""
+def filter_by_trust(trust, tau: float) -> np.ndarray:
+    """Mask of the records whose trust is strictly greater than tau."""
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must be in [0, 1], got {tau}")
-    return [r for r in records if r.trust > tau]
+    return np.asarray(trust, dtype=float) > tau
 
 
 def fit_norm_stats(values) -> NormStats:

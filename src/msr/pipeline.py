@@ -47,10 +47,12 @@ from . import seeding
 from .attention import refine_scenario, relevance_scores, top_k_indices
 from .config import RunConfig
 from .dataset import (
+    Columns,
     Dataset,
     FeatureGeometry,
     GeneratorConfig,
     MODALITIES,
+    atomic_open,
     generate,
     half_partition,
     load,
@@ -166,14 +168,13 @@ def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
 
 
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
-                  survivors) -> ModalityContext:
+                  survivors: Columns) -> ModalityContext:
     """Fit normalization stats on the trust filter's survivors and freeze the
     prototype memory, subtask templates, and channel constants."""
     geometry = FeatureGeometry.from_config(gen_cfg)
-    if not survivors:
+    if not len(survivors):
         raise EmptyInputError(f"no {modality} records survived the trust filter (tau={cfg.tau})")
-    pooled = np.concatenate([np.asarray(r.features) for r in survivors])
-    stats = fit_norm_stats(pooled)
+    stats = fit_norm_stats(survivors.features.reshape(-1))
 
     store = MemoryStore(sparse_readout_top_n=cfg.sparse_readout_top_n,
                         sparse_readout_threshold=cfg.sparse_readout_threshold)
@@ -224,7 +225,7 @@ def plan_sim2real(ctx: ModalityContext, ids, decision):
             SolvedBatch(real, real_nxt, real_rewards, real_actions))
 
 
-def score_chunk(ctx: ModalityContext, records) -> Outcomes:
+def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     """Run steps 2-7 for a chunk of one modality's survivors as (N, ...)
     arrays; one Outcomes row per record, in input order.
 
@@ -238,11 +239,11 @@ def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     geom = ctx.geometry
     rel = list(geom.relevance_dims)
     m = cfg.m_count
-    ids = [r.id for r in records]
+    ids = records.ids
     rows = np.arange(len(records))
 
     # ingest: normalize, extract, fuse (single live modality per record)
-    fnorm = normalize(np.asarray([r.features for r in records], dtype=float), ctx.stats)
+    fnorm = normalize(records.features, ctx.stats)
     extracted = extract_features(fnorm)
     sensor_full = fuse([(ctx.modality, extracted)]).entries[0][1]
 
@@ -298,7 +299,7 @@ def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     check_confidence(confidence)
     start = cfg.grid.start[1] * cfg.grid.width + cfg.grid.start[0]
     return Outcomes(
-        record_id=np.asarray(ids),
+        record_id=ids,
         semantic=semantic,
         own_in_topk=own_in_topk,
         relevance_mass=own_mass,
@@ -316,9 +317,9 @@ def score_chunk(ctx: ModalityContext, records) -> Outcomes:
     )
 
 
-def process_record(ctx: ModalityContext, record) -> Outcomes:
-    """Run one surviving record through steps 2-7. Pure given (ctx, record)."""
-    return score_chunk(ctx, [record])
+def process_record(ctx: ModalityContext, survivors: Columns, row: int) -> Outcomes:
+    """Run survivor `row` alone through steps 2-7. Pure given (ctx, its row)."""
+    return score_chunk(ctx, survivors[row:row + 1])
 
 
 # Survivors per score_chunk call. Time per record is flat from 64 to 1024;
@@ -340,7 +341,7 @@ def _worker_chunk(bounds):
     return score_chunk(_WORKER_CTX, _WORKER_RECORDS[lo:hi])
 
 
-def score_records(ctx: ModalityContext, survivors, workers: int):
+def score_records(ctx: ModalityContext, survivors: Columns, workers: int):
     """Phase 1 over one modality's survivors in chunks of CHUNK_RECORDS;
     output order follows input."""
     bounds = [(lo, min(lo + CHUNK_RECORDS, len(survivors)))
@@ -375,21 +376,20 @@ class ModalityResult:
 
 
 def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
-                 records, workers: int) -> ModalityResult:
-    survivors = filter_by_trust(records, cfg.tau)
+                 records: Columns, workers: int) -> ModalityResult:
+    kept = filter_by_trust(records.trust, cfg.tau)
+    survivors, dropped = records[kept], records[~kept]
     ctx = build_context(cfg, gen_cfg, modality, survivors)
     out = score_records(ctx, survivors, workers)
-    kept_ids = {r.id for r in survivors}
 
     n_act, n_mem = ctx.geometry.n_actions, ctx.geometry.n_memory_classes
-    relevant = [r.relevant for r in survivors]
-    action = np.asarray([r.action for r in survivors])
+    relevant, action = survivors.relevant, survivors.action
     actual = half_partition(action, n_act)
     # (predicted, actual) per step; step 7's command is step 6's action
-    pairs = [([r.id in kept_ids for r in records], [r.valid for r in records]),
+    pairs = [(kept, records.valid),
              (out.pred_step2, relevant), (out.pred_step3, relevant),
              (half_partition(out.retrieved_label, n_mem),
-              half_partition(np.asarray([r.mem_label for r in survivors]), n_mem)),
+              half_partition(survivors.mem_label, n_mem)),
              (half_partition(out.decision_id, n_act), actual),
              *[(half_partition(out.policy_action, n_act), actual)] * 2]
     confusions = {step: StepConfusion.tally(step, predicted, actual)
@@ -402,7 +402,7 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     adjusted = out.predicted_outcome + cfg.lambda_feedback * feedback
 
     # the trace: json's allow_nan=False, then one formatted line per record
-    floats = ([r.trust for r in records], out.semantic, out.relevance_mass, out.confidence,
+    floats = (records.trust, out.semantic, out.relevance_mass, out.confidence,
               feedback, adjusted)
     if not all(np.isfinite(column).all() for column in floats):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -412,15 +412,15 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                             (out.retrieved_label, out.decision_id, out.policy_action))
     hit, s2, s3 = (np.where(column, "true", "false").tolist()
                    for column in (matched, out.pred_step2, out.pred_step3))
-    kept = zip([r.id for r in survivors], [name] * len(survivors), [r.trust for r in survivors],
+    rows = zip(survivors.ids.tolist(), [name] * len(survivors), survivors.trust.tolist(),
                *out.semantic.T.tolist(), out.relevance_mass.tolist(),
                out.own_in_topk.tolist(), label, decision, [subtask[d] for d in decision],
                out.sim_first_action.tolist(), act, out.confidence.tolist(), hit,
                outcome.tolist(), feedback.tolist(), adjusted.tolist(), s2, s3, label,
                decision, act, act)
-    trace_lines = [(r.id, _DROPPED_LINE % (r.id, name, r.trust))
-                   for r in records if r.id not in kept_ids]
-    trace_lines += [(row[0], _KEPT_LINE % row) for row in kept]
+    trace_lines = [(rid, _DROPPED_LINE % (rid, name, trust))
+                   for rid, trust in zip(dropped.ids.tolist(), dropped.trust.tolist())]
+    trace_lines += [(row[0], _KEPT_LINE % row) for row in rows]
     return ModalityResult(modality=modality, confusions=confusions,
                           trace_lines=trace_lines, outcomes=out, context=ctx)
 
@@ -490,15 +490,15 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
     report_paths = {}
     for modality, text in rep.csv.items():
         path = os.path.join(target, f"report_{modality}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(text)
         report_paths[modality] = path
     md_path = os.path.join(target, REPORT_MD)
-    with open(md_path, "w", encoding="utf-8") as fh:
+    with atomic_open(md_path) as fh:
         fh.write(rep.markdown)
 
     trace_path = os.path.join(target, TRACE_FILE)
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with atomic_open(trace_path) as fh:
         for _, line in sorted(line for res in results for line in res.trace_lines):
             fh.write(line)
             fh.write("\n")
@@ -519,7 +519,7 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
         ),
     }
     summary_path = os.path.join(target, SUMMARY_FILE)
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with atomic_open(summary_path) as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
 

@@ -31,7 +31,8 @@ def scored(name):
     """(ctx, survivors, outcomes of the whole set as one chunk)."""
     cfg = RunConfig.from_mapping({"generator": {"n_per_modality": 120, "seed": 5},
                                   "seed": 5, **CONFIGS[name]})
-    survivors = filter_by_trust(generate(cfg.generator).by_modality("auditory"), cfg.tau)
+    records = generate(cfg.generator).by_modality("auditory")
+    survivors = records[filter_by_trust(records.trust, cfg.tau)]
     ctx = build_context(cfg, cfg.generator, "auditory", survivors)
     return ctx, survivors, score_chunk(ctx, survivors)
 
@@ -57,7 +58,8 @@ def test_any_split_gives_the_same_outcomes(name, sizes):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_one_record_at_a_time(name):
     ctx, survivors, whole = scored(name)
-    assert_same_columns(Outcomes.concat([process_record(ctx, r) for r in survivors]), whole)
+    assert_same_columns(Outcomes.concat([process_record(ctx, survivors, row)
+                                         for row in range(len(survivors))]), whole)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,9 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+from msr.cli import main
 from msr.dataset import (
     FeatureGeometry,
     GeneratorConfig,
@@ -73,10 +75,9 @@ class TestGenerate:
         many = generate(GeneratorConfig(n_per_modality=20, seed=5))
         for m_idx, m in enumerate(MODALITIES):
             fa = few.by_modality(m)
-            ma = many.by_modality(m)
-            for i in range(5):
-                assert fa[i].features == ma[i].features
-                assert fa[i].trust == ma[i].trust
+            ma = many.by_modality(m)[:5]
+            assert fa.features.tobytes() == ma.features.tobytes()
+            assert fa.trust.tobytes() == ma.trust.tobytes()
 
     def test_oracle_perfect_at_zero_noise(self):
         cfg = GeneratorConfig(
@@ -99,7 +100,7 @@ class TestGenerate:
             label_noise={"visual": p, "auditory": p, "tactile": p})
         ds = generate(cfg)
         geom = FeatureGeometry.from_config(cfg)
-        recs = ds.by_modality("visual")
+        recs = [r for r in ds.records if r.modality == "visual"]
         flips = {"valid": 0, "relevant": 0, "action": 0, "mem": 0}
         for r in recs:
             f = np.asarray(r.features)
@@ -172,6 +173,93 @@ def _payload(ds):
     }
 
 
+_FIELDS = "('id', 'modality', 'features', 'trust', 'valid', 'relevant', 'action', 'mem_label')"
+_DROP = object()
+
+# Edits to the n=2 payload, as (record, field, value): a field of None
+# replaces the whole record, an int field is an index into its features, and
+# _DROP deletes the field. Each message is the one the per-record loader gave
+# before the checks ran over columns: the lowest bad record, and the first
+# check that fails there.
+EXACT_MESSAGES = {
+    "not-an-object": ([(1, None, [1, 2])], f"record 1: fields must be exactly {_FIELDS}"),
+    "missing-field": ([(2, "valid", _DROP)], f"record 2: fields must be exactly {_FIELDS}"),
+    "id-bool": ([(0, "id", True)], "record 0: id must be an integer"),
+    "id-float": ([(3, "id", 3.0)], "record 3: id must be an integer"),
+    "id-string": ([(2, "id", "2")], "record 2: id must be an integer"),
+    "first-id-not-zero": ([(0, "id", 1)],
+                          "record 0: id 1 breaks the strictly-increasing-from-0 order"),
+    "id-repeats": ([(4, "id", 3)], "record 4: id 3 breaks the strictly-increasing-from-0 order"),
+    "id-negative": ([(1, "id", -1)],
+                    "record 1: id -1 breaks the strictly-increasing-from-0 order"),
+    "modality-unknown": ([(3, "modality", "olfactory")], "record 3: unknown modality 'olfactory'"),
+    "modality-list": ([(3, "modality", ["visual"])], "record 3: unknown modality ['visual']"),
+    "features-short": ([(2, "features", [0.5] * 7)], "record 2: features must hold 8 numbers"),
+    "features-not-list": ([(5, "features", {"0": 1.0})], "record 5: features must hold 8 numbers"),
+    "feature-bool": ([(1, 4, False)], "record 1: features[4] not a finite number"),
+    "feature-null": ([(1, 0, None)], "record 1: features[0] not a finite number"),
+    "feature-string": ([(4, 7, "1.0")], "record 4: features[7] not a finite number"),
+    "feature-nan": ([(2, 3, math.nan)], "record 2: features[3] not a finite number"),
+    "feature-inf": ([(2, 5, -math.inf)], "record 2: features[5] not a finite number"),
+    "trust-above": ([(2, "trust", 1.3)], "record 2: trust 1.3 outside [0, 1]"),
+    "trust-negative-int": ([(2, "trust", -1)], "record 2: trust -1 outside [0, 1]"),
+    "trust-bool": ([(0, "trust", True)], "record 0: trust True outside [0, 1]"),
+    "trust-string": ([(0, "trust", "0.7")], "record 0: trust '0.7' outside [0, 1]"),
+    "trust-nan": ([(5, "trust", math.nan)], "record 5: trust nan outside [0, 1]"),
+    "valid-int": ([(4, "valid", 1)], "record 4: valid must be a boolean"),
+    "relevant-null": ([(4, "relevant", None)], "record 4: relevant must be a boolean"),
+    "action-high": ([(3, "action", 9)], "record 3: action 9 outside [0, 4)"),
+    "action-bool": ([(3, "action", False)], "record 3: action False outside [0, 4)"),
+    "action-float": ([(1, "action", 1.0)], "record 1: action 1.0 outside [0, 4)"),
+    "mem-negative": ([(5, "mem_label", -1)], "record 5: mem_label -1 outside [0, 4)"),
+    "mem-string": ([(0, "mem_label", "2")], "record 0: mem_label '2' outside [0, 4)"),
+    "two-faults-later-check-lower": ([(3, "action", 9), (1, "trust", 2.0)],
+                                     "record 1: trust 2.0 outside [0, 1]"),
+    "two-faults-earlier-check-higher": ([(4, "trust", _DROP), (2, 1, "x")],
+                                        "record 2: features[1] not a finite number"),
+    "one-record-three-faults": ([(2, "relevant", 0), (2, "valid", "yes"), (2, "mem_label", 7)],
+                                "record 2: valid must be a boolean"),
+    "counts": ([(0, "modality", "auditory")],
+               "record counts {'visual': 1, 'auditory': 3, 'tactile': 2} do not match "
+               "meta {'visual': 2, 'auditory': 2, 'tactile': 2}"),
+    # beyond what a float64 or a uint64 column holds
+    "feature-huge-int": ([(3, 2, 10 ** 400)], "record 3: features[2] not a finite number"),
+    "trust-huge-int": ([(1, "trust", 10 ** 400)], f"record 1: trust {10 ** 400} outside [0, 1]"),
+    "id-2**64": ([(5, "id", 2 ** 64)], f"record 5: id {2 ** 64} outside [0, 2**64)"),
+    "id-2**64-first": ([(0, "id", 2 ** 64)],
+                       f"record 0: id {2 ** 64} breaks the strictly-increasing-from-0 order"),
+    "id-huge-negative": ([(2, "id", -(2 ** 70))],
+                         f"record 2: id {-(2 ** 70)} breaks the strictly-increasing-from-0 order"),
+    "action-huge": ([(4, "action", 2 ** 70)], f"record 4: action {2 ** 70} outside [0, 4)"),
+}
+
+
+def _edited(payload, edits):
+    for i, key, value in edits:
+        if key is None:
+            payload["records"][i] = value
+        elif isinstance(key, int):
+            payload["records"][i]["features"][key] = value
+        elif value is _DROP:
+            del payload["records"][i][key]
+        else:
+            payload["records"][i][key] = value
+    return payload
+
+
+def _write_config(tmp_path, mapping):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mapping))
+    return path
+
+
+def _bad_file(tmp_path, name):
+    path = tmp_path / "bad.json"
+    payload = _payload(generate(GeneratorConfig(n_per_modality=2, seed=3)))
+    path.write_text(json.dumps(_edited(payload, EXACT_MESSAGES[name][0])))
+    return path
+
+
 class TestLoadValidation:
     @pytest.fixture()
     def tiny_payload(self):
@@ -239,3 +327,50 @@ class TestLoadValidation:
         tiny_payload["records"][0]["extra"] = 1
         with pytest.raises(ParseError, match="record 0"):
             load(self._write(tmp_path, tiny_payload))
+
+    def test_no_records(self, tmp_path, tiny_payload):
+        tiny_payload["records"] = []
+        path = self._write(tmp_path, tiny_payload)
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"{path}: record counts {{'visual': 0, 'auditory': 0, 'tactile': 0}} do not "
+            "match meta {'visual': 2, 'auditory': 2, 'tactile': 2}")
+
+    @pytest.mark.parametrize("name", sorted(EXACT_MESSAGES))
+    def test_exact_load_messages(self, tmp_path, name):
+        path = _bad_file(tmp_path, name)
+        message = EXACT_MESSAGES[name][1]
+        with pytest.raises(ParseError) as info:
+            load(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", ["feature-huge-int", "trust-huge-int", "id-2**64"])
+    def test_oversized_integers_end_in_an_error_line(self, tmp_path, capsys, name):
+        path = _bad_file(tmp_path, name)
+        message = EXACT_MESSAGES[name][1]
+        assert main(["run", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
+
+    def test_largest_id_loads_and_runs(self, tmp_path, capsys):
+        payload = _payload(generate(GeneratorConfig(n_per_modality=2, seed=3)))
+        payload["records"][5]["id"] = 2 ** 64 - 1
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload))
+        assert load(str(path)).by_modality("tactile").ids.tolist() == [4, 2 ** 64 - 1]
+        out = tmp_path / "out"
+        config = _write_config(tmp_path, {"tau": 0.0})
+        argv = ["run", "--data", str(path), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        last = json.loads((out / "trace.jsonl").read_text().splitlines()[-1])
+        assert last["id"] == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("flag", ["--data", "--config"])
+    @pytest.mark.parametrize("text,reason", [("[" * 100_000, "nesting too deep\n"),
+                                             ("1" * 5000, "Exceeds the limit (4300 digits)")])
+    def test_unreadable_json_ends_in_an_error_line(self, tmp_path, capsys, flag, text, reason):
+        path = tmp_path / "unreadable.json"
+        path.write_text(text)
+        assert main(["run", flag, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: {reason}")

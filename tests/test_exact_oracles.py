@@ -1,11 +1,13 @@
-"""Bit-for-bit oracles for the array fast paths of phase 1, alignment and the
-trace writer. Each fast path claims exact equality with a slower reference,
+"""Bit-for-bit oracles for the array fast paths of phase 1, alignment, the
+trace writer and the dataset writer. Each fast path claims exact equality with a slower reference,
 so each test compares bytes, not tolerances. CI reruns this file with
 `--hypothesis-profile=ci` (tests/conftest.py) for a longer search."""
 
 from dataclasses import replace
 import json
 import math
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,7 +16,7 @@ import pytest
 
 from msr import pipeline, seeding
 from msr.config import GridSpec, RunConfig
-from msr.dataset import MODALITIES, GeneratorConfig, generate
+from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, save
 from msr.decision import feedback_means
 from msr.rounding import round_half_away
 from msr.scenario import scenario_utilities, semantic_features
@@ -230,8 +232,9 @@ def _dict_lines(cfg, res, records):
 @pytest.mark.parametrize("modality", MODALITIES)
 def test_trace_lines_equal_json_dumps_of_a_dict(tmp_path, modality):
     cfg = _trace_config(tmp_path)
-    records = generate(SMALL).by_modality(modality)
-    res = pipeline.run_modality(cfg, SMALL, modality, records, 1)
+    data = generate(SMALL)
+    res = pipeline.run_modality(cfg, SMALL, modality, data.by_modality(modality), 1)
+    records = [r for r in data.records if r.modality == modality]
     assert dict(res.trace_lines) == _dict_lines(cfg, res, records)
 
 
@@ -242,7 +245,9 @@ def test_non_finite_trace_value_is_rejected(tmp_path, monkeypatch, column):
     records = generate(SMALL).by_modality("visual")
     if column == "trust":
         # a record the trust filter drops still gets a trace line
-        records = [replace(records[0], trust=math.nan)] + records[1:]
+        trust = records.trust.copy()
+        trust[0] = math.nan
+        records = replace(records, trust=trust)
     else:
         score = pipeline.score_records
 
@@ -255,3 +260,78 @@ def test_non_finite_trace_value_is_rejected(tmp_path, monkeypatch, column):
         monkeypatch.setattr(pipeline, "score_records", poisoned)
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         pipeline.run_modality(cfg, SMALL, "visual", records, 1)
+
+
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-07, 1.0, -3.0, 1e16,
+                                    2.0 ** 53, 1.7976931348623157e308]))
+
+
+@st.composite
+def column_datasets(draw, elements=FLOATS):
+    """A Dataset of arbitrary columns: ids strictly increasing anywhere in
+    [0, 2**64), each record in a drawn modality, so modalities interleave."""
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 5))
+    ids = sorted(draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=n, max_size=n,
+                               unique=True)))
+    owner = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    table = Columns(
+        ids=np.array(ids, dtype=np.uint64),
+        features=draw(hnp.arrays(np.float64, (n, dim), elements=elements)),
+        trust=draw(hnp.arrays(np.float64, n, elements=elements)),
+        valid=draw(hnp.arrays(bool, n)), relevant=draw(hnp.arrays(bool, n)),
+        action=draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2 ** 63 - 1))),
+        mem_label=draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2 ** 63 - 1))))
+    meta = {"schema_version": 1, "note": [draw(FLOATS), "\u00e9"]}
+    return Dataset(columns={m: table[owner == k] for k, m in enumerate(MODALITIES)}, meta=meta)
+
+
+def _saved(dataset):
+    """The bytes `save` writes, or the type and text of what it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.json")
+        try:
+            save(dataset, path)
+        except ValueError as exc:
+            return type(exc), str(exc), os.listdir(tmp)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _dumped(dataset):
+    """json.dumps of the payload, one dict per record in id order, or the
+    type and text of what it raises and an empty directory."""
+    rows = sorted(
+        ({"id": rid, "modality": m, "features": feats, "trust": trust, "valid": valid,
+          "relevant": relevant, "action": action, "mem_label": mem}
+         for m, cols in dataset.columns.items()
+         for rid, feats, trust, valid, relevant, action, mem in zip(
+             *(column.tolist() for column in cols.arrays()))),
+        key=lambda row: row["id"])
+    try:
+        text = json.dumps({"meta": dataset.meta, "records": rows}, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as exc:
+        return type(exc), str(exc), []
+    return (text + "\n").encode("utf-8")
+
+
+@given(column_datasets())
+@settings(deadline=None)
+def test_saved_bytes_equal_json_dumps(dataset):
+    assert _saved(dataset) == _dumped(dataset)
+
+
+@given(column_datasets(elements=st.one_of(FLOATS, st.sampled_from([math.nan, math.inf,
+                                                                    -math.inf]))))
+@settings(deadline=None)
+def test_non_finite_values_raise_what_json_dumps_raises(dataset):
+    assert _saved(dataset) == _dumped(dataset)
+
+
+def test_non_finite_feature_is_rejected():
+    data = generate(GeneratorConfig(n_per_modality=2, seed=1))
+    data.by_modality("auditory").features[1, 3] = math.nan
+    assert _saved(data) == _dumped(data)
+    assert _saved(data)[:2] == (ValueError, "Out of range float values are not JSON compliant")

@@ -16,39 +16,25 @@ from msr.ingest import (
 )
 
 
-class FakeRecord:
-    def __init__(self, trust):
-        self.trust = trust
-
-
-def trusts(records):
-    return [r.trust for r in records]
-
-
 class TestFilterByTrust:
     def test_vacuous_threshold_keeps_everything(self):
-        recs = [FakeRecord(t) for t in (0.1, 0.5, 0.9)]
-        assert filter_by_trust(recs, 0.0) == recs
+        assert filter_by_trust(np.array([0.1, 0.5, 0.9]), 0.0).tolist() == [True] * 3
 
     def test_empty_input(self):
-        assert filter_by_trust([], 0.5) == []
+        assert filter_by_trust(np.array([]), 0.5).tolist() == []
 
     def test_strict_comparison(self):
-        recs = [FakeRecord(0.2), FakeRecord(0.8), FakeRecord(0.5)]
-        kept = filter_by_trust(recs, 0.5)
-        assert trusts(kept) == [0.8]  # 0.5 itself is dropped
+        kept = filter_by_trust(np.array([0.2, 0.8, 0.5]), 0.5)
+        assert kept.tolist() == [False, True, False]  # 0.5 itself is dropped
 
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
-            filter_by_trust([], 1.5)
+            filter_by_trust(np.array([]), 1.5)
 
     @given(st.lists(st.floats(0, 1), max_size=30), st.floats(0, 1))
     def test_subset_order_and_strictness(self, values, tau):
-        recs = [FakeRecord(t) for t in values]
-        kept = filter_by_trust(recs, tau)
-        assert all(r.trust > tau for r in kept)
-        it = iter(recs)
-        assert all(k in it for k in kept)  # order-preserving sublist
+        kept = filter_by_trust(np.array(values), tau)
+        assert kept.tolist() == [t > tau for t in values]
 
 
 class TestNormStats:

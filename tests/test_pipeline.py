@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from msr.cli import main
 from msr.config import RunConfig
-from msr.dataset import FeatureGeometry, GeneratorConfig, generate
+from msr.dataset import FeatureGeometry, GeneratorConfig, ModalRecord, generate, load, save
 from msr.errors import ConfigError, EmptyInputError
 from msr.evaluation import metrics
 from msr.ingest import filter_by_trust
@@ -42,7 +43,8 @@ class TestGoalWiring:
 
 
 def _survivors(cfg, modality):
-    return filter_by_trust(generate(GEN).by_modality(modality), cfg.tau)
+    records = generate(GEN).by_modality(modality)
+    return records[filter_by_trust(records.trust, cfg.tau)]
 
 
 class TestProcessRecord:
@@ -50,17 +52,17 @@ class TestProcessRecord:
         cfg = RunConfig(generator=GEN, seed=13)
         survivors = _survivors(cfg, "visual")
         ctx = build_context(cfg, GEN, "visual", survivors)
-        assert_same_columns(process_record(ctx, survivors[0]),
-                            process_record(ctx, survivors[0]))
+        assert_same_columns(process_record(ctx, survivors, 0),
+                            process_record(ctx, survivors, 0))
 
     def test_decision_and_policy_agree_with_oracle(self):
         cfg = RunConfig(generator=GEN, seed=13)
         survivors = _survivors(cfg, "auditory")
         ctx = build_context(cfg, GEN, "auditory", survivors)
         geom = FeatureGeometry.from_config(GEN)
-        for r in survivors[:40]:
-            out = process_record(ctx, r)
-            latent = geom.oracle_action(np.asarray(r.features))
+        for row in range(40):
+            out = process_record(ctx, survivors, row)
+            latent = geom.oracle_action(survivors.features[row])
             assert out.decision_id.tolist() == [latent]
             assert out.policy_action.tolist() == [latent]
 
@@ -69,16 +71,16 @@ class TestProcessRecord:
         survivors = _survivors(cfg, "tactile")
         ctx = build_context(cfg, GEN, "tactile", survivors)
         geom = FeatureGeometry.from_config(GEN)
-        for r in survivors[:40]:
-            out = process_record(ctx, r)
-            assert out.retrieved_label.tolist() == [geom.oracle_memory(np.asarray(r.features))]
+        for row in range(40):
+            out = process_record(ctx, survivors, row)
+            assert out.retrieved_label.tolist() == [geom.oracle_memory(survivors.features[row])]
 
     def test_confidence_is_a_probability(self):
         cfg = RunConfig(generator=GEN, seed=13)
         survivors = _survivors(cfg, "visual")
         ctx = build_context(cfg, GEN, "visual", survivors)
-        for r in survivors[:10]:
-            out = process_record(ctx, r)
+        for row in range(10):
+            out = process_record(ctx, survivors, row)
             assert 0.0 < out.confidence[0] < 1.0
             assert 0.0 < out.relevance_mass[0] < 1.0
 
@@ -119,6 +121,53 @@ def test_alignment_plans_in_batch(monkeypatch):
     assert 0.0 <= pipeline.run_alignment(cfg, results) <= 1.0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_record_objects_from_generate_to_outputs(tmp_path, monkeypatch, workers):
+    from msr import pipeline
+
+    # forked pool workers add to the same shared counter
+    built = multiprocessing.Value("i", 0)
+    init = ModalRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        with built.get_lock():
+            built.value += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModalRecord, "__init__", counted)
+    monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 16)  # several chunks, so the pool runs
+    path = str(tmp_path / "data.json")
+    save(generate(GEN), path)
+    data = load(path)
+    execute_run(RunConfig(generator=GEN, seed=13, workers=workers,
+                          out_dir=str(tmp_path / "out")), data)
+    assert built.value == 0
+    # the records view builds them on demand, one per record
+    assert len(data.records) == built.value == 3 * GEN.n_per_modality
+
+
+def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
+    from msr import pipeline
+
+    cfg = RunConfig(generator=GEN, seed=13, out_dir=str(tmp_path))
+    execute_run(cfg)
+    before = (tmp_path / "trace.jsonl").read_bytes()
+    run_modality = pipeline.run_modality
+
+    def unwritable(*args):
+        res = run_modality(*args)
+        res.trace_lines.append((-1, None))  # sorted first: the write fails at once
+        return res
+
+    monkeypatch.setattr(pipeline, "run_modality", unwritable)
+    with pytest.raises(TypeError):
+        execute_run(cfg)
+    assert (tmp_path / "trace.jsonl").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["report.md", "run_summary.json", "trace.jsonl"]
+        + [f"report_{m}.csv" for m in ("auditory", "tactile", "visual")])
+
+
 class TestExecuteRun:
     def test_outputs_written(self, run_result):
         res, cfg = run_result
@@ -147,16 +196,16 @@ class TestExecuteRun:
             conf = res.confusions[m][1]
             records = ds.by_modality(m)
             assert conf.total == len(records)
-            kept = sum(1 for r in records if r.trust > cfg.tau)
+            kept = int(np.count_nonzero(records.trust > cfg.tau))
             assert conf.tp + conf.fp == kept
 
     def test_survivor_steps_scored(self, run_result):
         res, cfg = run_result
         ds = generate(GEN)
         for m in ("visual", "auditory", "tactile"):
-            survivors = [r for r in ds.by_modality(m) if r.trust > cfg.tau]
+            survivors = int(np.count_nonzero(ds.by_modality(m).trust > cfg.tau))
             for step in range(2, 8):
-                assert res.confusions[m][step].total == len(survivors)
+                assert res.confusions[m][step].total == survivors
 
     def test_metrics_reasonable_on_small_run(self, run_result):
         res, _ = run_result
