@@ -72,7 +72,6 @@ def cmd_gen(args) -> int:
     generator = cfg.generator
     if args.n is not None:
         generator = dataclasses.replace(generator, n_per_modality=args.n)
-    generator.validate()
     dataset = generate(generator)
     save(dataset, args.out)
     for modality in MODALITIES:
@@ -96,7 +95,6 @@ def cmd_run(args) -> int:
         updates["out_dir"] = args.out
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
-    cfg.validate()
     result = execute_run(cfg)
     for modality in cfg.modalities:
         print(f"{modality}: report_{modality}.csv")

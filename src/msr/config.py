@@ -1,7 +1,10 @@
 """Run configuration: one JSON document drives generation, the pipeline, and
 reporting. Unknown keys anywhere in the document are errors, so typos fail
 fast instead of silently running defaults, and every value is checked against
-its field's annotation (see `mapping`)."""
+its field's annotation (see `mapping`). Every config type checks its own
+values when it is built, from a document, in Python or by
+`dataclasses.replace`, so a config that exists is valid; a message names the
+value at fault by its dotted key in the document (`grid.horizon`)."""
 
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +32,7 @@ class GridSpec:
     horizon: int = 4
     real_step_reward: float = -1.2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.goal_distance < 1:
             raise ConfigError(f"grid.goal_distance must be >= 1, got {self.goal_distance}")
         if self.horizon < self.goal_distance:
@@ -62,6 +65,16 @@ class AlignConfig:
     lambda_task: float = 0.1
     samples: int = 128  # trajectories rolled out per domain
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"align.steps must be >= 1, got {self.steps}")
+        if self.samples < 1:
+            raise ConfigError(f"align.samples must be >= 1, got {self.samples}")
+        if self.learning_rate <= 0.0:
+            raise ConfigError("align.learning_rate must be > 0")
+        if self.lambda_task < 0.0:
+            raise ConfigError("align.lambda_task must be >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -93,11 +106,7 @@ class RunConfig:
     modalities: tuple[str, ...] = MODALITIES
     out_dir: str = "msr_out"
 
-    def validate(self) -> None:
-        try:
-            self.generator.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"generator.{exc}") from None
+    def __post_init__(self):
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         for name in ("internal_state", "instruction"):
@@ -113,6 +122,9 @@ class RunConfig:
             raise ConfigError(f"m_count must be >= 1, got {self.m_count}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.sparse_readout_top_n < 1:
+            raise ConfigError(f"sparse_readout_top_n must be >= 1, "
+                              f"got {self.sparse_readout_top_n}")
         if self.noise_width < 0.0:
             raise ConfigError(f"noise_width must be >= 0, got {self.noise_width}")
         if not 0.0 <= self.beta <= 1.0:
@@ -133,21 +145,10 @@ class RunConfig:
             raise ConfigError(f"unknown modalities {bad}")
         if not self.modalities:
             raise ConfigError("at least one modality required")
-        if self.align.steps < 1:
-            raise ConfigError(f"align.steps must be >= 1, got {self.align.steps}")
-        if self.align.samples < 1:
-            raise ConfigError(f"align.samples must be >= 1, got {self.align.samples}")
-        if self.align.learning_rate <= 0.0:
-            raise ConfigError("align.learning_rate must be > 0")
-        if self.align.lambda_task < 0.0:
-            raise ConfigError("align.lambda_task must be >= 0")
-        self.grid.validate()
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        cfg = mapping.from_mapping(cls, data, "")
-        cfg.validate()
-        return cfg
+        return mapping.from_mapping(cls, data, "")
 
     def to_mapping(self) -> dict:
         return {**mapping.to_mapping(self), "generator": self.generator.to_mapping()}

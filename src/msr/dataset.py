@@ -18,6 +18,10 @@ Label noise on the integer labels re-draws uniformly in the opposite half of
 the class range, so the binary half-partition view used by the evaluation
 steps disagrees with the oracle exactly at the flip rate.
 
+`GeneratorConfig` checks its own values when built, with messages that start
+`generator.<key>` as the run config names them, so `generate` trusts any
+config it is given.
+
 Generation is column-at-a-time: each modality draws one (n_per_modality,
 11 + feature_dim) block of keyed uniforms (`seeding.keyed_uniforms`), whose
 columns are valid, relevant, action, mem, trust, the features, four flip
@@ -81,38 +85,38 @@ class GeneratorConfig:
     cluster_separation: float = 2.0
     seed: int = 42
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_per_modality < 1:
-            raise ConfigError(f"n_per_modality must be >= 1, got {self.n_per_modality}")
+            raise ConfigError(f"generator.n_per_modality must be >= 1, "
+                              f"got {self.n_per_modality}")
         if self.n_actions < 2:
-            raise ConfigError(f"n_actions must be >= 2, got {self.n_actions}")
+            raise ConfigError(f"generator.n_actions must be >= 2, got {self.n_actions}")
         if self.n_memory_classes < 2:
-            raise ConfigError(
-                f"n_memory_classes must be >= 2, got {self.n_memory_classes}"
-            )
+            raise ConfigError(f"generator.n_memory_classes must be >= 2, "
+                              f"got {self.n_memory_classes}")
         needed = 2 + (self.n_actions + 1) // 2 + (self.n_memory_classes + 1) // 2
         if self.feature_dim < needed:
-            raise ConfigError(
-                f"feature_dim {self.feature_dim} too small; layout needs {needed}"
-            )
+            raise ConfigError(f"generator.feature_dim {self.feature_dim} too small; "
+                              f"layout needs {needed}")
         if set(self.label_noise) != set(MODALITIES):
-            raise ConfigError(
-                f"label_noise must cover exactly {MODALITIES}, got {sorted(self.label_noise)}"
-            )
+            raise ConfigError(f"generator.label_noise must cover exactly {MODALITIES}, "
+                              f"got {sorted(self.label_noise)}")
         for modality, p in self.label_noise.items():
             if not 0.0 <= p < 0.5:
-                raise ConfigError(f"label_noise[{modality}] must be in [0, 0.5), got {p}")
+                raise ConfigError(f"generator.label_noise[{modality}] must be in [0, 0.5), "
+                                  f"got {p}")
         mean, spread = self.trust_distribution
         if not 0.0 <= mean <= 1.0:
-            raise ConfigError(f"trust_distribution mean must be in [0, 1], got {mean}")
+            raise ConfigError(f"generator.trust_distribution mean must be in [0, 1], "
+                              f"got {mean}")
         if spread <= 0.0:
-            raise ConfigError(f"trust_distribution spread must be > 0, got {spread}")
+            raise ConfigError(f"generator.trust_distribution spread must be > 0, got {spread}")
         if self.cluster_separation <= 0.0:
-            raise ConfigError(
-                f"cluster_separation must be > 0, got {self.cluster_separation}"
-            )
+            raise ConfigError(f"generator.cluster_separation must be > 0, "
+                              f"got {self.cluster_separation}")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ConfigError(f"generator.seed must be a 64-bit unsigned integer, "
+                              f"got {self.seed}")
 
     def to_mapping(self) -> dict:
         """JSON object with label_noise in MODALITIES order, whatever order
@@ -122,9 +126,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "GeneratorConfig":
-        cfg = mapping.from_mapping(cls, data, "generator")
-        cfg.validate()
-        return cfg
+        return mapping.from_mapping(cls, data, "generator")
 
 
 def opposite_half(label, n_classes: int, u):
@@ -355,7 +357,6 @@ def _build_meta(cfg: GeneratorConfig, geom: FeatureGeometry) -> dict:
 
 def generate(cfg: GeneratorConfig) -> Dataset:
     """Deterministic synthetic corpus for the given config."""
-    cfg.validate()
     geom = FeatureGeometry.from_config(cfg)
     mean, spread = cfg.trust_distribution
     n, d = cfg.n_per_modality, cfg.feature_dim

@@ -60,9 +60,7 @@ from .dataset import (
 from .decision import (
     ContextWeights,
     Subtask,
-    TaskTemplate,
     decision_utilities,
-    decompose,
     feedback_means,
     first_best,
     subtask_priority,
@@ -70,7 +68,7 @@ from .decision import (
 from .errors import EmptyInputError
 from .evaluation import StepConfusion, report
 from .executor import check_confidence
-from .ingest import extract_features, filter_by_trust, fit_norm_stats, fuse, normalize
+from .ingest import filter_by_trust, fit_norm_stats, normalize
 from .memory import LTM, MemoryEntry, MemoryStore, cosine_scores
 from .scenario import (
     feature_map,
@@ -93,14 +91,17 @@ from .sim2real import (
 )
 
 # Single-record layer functions (and `build_envs` below), each a thin form of
-# a batched function that phase 1, the merge or alignment calls, and
-# route_feedback, which the merge no longer needs. perfbench's tracer looks
-# up every layer function it wraps in this module, so they stay importable.
+# a batched function that phase 1, the merge or alignment calls; route_feedback,
+# which the merge no longer needs; and the extraction, fusion and template
+# stages, which are the identity for one modality and one template.
+# perfbench's tracer looks up every layer function it wraps in this module,
+# so they stay importable.
 from .sim2real import optimize_policy, refine_policy, reward_table, rollout  # noqa: F401
 from .attention import top_k_by_relevance  # noqa: F401
-from .decision import decision_utility, select_decision  # noqa: F401
+from .decision import decision_utility, decompose, select_decision  # noqa: F401
 from .evaluation import record_outcome  # noqa: F401
 from .executor import route_feedback, select_optimal_action  # noqa: F401
+from .ingest import extract_features, fuse  # noqa: F401
 from .memory import cosine_score  # noqa: F401
 from .scenario import generate_scenarios, scenario_utility  # noqa: F401
 
@@ -184,12 +185,8 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                                          timestamp=label, tier=LTM))
 
     directions = geometry.action_directions()
-    subtasks = tuple(
-        Subtask(id=f"move-{ACTIONS[a]}", weights=tuple(directions[a]))
-        for a in range(geometry.n_actions)
-    )
-    registry = {"act": TaskTemplate(id="act", steps=subtasks)}
-    ordered = tuple(decompose(registry, "act"))
+    subtasks = tuple(Subtask(id=f"move-{ACTIONS[a]}", weights=tuple(directions[a]))
+                     for a in range(geometry.n_actions))
 
     # both channels span the relevance block, which is 2 wide in every layout
     internal = np.asarray(cfg.internal_state or (0.0, 0.0), dtype=float)
@@ -198,7 +195,7 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     envs = cfg.grid.envs()
     return ModalityContext(
         cfg=cfg, modality=modality, modality_index=MODALITIES.index(modality),
-        stats=stats, geometry=geometry, store=store, subtasks=ordered,
+        stats=stats, geometry=geometry, store=store, subtasks=subtasks,
         internal=internal, instruction=instruction, neutral_map=neutral,
         context_weights=ContextWeights(cfg.context_weights),
         sim_bases=EnvBatch.of([sim for sim, _ in envs]),
@@ -242,14 +239,12 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     ids = records.ids
     rows = np.arange(len(records))
 
-    # ingest: normalize, extract, fuse (single live modality per record)
+    # ingest: normalize; extraction is the identity and one modality is live
     fnorm = normalize(records.features, ctx.stats)
-    extracted = extract_features(fnorm)
-    sensor_full = fuse([(ctx.modality, extracted)]).entries[0][1]
 
     # scenario: integrate channels over the relevance block, map, perturb;
     # pool column j is scenario index j (m own, then m neutral-reference)
-    unified = integrate(sensor_full[:, rel], ctx.internal, ctx.instruction, cfg.weights)
+    unified = integrate(fnorm[:, rel], ctx.internal, ctx.instruction, cfg.weights)
     semantic = semantic_features(unified)
     n_noise = m * unified.shape[1]
     own = perturb(feature_map(unified), m, cfg.noise_width,
@@ -285,7 +280,7 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     context[:, :, 0] = refined_utility[:, None]
     context[:, :, 1] = readout_cos[:, None]
     for a, sub in enumerate(ctx.subtasks):
-        context[:, a, 2] = subtask_priority(sub, sensor_full)
+        context[:, a, 2] = subtask_priority(sub, fnorm)
     utility = decision_utilities(context, ctx.context_weights)
     decision = first_best(utility)
     predicted = utility[rows, decision]
@@ -293,11 +288,10 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     # sim2real: randomized sim env, exact policies, discrepancy re-plan
     sim, real = plan_sim2real(ctx, ids, decision)
 
-    # executor: the command is the refined policy's action at the start cell
-    # with the whole horizon left, sent with the relevance confidence carried
-    # from scenario selection
+    # executor: the command is the refined policy's action at its env's start
+    # cell with the whole horizon left, sent with the relevance confidence
+    # carried from scenario selection; a swapped sim env starts at the base goal
     check_confidence(confidence)
-    start = cfg.grid.start[1] * cfg.grid.width + cfg.grid.start[0]
     return Outcomes(
         record_id=ids,
         semantic=semantic,
@@ -311,8 +305,8 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
         refined_utility=refined_utility,
         decision_id=decision,
         predicted_outcome=predicted,
-        sim_first_action=sim.actions[rows, -1, start],
-        policy_action=real.actions[rows, -1, start],
+        sim_first_action=sim.actions[rows, -1, sim.envs.start],
+        policy_action=real.actions[rows, -1, real.envs.start],
         confidence=confidence,
     )
 
@@ -468,7 +462,6 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
     """Generate or load the dataset, run every configured modality, and write
     trace + report files. Byte-identical for identical seeds and any worker
     count."""
-    cfg.validate()
     if dataset is None:
         dataset = load(cfg.dataset_path) if cfg.dataset_path else generate(cfg.generator)
     gen_cfg = GeneratorConfig.from_mapping(dataset.meta["generator"])

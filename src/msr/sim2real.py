@@ -373,9 +373,8 @@ class AlignmentModel:
     lambda_task: float = 0.1
 
     @classmethod
-    def init(cls, in_dim: int, enc_dim: int | None = None, lambda_task: float = 0.1):
-        e = in_dim if enc_dim is None else enc_dim
-        return cls(encoder=np.eye(e, in_dim), disc_w=np.zeros(e), disc_b=0.0,
+    def init(cls, in_dim: int, lambda_task: float = 0.1):
+        return cls(encoder=np.eye(in_dim), disc_w=np.zeros(in_dim), disc_b=0.0,
                    lambda_task=lambda_task)
 
 

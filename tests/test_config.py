@@ -1,13 +1,14 @@
 """Config wire format: every malformed value ends in `error: <key> ...` with
 exit code 1, and well-formed mappings survive a round trip unchanged."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
 from msr.cli import main
-from msr.config import RunConfig
+from msr.config import AlignConfig, GridSpec, RunConfig
 from msr.dataset import MODALITIES, GeneratorConfig, generate, load, save
 from msr.errors import ConfigError, ParseError
 
@@ -61,6 +62,8 @@ PROBES = [
     ("grid.real_step_reward", {"grid": {"real_step_reward": float("nan")}}),
     ("lambda_feedback", {"lambda_feedback": float("inf")}),
     ("randomization.variants.keep", {"randomization": {"variants": {"keep": float("-inf")}}}),
+    # used to pass parsing and fail only once the corpus was generated
+    ("sparse_readout_top_n", {"sparse_readout_top_n": 0}),
 ]
 
 
@@ -150,9 +153,47 @@ def test_config_errors_name_the_key(fragment, message):
     ({"seed": -1}, r"^seed must be a 64-bit unsigned integer"),
 ])
 def test_config_built_in_python_is_validated(fragment, message):
-    # RunConfig(...) skips the mapper, so validate() must catch these itself
+    # RunConfig(...) skips the mapper, so the type must catch these itself
     with pytest.raises(ConfigError, match=message):
-        RunConfig(**fragment).validate()
+        RunConfig(**fragment)
+
+
+# (config type, bad fields, the message's start); every config type checks
+# itself when built, and dataclasses.replace builds a new one
+BUILT_INVALID = [
+    (GeneratorConfig, {"n_per_modality": 0}, r"generator\.n_per_modality must be >= 1"),
+    (GeneratorConfig, {"feature_dim": 4}, r"generator\.feature_dim 4 too small"),
+    (GeneratorConfig, {"label_noise": {"visual": 0.1}}, r"generator\.label_noise must cover"),
+    (GeneratorConfig, {"trust_distribution": (0.5, 0.0)},
+     r"generator\.trust_distribution spread must be > 0"),
+    (GeneratorConfig, {"seed": -1}, r"generator\.seed must be a 64-bit"),
+    (GridSpec, {"goal_distance": 0}, r"grid\.goal_distance must be >= 1"),
+    (GridSpec, {"horizon": 1}, r"grid\.horizon 1 shorter than grid\.goal_distance 2"),
+    (GridSpec, {"start": (0, 0)}, r"grid: goal \(0, -2\) outside the 5x5 grid"),
+    (AlignConfig, {"steps": 0}, r"align\.steps must be >= 1"),
+    (AlignConfig, {"samples": 0}, r"align\.samples must be >= 1"),
+    (AlignConfig, {"learning_rate": 0.0}, r"align\.learning_rate must be > 0"),
+    (AlignConfig, {"lambda_task": -0.1}, r"align\.lambda_task must be >= 0"),
+    (RunConfig, {"tau": 2.0}, r"tau must be in \[0, 1\]"),
+    (RunConfig, {"sparse_readout_top_n": 0}, r"sparse_readout_top_n must be >= 1"),
+    (RunConfig, {"workers": 0}, r"workers must be >= 1"),
+    (RunConfig, {"generator": GeneratorConfig(n_actions=6, feature_dim=10)},
+     r"generator\.n_actions must be <= 4"),
+]
+
+
+@pytest.mark.parametrize("cls,changes,message", BUILT_INVALID,
+                         ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(BUILT_INVALID)])
+def test_every_config_type_checks_itself(cls, changes, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        cls(**changes)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        dataclasses.replace(cls(), **changes)
+
+
+def test_no_config_type_has_a_validate_method():
+    for cls in (GeneratorConfig, GridSpec, AlignConfig, RunConfig):
+        assert not hasattr(cls, "validate"), cls
 
 
 def test_top_level_must_be_an_object():

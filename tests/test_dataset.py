@@ -30,20 +30,19 @@ def small_dataset():
 class TestConfigValidation:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError, match="n_per_modality"):
-            GeneratorConfig(n_per_modality=0).validate()
+            GeneratorConfig(n_per_modality=0)
 
     def test_label_noise_below_half(self):
-        cfg = GeneratorConfig(label_noise={"visual": 0.5, "auditory": 0.1, "tactile": 0.1})
         with pytest.raises(ConfigError, match="label_noise"):
-            cfg.validate()
+            GeneratorConfig(label_noise={"visual": 0.5, "auditory": 0.1, "tactile": 0.1})
 
     def test_feature_dim_must_fit_layout(self):
         with pytest.raises(ConfigError, match="feature_dim"):
-            GeneratorConfig(feature_dim=4).validate()
+            GeneratorConfig(feature_dim=4)
 
     def test_missing_modality_noise(self):
         with pytest.raises(ConfigError, match="label_noise"):
-            GeneratorConfig(label_noise={"visual": 0.1}).validate()
+            GeneratorConfig(label_noise={"visual": 0.1})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):

@@ -55,8 +55,8 @@ CONFIGS = {
 OUTCOMES = {
     "default": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
     "slip": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
-    "swap-randomized": "514baa55fcc82543effec91a9f830084a3f71607032816e96989599b2c2917ab",
-    "swap-always": "82ff2b353e3d2a187f9e8e1cd2db4762b5b5ba587c0f756cc3109f0e7ea4aba7",
+    "swap-randomized": "e6d30c6869c561ea883dece8debc38f0e3d4c2ad78c90aef85ea97482e2e17d2",
+    "swap-always": "d42a5c811cdae9e9393b18da2b3e80624ee0568589ff3020ef00065beb35a64c",
     "k-beyond-pool": "f11d26d8d286a204030d56adc38cba6a7e10f36988c2d71844c35122b03d335b",
     "sparse-readout": "533ee3f7c9dd1268354dac78ff780f6168f68ab1a346a2e5ebe17d9dc39a0ec1",
     "grid-7x6": "4089018ada64c43a99d8a61eefef82bab497fd9a766cf2619545b525bd05fdb9",
@@ -87,7 +87,7 @@ CONFIG_FILES = {
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
         "run_summary.json": "162ee6e5d4fde8e94f17c9df0c3f4e69f03d0392c16f6389ee8f6a8170b49066",
-        "trace.jsonl": "77829d70f38b583a23bf7f0c19c2088b7bf1db3b22818752772426266d1d2f58",
+        "trace.jsonl": "af0928574f18b1109ab2e99cf4999a109c21fd206ce51a5430a41ba4a7c57cde",
     },
     "swap-always": {
         "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
@@ -95,7 +95,7 @@ CONFIG_FILES = {
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
         "run_summary.json": "281e7c0f8ed55a6b35fe1165178a7cdd6ec78a94f090b78b04ee7908c2c4c3af",
-        "trace.jsonl": "9afbc8f814de3d3fdc40054cec7c5c39a884192c622164d1c143d839ca1d0408",
+        "trace.jsonl": "8620bcafefd05cada0cb2339c7c47fbd631fd8ec8cd55a725bcacd0770a93e44",
     },
     "k-beyond-pool": {
         "report.md": "e60de389d8dc4da03cccfaa04aaf14304d00df5d00613a5f8d09a88fca48adf1",

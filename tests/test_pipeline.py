@@ -7,11 +7,20 @@ import pytest
 
 from msr.cli import main
 from msr.config import RunConfig
-from msr.dataset import FeatureGeometry, GeneratorConfig, ModalRecord, generate, load, save
+from msr.dataset import (
+    MODALITIES,
+    FeatureGeometry,
+    GeneratorConfig,
+    ModalRecord,
+    generate,
+    load,
+    save,
+)
 from msr.errors import ConfigError, EmptyInputError
 from msr.evaluation import metrics
 from msr.ingest import filter_by_trust
 from msr.pipeline import build_context, execute_run, process_record
+from msr.sim2real import RandomizationConfig
 
 from test_chunk_oracle import assert_same_columns
 
@@ -40,6 +49,21 @@ class TestGoalWiring:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grid: goal (2, -1) outside the 5x5 grid"), err
+
+    def test_swapped_sim_starts_at_the_base_goal(self):
+        # the swapped simulated env starts where the goal would be and heads
+        # back, so its first move is opposite the decision's direction
+        from msr.pipeline import run_modality
+        from msr.sim2real import MOVES
+
+        cfg = RunConfig(generator=GEN, seed=13, randomization=RandomizationConfig(
+            variants={"swap_start_goal": 1.0}))
+        for modality in MODALITIES:
+            out = run_modality(cfg, GEN, modality, generate(GEN).by_modality(modality),
+                               1).outcomes
+            sim_moves = np.asarray(MOVES)[out.sim_first_action]
+            assert (sim_moves == -np.asarray(MOVES)[out.decision_id]).all(), modality
+            assert (out.policy_action == out.decision_id).all()
 
 
 def _survivors(cfg, modality):
@@ -285,6 +309,6 @@ class TestRunModes:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(tau=2.0).validate()
+            RunConfig(tau=2.0)
         with pytest.raises(ConfigError):
-            RunConfig(generator=GeneratorConfig(n_actions=6)).validate()
+            RunConfig(generator=GeneratorConfig(n_actions=6))
