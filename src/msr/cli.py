@@ -17,7 +17,6 @@ from .errors import ConfigError, MsrError, ParseError
 from .evaluation import markdown_from_values, parse_report_csv
 from .pipeline import execute_run
 
-DEFAULT_SEED = 42
 SEED_ENV = "MSR_SEED"
 
 
@@ -53,7 +52,7 @@ def _resolve_seed(flag_seed, raw_config: dict, cfg: RunConfig) -> int:
     env = _env_seed()
     if env is not None:
         return env
-    return cfg.seed if raw_config else DEFAULT_SEED
+    return cfg.seed
 
 
 def _apply_seed(cfg: RunConfig, seed: int, raw: dict) -> RunConfig:

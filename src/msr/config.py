@@ -76,6 +76,14 @@ class AlignConfig:
             raise ConfigError("align.lambda_task must be >= 0")
 
 
+def check_actions(generator: GeneratorConfig) -> None:
+    """Each action is a grid move: checked on a run config's generator and on
+    the one a run actually uses, a loaded file's `meta.generator`."""
+    if generator.n_actions > len(MOVES):
+        raise ConfigError(f"generator.n_actions must be <= {len(MOVES)}, the grid moves that "
+                          f"realize actions, got {generator.n_actions}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
@@ -113,9 +121,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and len(value) != 2:
                 raise ConfigError(f"{name} must hold 2 values, got {len(value)}")
-        if self.generator.n_actions > len(MOVES):
-            raise ConfigError(f"generator.n_actions must be <= {len(MOVES)}, the grid moves that "
-                              f"realize actions, got {self.generator.n_actions}")
+        check_actions(self.generator)
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         if self.m_count < 1:

@@ -29,20 +29,20 @@ draws and two opposite-half draws. Row i is keyed by (seed, modality, i), so
 a record's content is independent of every other record and of
 n_per_modality.
 
-Storage is by column too. A `Dataset` holds the meta block and one `Columns`
-per modality: ids, (n, feature_dim) features, trust, valid, relevant, action
-and mem_label, rows in id order. `save` formats the JSON text straight from
-the columns. `load` parses it with json.load and runs every record check as
-a check over a whole column; a fault names the lowest bad record and the
-first check it fails. `Dataset.records` is a read-only tuple of
-`ModalRecord`s derived from the columns on first access, for callers that
-want one object per record; nothing in msr reads it.
+Storage is by column too. A `Dataset` holds the meta block, one `Columns`
+table of every record in id order, which is the file's order, and each row's
+index into MODALITIES. `save` formats the JSON text straight from the table.
+`load` parses it with json.load and runs every record check as a check over
+a whole column; a fault names the lowest bad record and the first check it
+fails. `Dataset.records` is a read-only tuple of `ModalRecord`s derived from
+the table on first access, for callers that want one object per record;
+nothing in msr reads it.
 """
 
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 import json
 import math
 from operator import itemgetter, le, ne
@@ -261,11 +261,36 @@ class ModalRecord:
     mem_label: int
 
 
+class Table:
+    """Equal-length array columns, the fields of a frozen dataclass, one row
+    per record. Not iterable: a record is a row of every column."""
+
+    __iter__ = None
+
+    def arrays(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.arrays()[0])
+
+    def __getitem__(self, rows):
+        """The rows that a slice, an index array or a boolean mask picks."""
+        return type(self)(*(column[rows] for column in self.arrays()))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of every table in `parts`, in order."""
+        return cls(*map(np.concatenate, zip(*(part.arrays() for part in parts))))
+
+
 @dataclass(frozen=True, eq=False)
-class Columns:
-    """One modality's records, one row each, in id order: ids uint64,
-    features (n, feature_dim) float64, trust float64, valid and relevant
-    bool, action and mem_label int64."""
+class Columns(Table):
+    """Records, one row each: ids uint64, features (n, feature_dim) float64,
+    trust float64, valid and relevant bool, action and mem_label int64."""
 
     ids: np.ndarray
     features: np.ndarray
@@ -275,63 +300,41 @@ class Columns:
     action: np.ndarray
     mem_label: np.ndarray
 
-    # not iterable: a record is a row of every column, and one row is a slice
-    __iter__ = None
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, rows) -> "Columns":
-        """The rows that a slice, an index array or a boolean mask picks."""
-        return Columns(*(column[rows] for column in self.arrays()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Columns) and all(
-            np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
-
-    def arrays(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+# rows per step of `save` and `Dataset.records`, which bounds the Python
+# lists each step builds
+SAVE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """The meta block and one `Columns` per modality of MODALITIES."""
+    """The meta block, every record as a row of one `Columns` table in id
+    order, and `modality`: each row's index into MODALITIES, as int8."""
 
-    columns: dict
     meta: dict
+    table: Columns
+    modality: np.ndarray
 
     def by_modality(self, modality: str) -> Columns:
-        return self.columns[modality]
+        """One modality's rows, in id order; a copy."""
+        return self.table[self.modality == MODALITIES.index(modality)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Dataset) and self.meta == other.meta
-                and self.columns == other.columns)
+                and self.table == other.table
+                and np.array_equal(self.modality, other.modality))
 
     @cached_property
     def records(self) -> tuple:
         """Every record as a ModalRecord, in id order: a read-only view of the
-        columns, built on first access, for callers that want one object per
+        table, built on first access, for callers that want one object per
         record. msr itself never reads it."""
-        return tuple(
-            ModalRecord(rid, modality, tuple(feats), *rest)
-            for modality, block in _runs(self)
-            for rid, feats, *rest in zip(*(column.tolist() for column in block.arrays())))
-
-
-def _runs(dataset: Dataset):
-    """(modality, rows) blocks that list every record once, in id order: one
-    block per modality unless a hand-written file interleaves modalities."""
-    ids = np.concatenate([dataset.columns[m].ids for m in MODALITIES])
-    owner = np.repeat(np.arange(len(MODALITIES)),
-                      [len(dataset.columns[m]) for m in MODALITIES])
-    owner = owner[np.argsort(ids, kind="stable")]
-    edges = np.flatnonzero(np.diff(owner)) + 1
-    done = dict.fromkeys(MODALITIES, 0)
-    for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(owner)]):
-        modality = MODALITIES[owner[lo]]
-        start = done[modality]
-        done[modality] += hi - lo
-        yield modality, dataset.columns[modality][start:done[modality]]
+        records = []
+        for lo in range(0, len(self.table), SAVE_BLOCK):
+            ids, features, *rest = (c.tolist() for c in self.table[lo:lo + SAVE_BLOCK].arrays())
+            names = map(MODALITIES.__getitem__, self.modality[lo:lo + SAVE_BLOCK].tolist())
+            records += map(ModalRecord, ids, names, map(tuple, features), *rest)
+        return tuple(records)
 
 
 def _truncated(u, bound: float):
@@ -360,7 +363,7 @@ def generate(cfg: GeneratorConfig) -> Dataset:
     geom = FeatureGeometry.from_config(cfg)
     mean, spread = cfg.trust_distribution
     n, d = cfg.n_per_modality, cfg.feature_dim
-    columns = {}
+    blocks = []
     for m_idx, modality in enumerate(MODALITIES):
         u = seeding.keyed_uniforms(cfg.seed, seeding.DATASET_RECORD, m_idx,
                                    np.arange(n), 11 + d)
@@ -384,15 +387,12 @@ def generate(cfg: GeneratorConfig) -> Dataset:
         stored_mem = np.where(
             flip[:, 3], opposite_half(mem, cfg.n_memory_classes, u[:, 10 + d]), mem)
 
-        columns[modality] = Columns(
+        blocks.append(Columns(
             ids=np.arange(m_idx * n, (m_idx + 1) * n, dtype=np.uint64), features=features,
             trust=trust, valid=valid ^ flip[:, 0], relevant=relevant ^ flip[:, 1],
-            action=stored_action, mem_label=stored_mem)
-    return Dataset(columns=columns, meta=_build_meta(cfg, geom))
-
-
-# records written per formatting call of `save`
-SAVE_BLOCK = 1 << 14
+            action=stored_action, mem_label=stored_mem))
+    return Dataset(meta=_build_meta(cfg, geom), table=Columns.concat(blocks),
+                   modality=np.repeat(np.arange(len(MODALITIES), dtype=np.int8), n))
 
 
 @contextmanager
@@ -414,29 +414,26 @@ def atomic_open(path: str):
 def save(dataset: Dataset, path: str) -> None:
     """Write the dataset as JSON, records in id order: the bytes of
     json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n",
-    formatted straight from the columns. Floats go through %r, which is
+    formatted straight from the table. Floats go through %r, which is
     float.__repr__ as in json, so every float round-trips exactly."""
-    for columns in dataset.columns.values():
-        if not (np.isfinite(columns.features).all() and np.isfinite(columns.trust).all()):
-            raise ValueError("Out of range float values are not JSON compliant")
-    dim = dataset.columns[MODALITIES[0]].features.shape[1]
-    record = ('{"id":%d,"modality":%s,"features":[' + ",".join(["%r"] * dim)
+    table = dataset.table
+    if not (np.isfinite(table.features).all() and np.isfinite(table.trust).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    record = ('{"id":%d,"modality":%s,"features":[' + ",".join(["%r"] * table.features.shape[1])
               + '],"trust":%r,"valid":%s,"relevant":%s,"action":%d,"mem_label":%d}')
+    names = [json.dumps(modality) for modality in MODALITIES]
     meta = json.dumps(dataset.meta, separators=(",", ":"), allow_nan=False)
     with atomic_open(path) as fh:
         fh.write('{"meta":%s,"records":[' % meta)
-        sep = ""
-        for modality, block in _runs(dataset):
-            name = json.dumps(modality)
-            for lo in range(0, len(block), SAVE_BLOCK):
-                rows = block[lo:lo + SAVE_BLOCK]
-                flags = (np.where(column, "true", "false").tolist()
-                         for column in (rows.valid, rows.relevant))
-                fh.write(sep + ",".join(record % row for row in zip(
-                    rows.ids.tolist(), repeat(name), *rows.features.T.tolist(),
-                    rows.trust.tolist(), *flags, rows.action.tolist(),
-                    rows.mem_label.tolist())))
-                sep = ","
+        for lo in range(0, len(table), SAVE_BLOCK):
+            rows = table[lo:lo + SAVE_BLOCK]
+            flags = (np.where(column, "true", "false").tolist()
+                     for column in (rows.valid, rows.relevant))
+            fh.write(("," if lo else "") + ",".join(record % row for row in zip(
+                rows.ids.tolist(), map(names.__getitem__,
+                                       dataset.modality[lo:lo + SAVE_BLOCK].tolist()),
+                *rows.features.T.tolist(), rows.trust.tolist(), *flags,
+                rows.action.tolist(), rows.mem_label.tolist())))
         fh.write("]}\n")
 
 
@@ -480,7 +477,7 @@ def _parse(payload) -> Dataset:
     rows = payload["records"]
     if not isinstance(rows, list):
         raise ParseError("records must be a list")
-    return Dataset(columns=_columns(rows, cfg, expected["counts"]), meta=meta)
+    return Dataset(meta, *_columns(rows, cfg, expected["counts"]))
 
 
 class _FirstFault:
@@ -525,10 +522,11 @@ def _number(value) -> float:
     return math.nan
 
 
-def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> dict:
-    """Check every record, each check over a whole column, and split the
-    records into one `Columns` per modality. A fault is reported for the
-    lowest bad record, by the first check it fails in this order."""
+def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> tuple:
+    """Check every record, each check over a whole column, and return the
+    records as a `Columns` table and each one's index into MODALITIES. A
+    fault is reported for the lowest bad record, by the first check it fails
+    in this order."""
     fault = _FirstFault(rows)
     keys = set(RECORD_FIELDS)
     fault.check([type(row) is not dict or row.keys() != keys for row in rows],
@@ -567,7 +565,7 @@ def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> dict:
     if fault.message:
         raise ParseError(fault.message)
 
-    owner = np.array(list(map({m: k for k, m in enumerate(MODALITIES)}.get, modalities)))
+    owner = np.array(list(map(MODALITIES.index, modalities)), dtype=np.int8)
     seen = {m: int(np.count_nonzero(owner == k)) for k, m in enumerate(MODALITIES)}
     if seen != counts:
         raise ParseError(f"record counts {seen} do not match meta {counts}")
@@ -576,4 +574,4 @@ def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> dict:
                     relevant=np.array(flags["relevant"], dtype=bool),
                     action=np.array(labels["action"], dtype=np.int64),
                     mem_label=np.array(labels["mem_label"], dtype=np.int64))
-    return {m: table[owner == k] for k, m in enumerate(MODALITIES)}
+    return table, owner

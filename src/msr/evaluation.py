@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import MODALITIES
 from .errors import EmptyInputError, IncompleteRunError, ParseError
-from .ingest import MODALITY_ORDER
 from .rounding import round_half_away
 
 N_STEPS = 7
@@ -99,7 +99,7 @@ class Report:
 def report(confusions_by_modality: dict) -> Report:
     """Render metric tables for every modality present, Step 1..7 each."""
     values = {}
-    for modality in MODALITY_ORDER:
+    for modality in MODALITIES:
         if modality not in confusions_by_modality:
             continue
         steps = confusions_by_modality[modality]
@@ -126,7 +126,7 @@ def markdown_from_values(values_by_modality: dict, band: float | None = None) ->
     md = ["# Performance metrics", ""]
     names = CSV_HEADER.split(",")[1:]
     flagged = 0
-    for modality in MODALITY_ORDER:
+    for modality in MODALITIES:
         if modality not in values_by_modality:
             continue
         steps = values_by_modality[modality]

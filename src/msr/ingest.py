@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
+from .dataset import MODALITIES
 from .errors import ConfigError, DegenerateModalityError, EmptyInputError, ShapeError
-
-MODALITY_ORDER = ("visual", "auditory", "tactile")
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class NormStats:
 class FeatureBundle:
     """Extracted features from all surviving modalities, canonically ordered."""
 
-    entries: tuple  # ((modality, np.ndarray), ...) in MODALITY_ORDER
+    entries: tuple  # ((modality, np.ndarray), ...) in MODALITIES order
 
 
 def filter_by_trust(trust, tau: float) -> np.ndarray:
@@ -80,10 +79,10 @@ def fuse(per_modality) -> FeatureBundle:
         raise EmptyInputError("fuse needs at least one modality")
     seen = {}
     for tag, feats in items:
-        if tag not in MODALITY_ORDER:
+        if tag not in MODALITIES:
             raise ShapeError(f"unknown modality tag {tag!r}")
         if tag in seen:
             raise ShapeError(f"duplicate modality tag {tag!r}")
         seen[tag] = np.asarray(feats, dtype=float)
-    ordered = tuple((m, seen[m]) for m in MODALITY_ORDER if m in seen)
+    ordered = tuple((m, seen[m]) for m in MODALITIES if m in seen)
     return FeatureBundle(entries=ordered)

@@ -36,7 +36,7 @@ equals the label flip rate exactly, which keeps all four confusion cells
 populated.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import json
 import multiprocessing
 import os
@@ -45,13 +45,14 @@ import numpy as np
 
 from . import seeding
 from .attention import refine_scenario, relevance_scores, top_k_indices
-from .config import RunConfig
+from .config import RunConfig, check_actions
 from .dataset import (
     Columns,
     Dataset,
     FeatureGeometry,
     GeneratorConfig,
     MODALITIES,
+    Table,
     atomic_open,
     generate,
     half_partition,
@@ -130,7 +131,7 @@ class ModalityContext:
 
 
 @dataclass(frozen=True, eq=False)
-class Outcomes:
+class Outcomes(Table):
     """Everything phase 1 learns about surviving records, one row per record
     in input order: (N,) columns, (N, 2) for semantic and refined_attributes.
     policy_action is also the executor's command."""
@@ -150,11 +151,6 @@ class Outcomes:
     sim_first_action: np.ndarray
     policy_action: np.ndarray
     confidence: np.ndarray
-
-    @classmethod
-    def concat(cls, parts) -> "Outcomes":
-        return cls(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                      for f in fields(cls)})
 
 
 def env_draws(cfg: RunConfig, modality_index: int, ids) -> np.ndarray:
@@ -465,6 +461,7 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
     if dataset is None:
         dataset = load(cfg.dataset_path) if cfg.dataset_path else generate(cfg.generator)
     gen_cfg = GeneratorConfig.from_mapping(dataset.meta["generator"])
+    check_actions(gen_cfg)
 
     results = []
     for modality in MODALITIES:

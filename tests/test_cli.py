@@ -4,7 +4,7 @@ import os
 import pytest
 
 from msr.cli import main
-from msr.dataset import load
+from msr.dataset import GeneratorConfig, generate, load, save
 
 
 def run_cli(*argv):
@@ -170,3 +170,14 @@ def test_dataset_errors_name_the_file(small_config, tmp_path, capsys, text, mess
                    "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}: {message}"), err
+
+
+def test_dataset_with_more_actions_than_moves_is_an_error(tmp_path, capsys):
+    # the file's own generator is the one the run uses, so it is checked too
+    data = tmp_path / "data.json"
+    save(generate(GeneratorConfig(n_per_modality=20, n_actions=6, feature_dim=10)), str(data))
+    out = tmp_path / "out"
+    assert run_cli("run", "--data", str(data), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_actions" in err, err
+    assert not out.exists()

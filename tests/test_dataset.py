@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from msr.cli import main
+from msr.config import RunConfig
 from msr.dataset import (
     FeatureGeometry,
     GeneratorConfig,
@@ -18,6 +19,7 @@ from msr.dataset import (
     save,
 )
 from msr.errors import ConfigError, ParseError
+from msr.pipeline import execute_run
 
 SMALL = GeneratorConfig(n_per_modality=60, seed=5)
 
@@ -158,6 +160,57 @@ class TestRoundTrip:
         save(ds, str(path))
         again = load(str(path))
         assert again == ds
+
+
+class TestInterleavedFile:
+    """A hand-written file may alternate modalities record by record; ids
+    still increase and the counts match meta, so it loads, and everything
+    downstream follows the file's order."""
+
+    @pytest.fixture()
+    def interleaved(self, tmp_path):
+        source = generate(GeneratorConfig(n_per_modality=20, seed=11))
+        by_modality = [[row for row in _payload(source)["records"] if row["modality"] == m]
+                       for m in MODALITIES]
+        rows = [row for triple in zip(*by_modality) for row in triple]
+        for rid, row in enumerate(rows):
+            row["id"] = rid
+        path = tmp_path / "interleaved.json"
+        text = json.dumps({"meta": source.meta, "records": rows}, separators=(",", ":"))
+        path.write_bytes((text + "\n").encode("utf-8"))
+        return source, path
+
+    def test_load_then_save_reproduces_the_bytes(self, tmp_path, interleaved):
+        _, path = interleaved
+        again = tmp_path / "again.json"
+        save(load(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_records_and_modality_views_follow_the_file(self, interleaved):
+        source, path = interleaved
+        data = load(str(path))
+        assert [r.modality for r in data.records] == list(MODALITIES) * 20
+        assert [r.id for r in data.records] == list(range(60))
+        for k, m in enumerate(MODALITIES):
+            rows, original = data.by_modality(m), source.by_modality(m)
+            assert rows.ids.tolist() == list(range(k, 60, 3))
+            assert rows.features.tobytes() == original.features.tobytes()
+            assert rows.trust.tobytes() == original.trust.tobytes()
+            assert rows.action.tolist() == original.action.tolist()
+
+    def test_run_traces_every_record_in_id_order(self, tmp_path, interleaved):
+        source, path = interleaved
+        cfg = RunConfig(dataset_path=str(path), seed=11, out_dir=str(tmp_path / "out"))
+        result = execute_run(cfg)
+        with open(result.trace_path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert [line["id"] for line in lines] == list(range(60))
+        assert [line["modality"] for line in lines] == list(MODALITIES) * 20
+        assert all(line["kept"] == (line["trust"] > cfg.tau) for line in lines)
+        with open(result.summary_path, encoding="utf-8") as fh:
+            survivors = json.load(fh)["survivors"]
+        assert survivors == {m: int(np.count_nonzero(source.by_modality(m).trust > cfg.tau))
+                             for m in MODALITIES}
 
 
 def _payload(ds):

@@ -284,7 +284,7 @@ def column_datasets(draw, elements=FLOATS):
         action=draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2 ** 63 - 1))),
         mem_label=draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2 ** 63 - 1))))
     meta = {"schema_version": 1, "note": [draw(FLOATS), "\u00e9"]}
-    return Dataset(columns={m: table[owner == k] for k, m in enumerate(MODALITIES)}, meta=meta)
+    return Dataset(meta=meta, table=table, modality=owner.astype(np.int8))
 
 
 def _saved(dataset):
@@ -303,11 +303,10 @@ def _dumped(dataset):
     """json.dumps of the payload, one dict per record in id order, or the
     type and text of what it raises and an empty directory."""
     rows = sorted(
-        ({"id": rid, "modality": m, "features": feats, "trust": trust, "valid": valid,
-          "relevant": relevant, "action": action, "mem_label": mem}
-         for m, cols in dataset.columns.items()
-         for rid, feats, trust, valid, relevant, action, mem in zip(
-             *(column.tolist() for column in cols.arrays()))),
+        ({"id": rid, "modality": MODALITIES[k], "features": feats, "trust": trust,
+          "valid": valid, "relevant": relevant, "action": action, "mem_label": mem}
+         for k, rid, feats, trust, valid, relevant, action, mem in zip(
+             dataset.modality.tolist(), *(column.tolist() for column in dataset.table.arrays()))),
         key=lambda row: row["id"])
     try:
         text = json.dumps({"meta": dataset.meta, "records": rows}, separators=(",", ":"),
@@ -332,6 +331,7 @@ def test_non_finite_values_raise_what_json_dumps_raises(dataset):
 
 def test_non_finite_feature_is_rejected():
     data = generate(GeneratorConfig(n_per_modality=2, seed=1))
-    data.by_modality("auditory").features[1, 3] = math.nan
+    auditory = np.flatnonzero(data.modality == MODALITIES.index("auditory"))
+    data.table.features[auditory[1], 3] = math.nan
     assert _saved(data) == _dumped(data)
     assert _saved(data)[:2] == (ValueError, "Out of range float values are not JSON compliant")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from msr.dataset import MODALITIES
 from msr.errors import ConfigError, DegenerateModalityError, EmptyInputError, ShapeError
 from msr.ingest import (
     FeatureBundle,
-    MODALITY_ORDER,
     extract_features,
     filter_by_trust,
     fit_norm_stats,
@@ -93,7 +93,7 @@ class TestFuse:
 
     def test_canonical_order(self):
         bundle = fuse([("tactile", [3.0]), ("visual", [1.0]), ("auditory", [2.0])])
-        assert [tag for tag, _ in bundle.entries] == list(MODALITY_ORDER)
+        assert [tag for tag, _ in bundle.entries] == list(MODALITIES)
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(ShapeError):
