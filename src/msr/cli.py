@@ -8,6 +8,7 @@ stream through labeled derivation, so one flag reproduces a whole experiment.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -104,6 +105,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # every comparison with nan is false, so a nan band would flag nothing
+    if args.band is not None and math.isnan(args.band):
+        raise ConfigError(f"--band must be a number, got {args.band}")
     directory = args.out
     wanted = (args.modality,) if args.modality else MODALITIES
     values = {}

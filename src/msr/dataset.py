@@ -27,7 +27,8 @@ Generation is column-at-a-time: each modality draws one (n_per_modality,
 columns are valid, relevant, action, mem, trust, the features, four flip
 draws and two opposite-half draws. Row i is keyed by (seed, modality, i), so
 a record's content is independent of every other record and of
-n_per_modality.
+n_per_modality. Truncated normals come from the inverse CDF, `ndtri` and
+`ndtr` of `msr.special`, which equal scipy.special's bit for bit.
 
 Storage is by column too. A `Dataset` holds the meta block, one `Columns`
 table of every record in id order, which is the file's order, and each row's
@@ -49,10 +50,10 @@ from operator import itemgetter, le, ne
 import os
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import mapping, seeding
 from .errors import ConfigError, ParseError
+from .special import ndtr, ndtri
 
 MODALITIES = ("visual", "auditory", "tactile")
 SCHEMA_VERSION = 1
@@ -338,10 +339,13 @@ class Dataset:
 
 
 def _truncated(u, bound: float):
-    """Map uniforms on [0,1) to a standard normal truncated at +/- bound."""
+    """Map uniforms on [0,1) to a standard normal truncated at +/- bound:
+    ndtri(lo + u * (hi - lo)), formed in one array that ndtri overwrites."""
     lo = ndtr(-bound)
     hi = ndtr(bound)
-    return ndtri(lo + u * (hi - lo))
+    y = u * (hi - lo)
+    y += lo
+    return ndtri(y, out=y)
 
 
 def _build_meta(cfg: GeneratorConfig, geom: FeatureGeometry) -> dict:

@@ -29,12 +29,17 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser of a uint64 array (never a numpy scalar: scalar
-    uint64 arithmetic warns on the wrap-around this relies on)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of a uint64 array, in place, with `scratch` (a
+    uint64 array of z's shape) for the shifted copies; returns z. Never a
+    numpy scalar: scalar uint64 arithmetic warns on the wrap-around this
+    relies on."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        if mult is not None:
+            z *= mult
+    return z
 
 
 def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
@@ -44,16 +49,28 @@ def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
     On [0, 1) from the top 53 bits of each output, or on (0, 1) with
     `open_interval` (top 52 bits plus half a step), for inverse-CDF
     transforms that must not see 0.
+
+    The outputs are mixed in place, and the scratch array of the mixing
+    becomes the result: fresh memory costs more here than the arithmetic.
     """
     key = np.full(1, master_seed, dtype=np.uint64)
     for part in (np.full(1, purpose, dtype=np.uint64), np.full(1, modality, dtype=np.uint64),
                  np.asarray(ids, dtype=np.uint64).reshape(-1)):
-        key = _mix(key ^ (part + _GOLDEN))
+        key = key ^ (part + _GOLDEN)
+        _mix(key, np.empty_like(key))
     step = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    bits = _mix(key[:, None] + step[None, :])
+    bits = key[:, None] + step
+    scratch = np.empty_like(bits)
+    _mix(bits, scratch)
+    bits >>= np.uint64(12 if open_interval else 11)
+    u = scratch.view(np.float64)
+    np.copyto(u, bits, casting="unsafe")
     if open_interval:
-        return ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        u += 0.5
+        u *= 2.0 ** -52
+    else:
+        u *= 2.0 ** -53
+    return u
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

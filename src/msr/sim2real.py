@@ -8,7 +8,8 @@ adds `goal_reward`; with `slip_prob` the executed move is replaced by one of
 the other three, uniformly. Policies are solved exactly by backward induction
 over the remaining horizon, so oracle tests can compare against brute-force
 enumeration. Greedy ties break in the fixed action order up, down, left,
-right.
+right. Randomization's normals and the discriminator's sigmoid are `ndtri`
+and `expit` of `msr.special`, equal to scipy.special's bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -17,9 +18,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .errors import ConfigError, EmptyInputError, ShapeError, StateLookupError
+from .special import expit, ndtri
 
 ACTIONS = ("up", "down", "left", "right")
 MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))  # (dx, dy) per action

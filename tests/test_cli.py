@@ -127,6 +127,18 @@ class TestReport:
         md = capsys.readouterr().out
         assert "Cells below 0.5: 0" in md
 
+    def test_nan_band_is_rejected(self, run_dir, capsys):
+        assert run_cli("report", "--out", str(run_dir), "--band", "nan") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --band must be a number, got nan\n"
+        assert captured.out == ""
+
+    def test_infinite_band_flags_every_cell(self, run_dir, capsys):
+        assert run_cli("report", "--out", str(run_dir), "--band", "inf") == 0
+        md = capsys.readouterr().out
+        flagged = md.count("[below inf]")
+        assert flagged > 0 and f"Cells below inf: {flagged}" in md
+
     def test_corrupt_csv_reports_line(self, run_dir, tmp_path, capsys):
         src = (run_dir / "report_visual.csv").read_text().splitlines()
         src[2] = "2,bad,0.9,0.9,0.9,0.9"

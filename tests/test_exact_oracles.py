@@ -1,6 +1,7 @@
 """Bit-for-bit oracles for the array fast paths of phase 1, alignment, the
-trace writer and the dataset writer. Each fast path claims exact equality with a slower reference,
-so each test compares bytes, not tolerances. CI reruns this file with
+trace writer and the dataset writer, and for msr.special against scipy.special
+and libm. Each fast path claims exact equality with a slower reference, so
+each test compares bytes, not tolerances. CI reruns this file with
 `--hypothesis-profile=ci` (tests/conftest.py) for a longer search."""
 
 from dataclasses import replace
@@ -13,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 
-from msr import pipeline, seeding
+from msr import pipeline, seeding, special
 from msr.config import GridSpec, RunConfig
 from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, save
 from msr.decision import feedback_means
@@ -335,3 +337,116 @@ def test_non_finite_feature_is_rejected():
     data.table.features[auditory[1], 3] = math.nan
     assert _saved(data) == _dumped(data)
     assert _saved(data)[:2] == (ValueError, "Out of range float values are not JSON compliant")
+
+
+# msr.special against scipy.special, bit for bit. A RuntimeWarning from either
+# side fails the test (pyproject.toml turns them into errors).
+EXPM2 = 0.13533528323661269189
+CLOSED_UNIFORMS = st.integers(0, 2 ** 53 - 1).map(lambda k: k * 2.0 ** -53)
+OPEN_UNIFORMS = st.integers(0, 2 ** 52 - 1).map(lambda k: (k + 0.5) * 2.0 ** -52)
+# (0, exp(-2)], subnormals included
+TAILS = st.floats(min_value=0.0, max_value=EXPM2, exclude_min=True)
+EDGES = st.sampled_from([0.0, -0.0, 1.0, -5e-324, -1.0, 1.0 + 2.0 ** -52, 2.0, math.nan,
+                         math.inf, -math.inf])
+
+
+def _same_bits(got, want):
+    """Equal float64 arrays bit for bit; any nan equals any nan."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _neighbours(center, steps):
+    """The floats `steps` ulps away from center."""
+    return (np.float64(center).view(np.int64) + np.asarray(steps, dtype=np.int64)).view(np.float64)
+
+
+def _libm_exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _libm_log(v):
+    if v > 0.0:
+        return math.log(v)
+    return -math.inf if v == 0.0 else math.nan
+
+
+class TestNdtri:
+    @given(hnp.arrays(np.float64, st.integers(0, 64), elements=CLOSED_UNIFORMS))
+    def test_closed_uniforms(self, y):
+        _same_bits(special.ndtri(y), scipy_special.ndtri(y))
+
+    @given(hnp.arrays(np.float64, st.integers(0, 64), elements=OPEN_UNIFORMS))
+    def test_open_uniforms(self, y):
+        _same_bits(special.ndtri(y), scipy_special.ndtri(y))
+
+    @given(hnp.arrays(np.float64, st.integers(1, 64), elements=TAILS))
+    def test_tails_down_to_subnormals(self, w):
+        _same_bits(special.ndtri(w), scipy_special.ndtri(w))
+        _same_bits(special.ndtri(1.0 - w), scipy_special.ndtri(1.0 - w))
+
+    @given(st.sampled_from([math.exp(-2), 1.0 - math.exp(-2), EXPM2, 1.0 - EXPM2]),
+           st.lists(st.integers(-4096, 4096), min_size=1, max_size=32))
+    def test_branch_neighbours(self, center, steps):
+        y = _neighbours(center, steps)
+        _same_bits(special.ndtri(y), scipy_special.ndtri(y))
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                      elements=st.one_of(CLOSED_UNIFORMS, TAILS, EDGES, st.floats())))
+    def test_mixed_and_out_of_range(self, y):
+        _same_bits(special.ndtri(y), scipy_special.ndtri(y))
+
+    def test_edges(self):
+        y = np.array([0.0, -0.0, 1.0, -1e-300, 1.0 + 2.0 ** -52, math.nan, math.inf,
+                      -math.inf])
+        _same_bits(special.ndtri(y), [-math.inf, -math.inf, math.inf] + [math.nan] * 5)
+
+    def test_many_tails(self):
+        # uniform on (0, exp(-2)), where numpy's own log in place of libm's
+        # changes about 50 of these, and log-uniform down to subnormals
+        rng = np.random.default_rng(5)
+        w = np.concatenate([rng.random(200_000) * EXPM2,
+                            10.0 ** -rng.uniform(0.87, 323.5, 50_000)])
+        _same_bits(special.ndtri(w), scipy_special.ndtri(w))
+
+    def test_several_blocks_in_place_and_strided(self):
+        # more values than one block of the central rational holds
+        u = np.random.default_rng(3).random((3 * special._BLOCK + 7, 2))
+        want = scipy_special.ndtri(u)
+        _same_bits(special.ndtri(u), want)
+        _same_bits(special.ndtri(u[:, 1]), want[:, 1])
+        central = 0.2 + 0.6 * u
+        want = scipy_special.ndtri(central)
+        assert special.ndtri(central, out=central) is central
+        _same_bits(central, want)
+
+
+@given(st.floats())
+def test_ndtr_on_every_float(a):
+    _same_bits(special.ndtr(a), scipy_special.ndtr(a))
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.one_of(
+    st.floats(min_value=700.0), st.floats(max_value=-700.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-40.0, 40.0))))
+def test_expit_large_infinite_and_nan(x):
+    _same_bits(special.expit(x), scipy_special.expit(x))
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.one_of(
+    st.floats(), st.floats(-750.0, 750.0), st.floats(708.0, 710.0))))
+def test_exp_equals_math_exp(x):
+    _same_bits(special.exp(x), [_libm_exp(v) for v in x.tolist()])
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.one_of(
+    st.floats(), st.floats(0.0, 3.0), st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(min_value=8.9e307))))
+def test_log_equals_math_log(x):
+    _same_bits(special.log(x), [_libm_log(v) for v in x.tolist()])

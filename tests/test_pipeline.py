@@ -1,6 +1,9 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -168,6 +171,29 @@ def test_no_record_objects_from_generate_to_outputs(tmp_path, monkeypatch, worke
     assert built.value == 0
     # the records view builds them on demand, one per record
     assert len(data.records) == built.value == 3 * GEN.n_per_modality
+
+
+def test_gen_save_load_run_import_no_scipy(tmp_path):
+    # scipy is a test dependency only; a fresh process stands for `msr gen`
+    # then `msr run --data`
+    script = textwrap.dedent(f"""
+        import sys
+        import msr.cli
+        from msr.config import RunConfig
+        from msr.dataset import GeneratorConfig, generate, load, save
+        from msr.pipeline import execute_run
+        gen = GeneratorConfig(n_per_modality=20, seed=4)
+        save(generate(gen), {str(tmp_path / "data.json")!r})
+        execute_run(RunConfig(generator=gen, seed=4, out_dir={str(tmp_path / "out")!r}),
+                    load({str(tmp_path / "data.json")!r}))
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "trace.jsonl").exists()
 
 
 def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
