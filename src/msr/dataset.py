@@ -14,6 +14,11 @@ Feature layout (dimension blocks):
     next ceil(K/2) dims   memory: same construction
     remainder             padding: noise only
 
+`FeatureGeometry` builds the centers of each block once, as a read-only
+table with one row per label (relevance: row 0 not relevant, row 1
+relevant). `generate` adds each record's row of the three tables, and a run
+takes its memory prototypes and action directions from the same rows.
+
 Label noise on the integer labels re-draws uniformly in the opposite half of
 the class range, so the binary half-partition view used by the evaluation
 steps disagrees with the oracle exactly at the flip rate.
@@ -40,7 +45,7 @@ the table on first access, for callers that want one object per record;
 nothing in msr reads it.
 """
 
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress
@@ -144,18 +149,37 @@ def half_partition(label: int, n_classes: int) -> bool:
     return label < n_classes // 2
 
 
-@dataclass(frozen=True)
+def _class_centers(dims, n_classes: int, magnitude: float, feature_dim: int) -> np.ndarray:
+    """Signed one-hot centers: class c sits at +magnitude (c even) or
+    -magnitude (c odd) on dimension dims[c // 2]."""
+    labels = np.arange(n_classes)
+    centers = np.zeros((n_classes, feature_dim))
+    centers[labels, np.asarray(dims)[labels // 2]] = np.where(labels % 2 == 0, magnitude,
+                                                              -magnitude)
+    centers.setflags(write=False)
+    return centers
+
+
+@dataclass(frozen=True, eq=False)
 class FeatureGeometry:
-    """Cluster centers and dimension blocks derived from a GeneratorConfig."""
+    """Dimension blocks and cluster centers derived from a GeneratorConfig.
+
+    The centers are read-only (rows, feature_dim) tables, built once:
+    `relevance_centers` row 0 for a record that is not relevant and row 1
+    for one that is, `action_centers` and `memory_centers` one row per
+    class label."""
 
     feature_dim: int
     n_actions: int
     n_memory_classes: int
-    separation: float
+    noise_bound: float
     relevance_dims: tuple
     action_dims: tuple
     memory_dims: tuple
     padding_dims: tuple
+    relevance_centers: np.ndarray
+    action_centers: np.ndarray
+    memory_centers: np.ndarray
 
     @classmethod
     def from_config(cls, cfg: GeneratorConfig) -> "FeatureGeometry":
@@ -165,62 +189,28 @@ class FeatureGeometry:
         action = tuple(range(2, 2 + a_width))
         memory = tuple(range(2 + a_width, 2 + a_width + m_width))
         padding = tuple(range(2 + a_width + m_width, cfg.feature_dim))
+        # the relevance pair lies `cluster_separation` apart, and so do the
+        # nearest two signed one-hot centers of a class block
+        rel_magnitude = cfg.cluster_separation / 2.0 / math.sqrt(2.0)
+        class_magnitude = cfg.cluster_separation / math.sqrt(2.0)
+        relevance = np.zeros((2, cfg.feature_dim))
+        relevance[:, list(rel)] = [[rel_magnitude], [-rel_magnitude]]
+        relevance.setflags(write=False)
         return cls(
             feature_dim=cfg.feature_dim,
             n_actions=cfg.n_actions,
             n_memory_classes=cfg.n_memory_classes,
-            separation=cfg.cluster_separation,
+            noise_bound=_NOISE_BOUND * cfg.cluster_separation,
             relevance_dims=rel,
             action_dims=action,
             memory_dims=memory,
             padding_dims=padding,
+            relevance_centers=relevance,
+            action_centers=_class_centers(action, cfg.n_actions, class_magnitude,
+                                          cfg.feature_dim),
+            memory_centers=_class_centers(memory, cfg.n_memory_classes, class_magnitude,
+                                          cfg.feature_dim),
         )
-
-    @property
-    def noise_bound(self) -> float:
-        return _NOISE_BOUND * self.separation
-
-    @property
-    def relevance_magnitude(self) -> float:
-        # center pair distance = separation
-        return self.separation / 2.0 / math.sqrt(2.0)
-
-    @property
-    def class_magnitude(self) -> float:
-        # min distance between signed one-hot centers = separation
-        return self.separation / math.sqrt(2.0)
-
-    def relevance_center(self, relevant) -> np.ndarray:
-        """Cluster center of a relevance flag; (N, d) centers of N flags."""
-        rel = np.asarray(relevant, dtype=bool)
-        c = np.zeros(rel.shape + (self.feature_dim,))
-        c[..., list(self.relevance_dims)] = np.where(
-            rel, -self.relevance_magnitude, self.relevance_magnitude)[..., None]
-        return c
-
-    def _class_center(self, dims, label) -> np.ndarray:
-        lab = np.asarray(label, dtype=np.int64)
-        c = np.zeros(lab.shape + (self.feature_dim,))
-        value = np.where(lab % 2 == 0, self.class_magnitude, -self.class_magnitude)
-        dim = np.asarray(dims)[lab // 2]
-        np.put_along_axis(c, dim[..., None], value[..., None], axis=-1)
-        return c
-
-    def action_center(self, label) -> np.ndarray:
-        """Cluster center of an action label; (N, d) centers of N labels."""
-        return self._class_center(self.action_dims, label)
-
-    def memory_center(self, label) -> np.ndarray:
-        """Cluster center of a memory label; (N, d) centers of N labels."""
-        return self._class_center(self.memory_dims, label)
-
-    def action_directions(self) -> np.ndarray:
-        """(n_actions, feature_dim) unit vectors toward each action center."""
-        out = np.zeros((self.n_actions, self.feature_dim))
-        for a in range(self.n_actions):
-            out[a] = self.action_center(a)
-            out[a] /= np.linalg.norm(out[a])
-        return out
 
     # nearest-cluster oracles (exact on generated data by the margin bound)
 
@@ -380,10 +370,14 @@ def generate(cfg: GeneratorConfig) -> Dataset:
         trust = np.clip(mean + spread * (center + _truncated(u[:, 4], _TRUST_TRUNC)),
                         0.0, 1.0)
 
+        # each record's three centers, added in place over their own blocks
         features = _truncated(u[:, 5:5 + d], geom.noise_bound)
-        features += geom.relevance_center(relevant)
-        features += geom.action_center(action)
-        features += geom.memory_center(mem)
+        for centers, dims, label in ((geom.relevance_centers, geom.relevance_dims, relevant),
+                                     (geom.action_centers, geom.action_dims, action),
+                                     (geom.memory_centers, geom.memory_dims, mem)):
+            rows = label.astype(np.intp)
+            for dim in dims:
+                features[:, dim] += centers[rows, dim]
 
         flip = u[:, 5 + d:9 + d] < cfg.label_noise[modality]
         stored_action = np.where(
@@ -400,18 +394,21 @@ def generate(cfg: GeneratorConfig) -> Dataset:
 
 
 @contextmanager
-def atomic_open(path: str):
-    """A text file for writing that replaces `path` only once it is complete:
-    it is written as `path`.tmp and renamed into place; on an error the
-    temporary file goes and whatever was at `path` stays."""
-    tmp = f"{path}.tmp"
+def atomic_open(*paths: str):
+    """Text files for writing, one per path, that replace `paths` only once
+    every one is complete: each is written as <path>.tmp, and all are renamed
+    into place after the last is closed; on an error every temporary file
+    goes and whatever was at each path stays."""
+    tmps = [f"{path}.tmp" for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
@@ -427,7 +424,7 @@ def save(dataset: Dataset, path: str) -> None:
               + '],"trust":%r,"valid":%s,"relevant":%s,"action":%d,"mem_label":%d}')
     names = [json.dumps(modality) for modality in MODALITIES]
     meta = json.dumps(dataset.meta, separators=(",", ":"), allow_nan=False)
-    with atomic_open(path) as fh:
+    with atomic_open(path) as (fh,):
         fh.write('{"meta":%s,"records":[' % meta)
         for lo in range(0, len(table), SAVE_BLOCK):
             rows = table[lo:lo + SAVE_BLOCK]

@@ -106,12 +106,14 @@ class ContextWeights:
 
 def decision_utilities(contexts, weights: ContextWeights) -> np.ndarray:
     """Weighted sums of context factors over the last axis; a stack
-    (..., n_factors) gives one utility per leading index."""
+    (..., n_factors) gives one utility per leading index. A sum that
+    overflows is inf or nan, without a warning."""
     w = weights.vector()
     c = np.asarray(contexts, dtype=float)
     if c.shape[-1:] != w.shape:
         raise ShapeError(f"weights {w.shape} vs context factors {c.shape}")
-    return row_dot(w, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return row_dot(w, c)
 
 
 def first_best(utilities) -> np.ndarray:

@@ -14,7 +14,8 @@ class ShapeError(MsrError):
 
 
 class DegenerateModalityError(MsrError):
-    """A modality whose values are constant (zero variance)."""
+    """A modality whose values cannot be normalized: constant (zero
+    variance), or so large that their variance overflows."""
 
 
 class EmptyInputError(MsrError):

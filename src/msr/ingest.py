@@ -40,16 +40,24 @@ def filter_by_trust(trust, tau: float) -> np.ndarray:
 def fit_norm_stats(values) -> NormStats:
     """Population mean/std of a value vector.
 
-    Raises DegenerateModalityError for constant input: a zero-variance
-    modality cannot be normalized and would break cosine scoring downstream.
+    Raises DegenerateModalityError for constant input, or for values so large
+    that their sum or variance overflows: such a modality cannot be
+    normalized and would break cosine scoring downstream.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
     if v.size < 2:
         raise EmptyInputError(f"need at least 2 values to fit stats, got {v.size}")
-    mean = math.fsum(v) / v.size
-    var = math.fsum((x - mean) ** 2 for x in v) / v.size
+    try:
+        mean = math.fsum(v) / v.size
+        with np.errstate(over="ignore"):
+            var = math.fsum((x - mean) ** 2 for x in v) / v.size
+    except OverflowError:  # a finite sum beyond the float range
+        var = math.inf
+    if var == math.inf:
+        raise DegenerateModalityError("values too large to normalize: their sum or "
+                                      "variance overflows")
     if var == 0.0:
         raise DegenerateModalityError("constant modality: standard deviation is zero")
     return NormStats(mean=mean, std=math.sqrt(var))

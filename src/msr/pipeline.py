@@ -58,19 +58,12 @@ from .dataset import (
     half_partition,
     load,
 )
-from .decision import (
-    ContextWeights,
-    Subtask,
-    decision_utilities,
-    feedback_means,
-    first_best,
-    subtask_priority,
-)
-from .errors import EmptyInputError
+from .decision import ContextWeights, decision_utilities, feedback_means, first_best
+from .errors import ConfigError, EmptyInputError
 from .evaluation import StepConfusion, report
 from .executor import check_confidence
 from .ingest import filter_by_trust, fit_norm_stats, normalize
-from .memory import LTM, MemoryEntry, MemoryStore, cosine_scores
+from .memory import LTM, MemoryEntry, MemoryStore, cosine_scores, row_dot
 from .scenario import (
     feature_map,
     integrate,
@@ -93,13 +86,14 @@ from .sim2real import (
 
 # Single-record layer functions (and `build_envs` below), each a thin form of
 # a batched function that phase 1, the merge or alignment calls; route_feedback,
-# which the merge no longer needs; and the extraction, fusion and template
-# stages, which are the identity for one modality and one template.
+# which the merge no longer needs; the extraction, fusion and template
+# stages, which are the identity for one modality and one template; and
+# subtask_priority, whose dot products phase 1 takes in one `row_dot`.
 # perfbench's tracer looks up every layer function it wraps in this module,
 # so they stay importable.
 from .sim2real import optimize_policy, refine_policy, reward_table, rollout  # noqa: F401
 from .attention import top_k_by_relevance  # noqa: F401
-from .decision import decision_utility, decompose, select_decision  # noqa: F401
+from .decision import decision_utility, decompose, select_decision, subtask_priority  # noqa: F401
 from .evaluation import record_outcome  # noqa: F401
 from .executor import route_feedback, select_optimal_action  # noqa: F401
 from .ingest import extract_features, fuse  # noqa: F401
@@ -116,12 +110,11 @@ class ModalityContext:
     """Run-constant state shared by every record of one modality."""
 
     cfg: RunConfig
-    modality: str
     modality_index: int
     stats: object                  # ingest.NormStats
     geometry: FeatureGeometry
     store: MemoryStore             # LTM holds one prototype per memory class
-    subtasks: tuple                # one per action, weight = action direction
+    directions: np.ndarray         # (n_actions, d) unit vectors toward the action centers
     internal: np.ndarray
     instruction: np.ndarray
     neutral_map: np.ndarray        # feature map of a zero sensor channel
@@ -167,7 +160,7 @@ def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                   survivors: Columns) -> ModalityContext:
     """Fit normalization stats on the trust filter's survivors and freeze the
-    prototype memory, subtask templates, and channel constants."""
+    prototype memory, action directions, and channel constants."""
     geometry = FeatureGeometry.from_config(gen_cfg)
     if not len(survivors):
         raise EmptyInputError(f"no {modality} records survived the trust filter (tau={cfg.tau})")
@@ -175,23 +168,20 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
 
     store = MemoryStore(sparse_readout_top_n=cfg.sparse_readout_top_n,
                         sparse_readout_threshold=cfg.sparse_readout_threshold)
-    for label in range(geometry.n_memory_classes):
-        proto = normalize(geometry.memory_center(label), stats)
-        store.promote_to_ltm(MemoryEntry(vector=proto, label=label,
+    for label, center in enumerate(geometry.memory_centers):
+        store.promote_to_ltm(MemoryEntry(vector=normalize(center, stats), label=label,
                                          timestamp=label, tier=LTM))
-
-    directions = geometry.action_directions()
-    subtasks = tuple(Subtask(id=f"move-{ACTIONS[a]}", weights=tuple(directions[a]))
-                     for a in range(geometry.n_actions))
 
     # both channels span the relevance block, which is 2 wide in every layout
     internal = np.asarray(cfg.internal_state or (0.0, 0.0), dtype=float)
     instruction = np.asarray(cfg.instruction or (0.0, 0.0), dtype=float)
     neutral = feature_map(integrate(np.zeros(2), internal, instruction, cfg.weights))
     envs = cfg.grid.envs()
+    centers = geometry.action_centers
     return ModalityContext(
-        cfg=cfg, modality=modality, modality_index=MODALITIES.index(modality),
-        stats=stats, geometry=geometry, store=store, subtasks=subtasks,
+        cfg=cfg, modality_index=MODALITIES.index(modality), stats=stats,
+        geometry=geometry, store=store,
+        directions=centers / np.linalg.norm(centers, axis=1, keepdims=True),
         internal=internal, instruction=instruction, neutral_map=neutral,
         context_weights=ContextWeights(cfg.context_weights),
         sim_bases=EnvBatch.of([sim for sim, _ in envs]),
@@ -270,14 +260,19 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     refined = refine_scenario(winner, readout[:, rel], cfg.beta)
     refined_utility = scenario_utilities(refined)
 
-    # decision: context factors = refined utility, readout cosine, priority;
-    # the first of equal utilities wins, in subtask order
-    context = np.empty((len(records), len(ctx.subtasks), 3))
+    # decision: context factors = refined utility, readout cosine, priority
+    # (the record's dot product with each action direction); the first of
+    # equal utilities wins, in action order
+    context = np.empty((len(records), len(ctx.directions), 3))
     context[:, :, 0] = refined_utility[:, None]
     context[:, :, 1] = readout_cos[:, None]
-    for a, sub in enumerate(ctx.subtasks):
-        context[:, a, 2] = subtask_priority(sub, fnorm)
+    context[:, :, 2] = row_dot(fnorm[:, None, :], ctx.directions)
     utility = decision_utilities(context, ctx.context_weights)
+    finite = np.isfinite(utility).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"context_weights {list(ctx.context_weights.w)} give record "
+                          f"{ids[np.argmin(finite)]} a decision utility that is not a "
+                          "finite number")
     decision = first_best(utility)
     predicted = utility[rows, decision]
 
@@ -397,7 +392,7 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     if not all(np.isfinite(column).all() for column in floats):
         raise ValueError("Out of range float values are not JSON compliant")
     name = json.dumps(modality)
-    subtask = [json.dumps(sub.id) for sub in ctx.subtasks]
+    subtask = [json.dumps(f"move-{action}") for action in ACTIONS]
     label, decision, act = (column.tolist() for column in
                             (out.retrieved_label, out.decision_id, out.policy_action))
     hit, s2, s3 = (np.where(column, "true", "false").tolist()
@@ -477,21 +472,11 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
 
     confusions = {res.modality: res.confusions for res in results}
     rep = report(confusions)
-    report_paths = {}
-    for modality, text in rep.csv.items():
-        path = os.path.join(target, f"report_{modality}.csv")
-        with atomic_open(path) as fh:
-            fh.write(text)
-        report_paths[modality] = path
+    report_paths = {modality: os.path.join(target, f"report_{modality}.csv")
+                    for modality in rep.csv}
     md_path = os.path.join(target, REPORT_MD)
-    with atomic_open(md_path) as fh:
-        fh.write(rep.markdown)
-
     trace_path = os.path.join(target, TRACE_FILE)
-    with atomic_open(trace_path) as fh:
-        for _, line in sorted(line for res in results for line in res.trace_lines):
-            fh.write(line)
-            fh.write("\n")
+    summary_path = os.path.join(target, SUMMARY_FILE)
 
     # workers and out_dir are execution details; dropping them keeps the
     # summary byte-identical across worker counts and target directories
@@ -508,10 +493,17 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
             + [REPORT_MD, TRACE_FILE]
         ),
     }
-    summary_path = os.path.join(target, SUMMARY_FILE)
-    with atomic_open(summary_path) as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    # one output set: no file is replaced before every one is written
+    with atomic_open(*report_paths.values(), md_path, trace_path,
+                     summary_path) as (*csv_files, md_file, trace_file, summary_file):
+        for fh, text in zip(csv_files, rep.csv.values()):
+            fh.write(text)
+        md_file.write(rep.markdown)
+        for _, line in sorted(line for res in results for line in res.trace_lines):
+            trace_file.write(line)
+            trace_file.write("\n")
+        json.dump(summary, summary_file, indent=2, allow_nan=False)
+        summary_file.write("\n")
 
     return RunResult(out_dir=target, confusions=confusions,
                      report_paths=report_paths, trace_path=trace_path,

@@ -159,28 +159,28 @@ def reward_table(env: GridEnv) -> np.ndarray:
 
 @dataclass
 class PolicyTable:
-    """Greedy action per (state, remaining-horizon) plus the value tables."""
+    """Greedy action per (state, remaining-horizon) plus the value tables,
+    solved over `env`'s grid and horizon."""
 
+    env: GridEnv
     actions: np.ndarray  # (horizon, n_states) int; row h-1 = h steps remaining
     values: np.ndarray   # (horizon + 1, n_states); row h = value with h steps left
-    gamma: float
-    width: int
-    height: int
-    horizon: int
+
+    def _lookup(self, state, steps_remaining: int | None, lowest: int) -> tuple:
+        """(steps left, state index); steps left must lie in [lowest, horizon]."""
+        s = self.env.state_index(state)
+        h = self.env.horizon if steps_remaining is None else steps_remaining
+        if not lowest <= h <= self.env.horizon:
+            raise StateLookupError(f"steps_remaining {h} outside [{lowest}, {self.env.horizon}]")
+        return h, s
 
     def action(self, state, steps_remaining: int | None = None) -> int:
-        x, y = state
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise StateLookupError(f"state {tuple(state)} out of bounds")
-        h = self.horizon if steps_remaining is None else steps_remaining
-        if not 1 <= h <= self.horizon:
-            raise StateLookupError(f"steps_remaining {h} outside [1, {self.horizon}]")
-        return int(self.actions[h - 1, y * self.width + x])
+        h, s = self._lookup(state, steps_remaining, 1)
+        return int(self.actions[h - 1, s])
 
     def value(self, state, steps_remaining: int | None = None) -> float:
-        x, y = state
-        h = self.horizon if steps_remaining is None else steps_remaining
-        return float(self.values[h, y * self.width + x])
+        h, s = self._lookup(state, steps_remaining, 0)
+        return float(self.values[h, s])
 
 
 def _slip_mix(slip_probs) -> np.ndarray:
@@ -220,8 +220,7 @@ def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
 def _solve(env: GridEnv, rewards: np.ndarray, gamma: float) -> PolicyTable:
     actions, values = solve_batch(next_state_table(env)[None], rewards[None],
                                   [env.slip_prob], env.horizon, gamma)
-    return PolicyTable(actions=actions[0], values=values[0], gamma=gamma,
-                       width=env.width, height=env.height, horizon=env.horizon)
+    return PolicyTable(env=env, actions=actions[0], values=values[0])
 
 
 def optimize_policy(env: GridEnv, gamma: float) -> PolicyTable:

@@ -8,12 +8,11 @@ ports below do the same IEEE operations in the same order: `polevl` and
 `p1evl` are Horner's rule with the leading coefficient as written, or 1.
 Every operation but `exp` and `log` rounds correctly, so only those two
 need care: scipy calls the C library's, and numpy's float64 ufuncs may use
-their own SIMD kernels, which differ from it in the last bit. `exp` and
-`log` here give the C library's results for whole arrays: the real part of
-numpy's complex128 `exp`/`log`, which call the C library's `cexp`/`clog`,
-equals the real `exp`/`log` of a real argument, except where glibc's
-`cexp`/`clog` rescale or switch to `log1p`; those few elements take
-`math.exp`/`math.log`.
+their own SIMD kernels, which differ from it in the last bit. `exp` and the
+logs of the `ndtri` tail give the C library's results for whole arrays: the
+real part of numpy's complex128 `exp`/`log`, which call the C library's
+`cexp`/`clog`, equals the real `exp`/`log` of a real argument, except where
+glibc's `cexp`/`clog` rescale; those few elements take `math.exp`/`math.log`.
 """
 
 import math
@@ -21,7 +20,6 @@ import math
 import numpy as np
 
 _DBL_MIN = 2.2250738585072014e-308
-_DBL_MAX = 1.7976931348623157e308
 _NONE = np.empty(0, dtype=np.intp)
 
 
@@ -66,28 +64,12 @@ def _exp1(v: float) -> float:
         return math.inf
 
 
-def _log1(v: float) -> float:
-    if v > 0.0:
-        return math.log(v)
-    return -math.inf if v == 0.0 else math.nan
-
-
 def exp(x) -> np.ndarray:
     """math.exp of each element of a float64 array, inf where it overflows.
     glibc's cexp takes the real exp for |x| <= 708: above 709 it rescales,
     and below -708 its result can underflow and make numpy warn."""
     x = np.asarray(x, dtype=np.float64, order="C")
     return _libm(np.exp, _exp1, x, np.flatnonzero(~(np.abs(x) <= 708.0)))
-
-
-def log(x) -> np.ndarray:
-    """math.log of each element of a float64 array; -inf at 0 and nan below
-    0, as np.log gives, but without its warnings. glibc's clog takes the real
-    log of |x| except on [0.5, 2), where it goes through log1p, and below
-    DBL_MIN or above DBL_MAX / 2, where it rescales."""
-    x = np.asarray(x, dtype=np.float64, order="C")
-    direct = ((x >= _DBL_MIN) & (x < 0.5)) | ((x >= 2.0) & (x <= _DBL_MAX / 2))
-    return _libm(np.log, _log1, x, np.flatnonzero(~direct))
 
 
 def expit(x) -> np.ndarray:
@@ -163,10 +145,11 @@ def _rational_pair(z, coef):
 def _ndtri_tail(w):
     """-ndtri(w) for w in (0, exp(-2)]: with x = sqrt(-2 log w),
     x - log(x) / x - z * P(z) / Q(z) at z = 1 / x, where P/Q is the
-    rational for x < 8 or the one for x >= 8. Both logs are clog's, but for
-    a subnormal w: w < 0.5 and x >= 2."""
-    x = np.sqrt(-2.0 * _libm(np.log, _log1, w, np.flatnonzero(w < _DBL_MIN)))
-    x0 = x - _libm(np.log, _log1, x, _NONE) / x
+    rational for x < 8 or the one for x >= 8. Both logs are clog's, which
+    takes the real log on w < 0.5 and x >= 2, but for a subnormal w, where
+    clog rescales and math.log is used."""
+    x = np.sqrt(-2.0 * _libm(np.log, math.log, w, np.flatnonzero(w < _DBL_MIN)))
+    x0 = x - _libm(np.log, math.log, x, _NONE) / x
     z = 1.0 / x
     pq = _rational_pair(z, _PQ1)
     far = np.flatnonzero(x >= 8.0)

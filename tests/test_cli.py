@@ -104,6 +104,29 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert "tua" in capsys.readouterr().err
 
+    def test_overflowing_context_weights_are_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "weights.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 20},
+                                   "context_weights": [1e308, 1e308, 1e308]}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: context_weights [1e+308, 1e+308, 1e+308] give"), err
+        assert not out.exists()
+
+    def test_features_too_large_to_normalize_are_an_error(self, tmp_path, capsys):
+        # the file is valid: every value is finite; only their sums overflow
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 20,
+                                                 "cluster_separation": 1e308}}))
+        data = tmp_path / "data.json"
+        assert run_cli("gen", "--config", str(cfg), "--out", str(data)) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--data", str(data), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: values too large to normalize"), err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def run_dir(small_config, tmp_path_factory):

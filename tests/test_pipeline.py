@@ -199,9 +199,20 @@ def test_gen_save_load_run_import_no_scipy(tmp_path):
 def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     from msr import pipeline
 
-    cfg = RunConfig(generator=GEN, seed=13, out_dir=str(tmp_path))
-    execute_run(cfg)
-    before = (tmp_path / "trace.jsonl").read_bytes()
+    def outputs(out):
+        return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    out = tmp_path / "run"
+    execute_run(RunConfig(generator=GEN, seed=13, out_dir=str(out)))
+    before = outputs(out)
+    assert sorted(before) == sorted(
+        ["report.md", "run_summary.json", "trace.jsonl"]
+        + [f"report_{m}.csv" for m in ("auditory", "tactile", "visual")])
+    # a second config, whose every output differs from the first's
+    second = RunConfig(generator=GEN, seed=13, tau=0.4, out_dir=str(out))
+    execute_run(second, out_dir=str(tmp_path / "second"))
+    differs = outputs(tmp_path / "second")
+    assert all(before[name] != differs[name] for name in before)
     run_modality = pipeline.run_modality
 
     def unwritable(*args):
@@ -211,11 +222,8 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_modality", unwritable)
     with pytest.raises(TypeError):
-        execute_run(cfg)
-    assert (tmp_path / "trace.jsonl").read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == sorted(
-        ["report.md", "run_summary.json", "trace.jsonl"]
-        + [f"report_{m}.csv" for m in ("auditory", "tactile", "visual")])
+        execute_run(second)
+    assert outputs(out) == before
 
 
 class TestExecuteRun:

@@ -117,6 +117,20 @@ class TestOptimizePolicy:
         with pytest.raises(StateLookupError):
             pol.action((0, 0), steps_remaining=3)
 
+    @pytest.mark.parametrize("state,steps", [((3, 0), None), ((-1, 0), None),
+                                             ((0, 0), -1), ((0, 0), 5)])
+    def test_value_bounds_match_action_bounds(self, state, steps):
+        env = GridEnv(width=3, height=3, start=(0, 0), goal=(2, 2), horizon=4)
+        pol = optimize_policy(env, 0.9)
+        with pytest.raises(StateLookupError):
+            pol.action(state, steps)
+        with pytest.raises(StateLookupError):
+            pol.value(state, steps)
+        # no steps left is a value, 0, but no action
+        assert pol.value((0, 0), 0) == 0.0
+        with pytest.raises(StateLookupError):
+            pol.action((0, 0), 0)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6), st.floats(0, 1))
     def test_matches_recursive_oracle_deterministic(self, seed, horizon, gamma):
