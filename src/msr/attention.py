@@ -16,7 +16,9 @@ def relevance_scores(utilities) -> np.ndarray:
     u = np.asarray(utilities, dtype=float)
     if u.size == 0:
         raise EmptyInputError("relevance_scores needs at least one utility")
-    z = u - u.max(axis=-1, keepdims=True)
+    # a difference past -max overflows to -inf, whose exp is 0 as for any below -745
+    with np.errstate(over="ignore"):
+        z = u - u.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -169,9 +169,6 @@ class FeatureGeometry:
     for one that is, `action_centers` and `memory_centers` one row per
     class label."""
 
-    feature_dim: int
-    n_actions: int
-    n_memory_classes: int
     noise_bound: float
     relevance_dims: tuple
     action_dims: tuple
@@ -197,9 +194,6 @@ class FeatureGeometry:
         relevance[:, list(rel)] = [[rel_magnitude], [-rel_magnitude]]
         relevance.setflags(write=False)
         return cls(
-            feature_dim=cfg.feature_dim,
-            n_actions=cfg.n_actions,
-            n_memory_classes=cfg.n_memory_classes,
             noise_bound=_NOISE_BOUND * cfg.cluster_separation,
             relevance_dims=rel,
             action_dims=action,
@@ -229,10 +223,10 @@ class FeatureGeometry:
         return best
 
     def oracle_action(self, features) -> int:
-        return self._oracle_class(features, self.action_dims, self.n_actions)
+        return self._oracle_class(features, self.action_dims, len(self.action_centers))
 
     def oracle_memory(self, features) -> int:
-        return self._oracle_class(features, self.memory_dims, self.n_memory_classes)
+        return self._oracle_class(features, self.memory_dims, len(self.memory_centers))
 
 
 def oracle_valid(trust: float, trust_distribution) -> bool:
@@ -292,8 +286,8 @@ class Columns(Table):
     mem_label: np.ndarray
 
 
-# rows per step of `save` and `Dataset.records`, which bounds the Python
-# lists each step builds
+# rows per step of `save`, `Dataset.records` and the trace writer, which
+# bounds the Python lists each step builds
 SAVE_BLOCK = 1 << 12
 
 

@@ -1,10 +1,10 @@
 """Short- and long-term memory with cosine retrieval and attention readout.
 
-The store is single-writer: appends and promotions mutate it, retrieval and
-readout are read-only. STM is a bounded FIFO; entries evicted at capacity are
-always promoted to LTM with their original timestamp. When the scored entry
-set grows past `sparse_readout_threshold`, the readout keeps only the
-`sparse_readout_top_n` best-scoring entries and renormalizes over them.
+Retrieval and readout are functions of an entry table, one row per entry;
+`MemoryStore` runs them over its entries in timestamp order. The store is
+single-writer. STM is a bounded FIFO; entries evicted at capacity are always
+promoted to LTM with their original timestamp. Past a threshold of rows, the
+readout keeps only the top-n best-scoring rows and renormalizes over them.
 """
 
 from dataclasses import dataclass
@@ -74,6 +74,30 @@ def cosine_score(query, entry) -> float:
     return float(cosine_scores(query, entry))
 
 
+def retrieve_rows(entries, queries) -> np.ndarray:
+    """Per row of (N, d) queries, the first row of the (K, d) `entries` with
+    maximal cosine score."""
+    q = np.asarray(queries, dtype=float)
+    return np.argmax(cosine_scores(q[:, None, :], entries), axis=1)
+
+
+def readout_rows(entries, queries, top_n: int, threshold: int) -> np.ndarray:
+    """Per row of (N, d) queries, the softmax-over-cosine weighted average of
+    the rows of the (K, d) array `entries`, or past `threshold` rows of the
+    `top_n` best-scoring ones (equal scores keep the earlier row). Weights
+    are positive and sum to 1: each output stays inside the rows' range."""
+    q = np.asarray(queries, dtype=float)
+    scores = cosine_scores(q[:, None, :], entries)
+    if len(entries) > threshold:
+        keep = np.argsort(-scores, axis=1, kind="stable")[:, :top_n]
+        keep.sort(axis=1)
+        scores = np.take_along_axis(scores, keep, axis=1)
+        entries = entries[keep]
+    z = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = z / z.sum(axis=1, keepdims=True)
+    return (weights[:, None, :] @ entries)[:, 0, :]
+
+
 class MemoryStore:
     def __init__(self, stm_capacity: int = 32, sparse_readout_top_n: int = 8,
                  sparse_readout_threshold: int = 64):
@@ -116,15 +140,12 @@ class MemoryStore:
 
     def ltm_retrieve_rows(self, queries) -> list:
         """`ltm_retrieve` for each row of an (N, d) query array."""
-        if not self.ltm:
-            raise EmptyMemoryError("LTM is empty")
-        entries = sorted(self.ltm, key=lambda e: e.timestamp)
-        vectors = np.stack([e.vector for e in entries])
-        q = np.asarray(queries, dtype=float)
-        best = np.argmax(cosine_scores(q[:, None, :], vectors), axis=1)
+        entries = self._gather((LTM,))
+        best = retrieve_rows(np.stack([e.vector for e in entries]), queries)
         return [entries[i] for i in best.tolist()]
 
-    def _gather(self, tiers):
+    def _gather(self, tiers) -> list:
+        """The entries of the given tiers, in timestamp order; there must be one."""
         tier_set = set(tiers)
         unknown = tier_set - {STM, LTM}
         if unknown:
@@ -134,30 +155,16 @@ class MemoryStore:
             entries.extend(self.ltm)
         if STM in tier_set:
             entries.extend(self.stm)
-        return entries
+        if not entries:
+            raise EmptyMemoryError(f"no entries in tiers {tuple(tiers)}")
+        return sorted(entries, key=lambda e: e.timestamp)
 
     def attention_readout(self, query, tiers=(STM, LTM)) -> np.ndarray:
-        """Softmax-over-cosine weighted average of entries in the given tiers.
-
-        Weights are positive and sum to 1, so each output coordinate stays
-        inside the range spanned by the entries.
-        """
+        """`readout_rows` of the entries in the given tiers."""
         q = np.asarray(query, dtype=float)[None]
         return self.attention_readout_rows(q, tiers)[0]
 
     def attention_readout_rows(self, queries, tiers=(STM, LTM)) -> np.ndarray:
         """`attention_readout` for each row of an (N, d) query array."""
-        entries = self._gather(tiers)
-        if not entries:
-            raise EmptyMemoryError(f"no entries in tiers {tuple(tiers)}")
-        vectors = np.stack([e.vector for e in entries])
-        q = np.asarray(queries, dtype=float)
-        scores = cosine_scores(q[:, None, :], vectors)
-        if len(entries) > self.sparse_readout_threshold:
-            keep = np.argsort(-scores, axis=1, kind="stable")[:, : self.sparse_readout_top_n]
-            keep.sort(axis=1)
-            scores = np.take_along_axis(scores, keep, axis=1)
-            vectors = vectors[keep]
-        z = np.exp(scores - scores.max(axis=1, keepdims=True))
-        weights = z / z.sum(axis=1, keepdims=True)
-        return (weights[:, None, :] @ vectors)[:, 0, :]
+        return readout_rows(np.stack([e.vector for e in self._gather(tiers)]), queries,
+                            self.sparse_readout_top_n, self.sparse_readout_threshold)

@@ -4,15 +4,15 @@ tallies, trace and report files out.
 Scoring is strictly two-phase so results cannot depend on worker layout:
 
   phase 1  every record is processed against run-constant state only (norm
-           stats, the LTM prototype store, config thresholds); records are
+           stats, the memory prototype table, config thresholds); records are
            pure functions of (record, context) and may run in any order or
-           process. `score_chunk` runs steps 2-7 on CHUNK_RECORDS survivors
-           at a time as (N, ...) arrays; each record's draws are a row of
-           keyed uniforms that depends only on its id, so every outcome
-           equals the one-record result bit for bit whatever the chunking.
+           process. `score_chunk` runs steps 2-7 on chunk tables of
+           CHUNK_RECORDS survivors; each record's draws are a row of keyed
+           uniforms that depends only on its id, so every outcome equals the
+           one-record result bit for bit whatever the chunking.
   phase 2  the merge over the concatenated columns in record-id order applies
-           feedback: decision history means and feedback-adjusted utilities,
-           and formats each record's trace line from the columns.
+           feedback (decision history means, feedback-adjusted utilities) and
+           formats each record's trace line, placed at its row of the table.
 
 Alignment plans the first `align.samples` survivors per modality again in
 one batch, as phase 1 does, and rolls each out over its rows of the tables.
@@ -37,6 +37,7 @@ populated.
 """
 
 from dataclasses import dataclass
+import functools
 import json
 import multiprocessing
 import os
@@ -52,6 +53,7 @@ from .dataset import (
     FeatureGeometry,
     GeneratorConfig,
     MODALITIES,
+    SAVE_BLOCK,
     Table,
     atomic_open,
     generate,
@@ -63,7 +65,7 @@ from .errors import ConfigError, EmptyInputError
 from .evaluation import StepConfusion, report
 from .executor import check_confidence
 from .ingest import filter_by_trust, fit_norm_stats, normalize
-from .memory import LTM, MemoryEntry, MemoryStore, cosine_scores, row_dot
+from .memory import cosine_scores, readout_rows, retrieve_rows, row_dot
 from .scenario import (
     feature_map,
     integrate,
@@ -113,7 +115,7 @@ class ModalityContext:
     modality_index: int
     stats: object                  # ingest.NormStats
     geometry: FeatureGeometry
-    store: MemoryStore             # LTM holds one prototype per memory class
+    prototypes: np.ndarray         # (n_memory_classes, d) normalized memory centers; row = label
     directions: np.ndarray         # (n_actions, d) unit vectors toward the action centers
     internal: np.ndarray
     instruction: np.ndarray
@@ -160,27 +162,25 @@ def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
 def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                   survivors: Columns) -> ModalityContext:
     """Fit normalization stats on the trust filter's survivors and freeze the
-    prototype memory, action directions, and channel constants."""
+    memory prototypes, action directions, and channel constants."""
     geometry = FeatureGeometry.from_config(gen_cfg)
     if not len(survivors):
         raise EmptyInputError(f"no {modality} records survived the trust filter (tau={cfg.tau})")
     stats = fit_norm_stats(survivors.features.reshape(-1))
 
-    store = MemoryStore(sparse_readout_top_n=cfg.sparse_readout_top_n,
-                        sparse_readout_threshold=cfg.sparse_readout_threshold)
-    for label, center in enumerate(geometry.memory_centers):
-        store.promote_to_ltm(MemoryEntry(vector=normalize(center, stats), label=label,
-                                         timestamp=label, tier=LTM))
+    prototypes = normalize(geometry.memory_centers, stats)
+    prototypes.setflags(write=False)
 
     # both channels span the relevance block, which is 2 wide in every layout
     internal = np.asarray(cfg.internal_state or (0.0, 0.0), dtype=float)
     instruction = np.asarray(cfg.instruction or (0.0, 0.0), dtype=float)
-    neutral = feature_map(integrate(np.zeros(2), internal, instruction, cfg.weights))
+    with np.errstate(over="ignore"):  # an infinite map fails score_chunk's check
+        neutral = feature_map(integrate(np.zeros(2), internal, instruction, cfg.weights))
     envs = cfg.grid.envs()
     centers = geometry.action_centers
     return ModalityContext(
         cfg=cfg, modality_index=MODALITIES.index(modality), stats=stats,
-        geometry=geometry, store=store,
+        geometry=geometry, prototypes=prototypes,
         directions=centers / np.linalg.norm(centers, axis=1, keepdims=True),
         internal=internal, instruction=instruction, neutral_map=neutral,
         context_weights=ContextWeights(cfg.context_weights),
@@ -219,8 +219,7 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     value equals the one-record-at-a-time arithmetic bit for bit.
     """
     cfg = ctx.cfg
-    geom = ctx.geometry
-    rel = list(geom.relevance_dims)
+    rel = list(ctx.geometry.relevance_dims)
     m = cfg.m_count
     ids = records.ids
     rows = np.arange(len(records))
@@ -229,18 +228,25 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     fnorm = normalize(records.features, ctx.stats)
 
     # scenario: integrate channels over the relevance block, map, perturb;
-    # pool column j is scenario index j (m own, then m neutral-reference)
-    unified = integrate(fnorm[:, rel], ctx.internal, ctx.instruction, cfg.weights)
+    # pool column j is scenario index j (m own, then m neutral-reference);
+    # a value or a utility that overflows is an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        unified = integrate(fnorm[:, rel], ctx.internal, ctx.instruction, cfg.weights)
+        n_noise = m * unified.shape[1]
+        own = perturb(feature_map(unified), m, cfg.noise_width,
+                      seeding.keyed_uniforms(cfg.seed, seeding.SCENARIO_NOISE,
+                                             ctx.modality_index, ids, n_noise))
+        reference = perturb(np.broadcast_to(ctx.neutral_map, unified.shape), m,
+                            cfg.noise_width,
+                            seeding.keyed_uniforms(cfg.seed, seeding.BASELINE_NOISE,
+                                                   ctx.modality_index, ids, n_noise))
+        pool = np.concatenate([own, reference], axis=1)
+        finite = np.isfinite(unified).all(axis=1) & np.isfinite(pool.sum(axis=2)).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"internal_state {cfg.internal_state}, instruction {cfg.instruction} "
+                          f"and noise_width {cfg.noise_width} give record "
+                          f"{ids[np.argmin(finite)]} a scenario value that is not a finite number")
     semantic = semantic_features(unified)
-    n_noise = m * unified.shape[1]
-    own = perturb(feature_map(unified), m, cfg.noise_width,
-                  seeding.keyed_uniforms(cfg.seed, seeding.SCENARIO_NOISE,
-                                         ctx.modality_index, ids, n_noise))
-    reference = perturb(np.broadcast_to(ctx.neutral_map, unified.shape), m,
-                        cfg.noise_width,
-                        seeding.keyed_uniforms(cfg.seed, seeding.BASELINE_NOISE,
-                                               ctx.modality_index, ids, n_noise))
-    pool = np.concatenate([own, reference], axis=1)
 
     # attention: softmax relevance, top-k (ties by ascending index),
     # memory-refined winner
@@ -251,11 +257,13 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
     winner = pool[rows, selected[:, 0]]
     confidence = scores[rows, selected[:, 0]]
 
-    # memory: retrieval for step 4, readout for refinement
-    retrieved = ctx.store.ltm_retrieve_rows(fnorm)
-    scenario_query = np.zeros((len(records), geom.feature_dim))
+    # memory: retrieval for step 4, readout for refinement; a prototype's
+    # label and timestamp are its row, so ties go to the earliest timestamp
+    retrieved = retrieve_rows(ctx.prototypes, fnorm)
+    scenario_query = np.zeros_like(fnorm)
     scenario_query[:, rel] = winner
-    readout = ctx.store.attention_readout_rows(scenario_query)
+    readout = readout_rows(ctx.prototypes, scenario_query, cfg.sparse_readout_top_n,
+                           cfg.sparse_readout_threshold)
     readout_cos = cosine_scores(readout, scenario_query)
     refined = refine_scenario(winner, readout[:, rel], cfg.beta)
     refined_utility = scenario_utilities(refined)
@@ -290,7 +298,7 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
         relevance_mass=own_mass,
         pred_step2=2 * own_in_topk > min(cfg.k, 2 * m),
         pred_step3=own_mass > cfg.rel_threshold,
-        retrieved_label=np.asarray([entry.label for entry in retrieved]),
+        retrieved_label=retrieved,
         readout_cosine=readout_cos,
         refined_attributes=refined,
         refined_utility=refined_utility,
@@ -311,33 +319,16 @@ def process_record(ctx: ModalityContext, survivors: Columns, row: int) -> Outcom
 # peak RSS grows with the chunk (see CHANGES.md), so keep it small.
 CHUNK_RECORDS = 128
 
-_WORKER_CTX = None
-_WORKER_RECORDS = None
-
-
-def _worker_init(ctx, records):
-    global _WORKER_CTX, _WORKER_RECORDS
-    _WORKER_CTX = ctx
-    _WORKER_RECORDS = records
-
-
-def _worker_chunk(bounds):
-    lo, hi = bounds
-    return score_chunk(_WORKER_CTX, _WORKER_RECORDS[lo:hi])
-
 
 def score_records(ctx: ModalityContext, survivors: Columns, workers: int):
     """Phase 1 over one modality's survivors in chunks of CHUNK_RECORDS;
     output order follows input."""
-    bounds = [(lo, min(lo + CHUNK_RECORDS, len(survivors)))
-              for lo in range(0, len(survivors), CHUNK_RECORDS)]
-    if workers <= 1 or len(bounds) < 2:
-        parts = [score_chunk(ctx, survivors[lo:hi]) for lo, hi in bounds]
-    else:
-        with multiprocessing.Pool(processes=workers, initializer=_worker_init,
-                                  initargs=(ctx, survivors)) as pool:
-            parts = pool.map(_worker_chunk, bounds)
-    return Outcomes.concat(parts)
+    chunks = [survivors[lo:lo + CHUNK_RECORDS] for lo in range(0, len(survivors), CHUNK_RECORDS)]
+    score = functools.partial(score_chunk, ctx)
+    if workers <= 1 or len(chunks) < 2:
+        return Outcomes.concat(list(map(score, chunks)))
+    with multiprocessing.Pool(processes=workers) as pool:
+        return Outcomes.concat(pool.map(score, chunks))
 
 
 # Trace lines in the bytes of json.dumps(line, separators=(",", ":")) with
@@ -355,7 +346,7 @@ _KEPT_LINE = ('{"id":%d,"modality":%s,"trust":%r,"kept":true,"semantic":[%r,%r],
 class ModalityResult:
     modality: str
     confusions: dict          # step -> StepConfusion
-    trace_lines: list         # (record id, trace line) per record
+    trace_lines: np.ndarray   # one trace line per record, in the records' row order
     outcomes: Outcomes
     context: ModalityContext
 
@@ -363,11 +354,11 @@ class ModalityResult:
 def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                  records: Columns, workers: int) -> ModalityResult:
     kept = filter_by_trust(records.trust, cfg.tau)
-    survivors, dropped = records[kept], records[~kept]
+    survivors = records[kept]
     ctx = build_context(cfg, gen_cfg, modality, survivors)
     out = score_records(ctx, survivors, workers)
 
-    n_act, n_mem = ctx.geometry.n_actions, ctx.geometry.n_memory_classes
+    n_act, n_mem = len(ctx.directions), len(ctx.prototypes)
     relevant, action = survivors.relevant, survivors.action
     actual = half_partition(action, n_act)
     # (predicted, actual) per step; step 7's command is step 6's action
@@ -403,9 +394,10 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                out.sim_first_action.tolist(), act, out.confidence.tolist(), hit,
                outcome.tolist(), feedback.tolist(), adjusted.tolist(), s2, s3, label,
                decision, act, act)
-    trace_lines = [(rid, _DROPPED_LINE % (rid, name, trust))
-                   for rid, trust in zip(dropped.ids.tolist(), dropped.trust.tolist())]
-    trace_lines += [(row[0], _KEPT_LINE % row) for row in rows]
+    trace_lines = np.empty(len(records), dtype=object)
+    trace_lines[kept] = [_KEPT_LINE % row for row in rows]
+    trace_lines[~kept] = [_DROPPED_LINE % (rid, name, trust) for rid, trust in
+                          zip(records.ids[~kept].tolist(), records.trust[~kept].tolist())]
     return ModalityResult(modality=modality, confusions=confusions,
                           trace_lines=trace_lines, outcomes=out, context=ctx)
 
@@ -458,12 +450,15 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
     gen_cfg = GeneratorConfig.from_mapping(dataset.meta["generator"])
     check_actions(gen_cfg)
 
-    results = []
-    for modality in MODALITIES:
-        if modality not in cfg.modalities:
-            continue
-        records = dataset.by_modality(modality)
-        results.append(run_modality(cfg, gen_cfg, modality, records, cfg.workers))
+    results = [run_modality(cfg, gen_cfg, modality, dataset.by_modality(modality), cfg.workers)
+               for modality in MODALITIES if modality in cfg.modalities]
+    # each modality's trace lines go to its rows of the id-ordered table;
+    # rows of modalities that did not run stay out of the trace
+    ran = [res.context.modality_index for res in results]
+    trace_lines = np.empty(len(dataset.modality), dtype=object)
+    for res in results:
+        trace_lines[dataset.modality == res.context.modality_index] = res.trace_lines
+    trace_lines = trace_lines[np.isin(dataset.modality, ran)]
 
     accuracy = run_alignment(cfg, results)
 
@@ -499,9 +494,8 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
         for fh, text in zip(csv_files, rep.csv.values()):
             fh.write(text)
         md_file.write(rep.markdown)
-        for _, line in sorted(line for res in results for line in res.trace_lines):
-            trace_file.write(line)
-            trace_file.write("\n")
+        for lo in range(0, len(trace_lines), SAVE_BLOCK):
+            trace_file.write("".join([line + "\n" for line in trace_lines[lo:lo + SAVE_BLOCK]]))
         json.dump(summary, summary_file, indent=2, allow_nan=False)
         summary_file.write("\n")
 

@@ -39,7 +39,7 @@ def scored(name):
 
 def test_sparse_config_takes_the_sparse_readout():
     ctx, _, _ = scored("sparse-readout")
-    assert len(ctx.store.ltm) > ctx.cfg.sparse_readout_threshold
+    assert len(ctx.prototypes) > ctx.cfg.sparse_readout_threshold
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -114,6 +114,34 @@ class TestRun:
         assert err.startswith("error: context_weights [1e+308, 1e+308, 1e+308] give"), err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("channels", [
+        {"noise_width": 1e308},
+        {"internal_state": [-4000, 0]},
+        {"instruction": [1e308, -1e308]},
+        {"internal_state": [-3544, -3544]},
+    ], ids=["noise", "exp-overflow", "neutral-map", "sum-overflow"])
+    def test_overflowing_scenario_channels_are_an_error(self, tmp_path, capsys, channels):
+        cfg = tmp_path / "channels.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 50}, **channels}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal_state "), err
+        assert "instruction" in err and "noise_width" in err and "not a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("channels", [{"internal_state": [1e308, 1e308]},
+                                          {"noise_width": 1e300}],
+                             ids=["internal_state", "noise_width"])
+    def test_large_finite_scenario_channels_run(self, tmp_path, channels):
+        cfg = tmp_path / "channels.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 50}, **channels}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / "trace.jsonl").exists()
+
     def test_features_too_large_to_normalize_are_an_error(self, tmp_path, capsys):
         # the file is valid: every value is finite; only their sums overflow
         cfg = tmp_path / "gen.json"

@@ -212,6 +212,20 @@ class TestInterleavedFile:
         assert survivors == {m: int(np.count_nonzero(source.by_modality(m).trust > cfg.tau))
                              for m in MODALITIES}
 
+    def test_run_of_two_modalities_traces_only_theirs_in_id_order(self, tmp_path, interleaved):
+        _, path = interleaved
+        traces = {}
+        for name, modalities in (("all", MODALITIES), ("two", ("visual", "tactile"))):
+            cfg = RunConfig(dataset_path=str(path), seed=11, modalities=modalities,
+                            out_dir=str(tmp_path / name))
+            with open(execute_run(cfg).trace_path, encoding="utf-8") as fh:
+                traces[name] = fh.read().splitlines()
+        lines = [json.loads(line) for line in traces["two"]]
+        assert [line["id"] for line in lines] == [i for i in range(60) if i % 3 != 1]
+        assert [line["modality"] for line in lines] == ["visual", "tactile"] * 20
+        # each line is the one the run of every modality writes for that record
+        assert traces["two"] == [line for i, line in enumerate(traces["all"]) if i % 3 != 1]
+
 
 def _payload(ds):
     return {

@@ -1,10 +1,11 @@
 """Bit-for-bit oracles for the array fast paths of phase 1, alignment, the
-trace writer and the dataset writer, and for msr.special against scipy.special
-and libm. Each fast path claims exact equality with a slower reference, so
+memory store, the trace writer and the dataset writer, and for msr.special
+against scipy.special and libm. Each fast path claims exact equality with a slower reference, so
 each test compares bytes, not tolerances. CI reruns this file with
 `--hypothesis-profile=ci` (tests/conftest.py) for a longer search."""
 
 from dataclasses import replace
+import decimal
 import json
 import math
 import os
@@ -20,6 +21,14 @@ from msr import pipeline, seeding, special
 from msr.config import GridSpec, RunConfig
 from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, save
 from msr.decision import feedback_means
+from msr.memory import (
+    LTM,
+    MemoryEntry,
+    MemoryStore,
+    cosine_score,
+    readout_rows,
+    retrieve_rows,
+)
 from msr.rounding import round_half_away
 from msr.scenario import scenario_utilities, semantic_features
 from msr.sim2real import (
@@ -88,10 +97,21 @@ class TestSemanticFeatures:
         out = semantic_features(values)
         assert math.copysign(1.0, out[1]) == -1.0 and math.isnan(out[-1])
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 1e30])
-    def test_unroundable_raises_the_same_error(self, bad):
-        expected = _result(_rounded, [0.5, bad])
-        assert isinstance(expected, type) and _result(semantic_features, [0.5, bad]) == expected
+    @pytest.mark.parametrize("huge", [math.inf, -math.inf, 1e30])
+    def test_values_past_2_52_come_back_unchanged(self, huge):
+        # Decimal.quantize used to fail on these (over 28 significant digits)
+        values = [0.5, huge]
+        assert _result(semantic_features, values) == _result(_rounded, values) == \
+            np.asarray(values).tobytes()
+
+    @given(st.floats(2.0 ** 52, 1e20), st.booleans(), st.integers(0, 6))
+    def test_values_from_2_52_to_1e20_round_as_before(self, x, negative, digits):
+        # the Decimal arithmetic round_half_away ran on these before it
+        # returned them unchanged
+        x = -x if negative else x
+        q = decimal.Decimal(1).scaleb(-digits)
+        before = float(decimal.Decimal(repr(x)).quantize(q, rounding=decimal.ROUND_HALF_UP))
+        assert round_half_away(x, digits) == before == x
 
 
 class TestScenarioUtilities:
@@ -182,6 +202,42 @@ def test_table_rollout_matches_stepwise_rollout(seed, layout):
         assert repr(batched) == repr(expected) == repr(single)
 
 
+@st.composite
+def memory_tables(draw, sparse):
+    """(entries, timestamps, queries, top_n, threshold): a (K, d) entry table
+    whose rows repeat, so cosines tie, its distinct timestamps in ascending
+    order, (N, d) queries, and a readout threshold below K when `sparse`."""
+    d = draw(st.integers(1, 4))
+    vector = hnp.arrays(np.float64, d, elements=st.integers(-3, 3).map(float)).filter(np.any)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    entries = np.stack([pool[i] for i in picks])
+    timestamps = sorted(draw(st.lists(st.integers(0, 1000), min_size=len(picks),
+                                      max_size=len(picks), unique=True)))
+    queries = np.stack(draw(st.lists(vector, min_size=1, max_size=6)))
+    top_n = draw(st.integers(1, len(picks) + 1))
+    threshold = draw(st.integers(0, len(picks) - 1) if sparse
+                     else st.integers(len(picks), len(picks) + 3))
+    return entries, timestamps, queries, top_n, threshold
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@settings(deadline=None)
+@given(data=st.data())
+def test_memory_store_equals_the_table_functions(sparse, data):
+    entries, timestamps, queries, top_n, threshold = data.draw(memory_tables(sparse))
+    store = MemoryStore(sparse_readout_top_n=top_n, sparse_readout_threshold=threshold)
+    for row in data.draw(st.permutations(range(len(entries)))):
+        store.promote_to_ltm(MemoryEntry(entries[row], row, timestamps[row], LTM))
+    labels = [entry.label for entry in store.ltm_retrieve_rows(queries)]
+    assert labels == retrieve_rows(entries, queries).tolist()
+    # the first maximum in timestamp order, as a scan of the entries finds it
+    assert labels == [max(range(len(entries)), key=lambda row: cosine_score(q, entries[row]))
+                      for q in queries]
+    readout = store.attention_readout_rows(queries)
+    assert readout.tobytes() == readout_rows(entries, queries, top_n, threshold).tobytes()
+
+
 SMALL = GeneratorConfig(n_per_modality=60, seed=5)
 
 
@@ -238,7 +294,9 @@ def test_trace_lines_equal_json_dumps_of_a_dict(tmp_path, modality):
     data = generate(SMALL)
     res = pipeline.run_modality(cfg, SMALL, modality, data.by_modality(modality), 1)
     records = [r for r in data.records if r.modality == modality]
-    assert dict(res.trace_lines) == _dict_lines(cfg, res, records)
+    ids = data.by_modality(modality).ids.tolist()
+    assert ids == [r.id for r in records] and len(res.trace_lines) == len(ids)
+    assert dict(zip(ids, res.trace_lines)) == _dict_lines(cfg, res, records)
 
 
 @pytest.mark.parametrize("column", ["semantic", "relevance_mass", "confidence",

@@ -217,7 +217,7 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
 
     def unwritable(*args):
         res = run_modality(*args)
-        res.trace_lines.append((-1, None))  # sorted first: the write fails at once
+        res.trace_lines[0] = None  # in the first block: the write fails at once
         return res
 
     monkeypatch.setattr(pipeline, "run_modality", unwritable)
