@@ -117,6 +117,9 @@ class GeneratorConfig:
                               f"got {mean}")
         if spread <= 0.0:
             raise ConfigError(f"generator.trust_distribution spread must be > 0, got {spread}")
+        if not math.isfinite(spread * (_TRUST_CENTER + _TRUST_TRUNC)):
+            raise ConfigError(f"generator.trust_distribution spread {spread!r} puts the trust "
+                              "bands past the float range")
         if self.cluster_separation <= 0.0:
             raise ConfigError(f"generator.cluster_separation must be > 0, "
                               f"got {self.cluster_separation}")

@@ -7,6 +7,7 @@ the per-modality features into a single tagged bundle.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 import math
 
 import numpy as np
@@ -50,9 +51,11 @@ def fit_norm_stats(values) -> NormStats:
     if v.size < 2:
         raise EmptyInputError(f"need at least 2 values to fit stats, got {v.size}")
     try:
-        mean = math.fsum(v) / v.size
+        mean = math.fsum(v.tolist()) / v.size
         with np.errstate(over="ignore"):
-            var = math.fsum((x - mean) ** 2 for x in v) / v.size
+            deviations = (v - mean).tolist()
+        # builtin pow squares as a scalar `** 2` does; the vector x * x differs in some last bits
+        var = math.fsum(map(pow, deviations, repeat(2.0))) / v.size
     except OverflowError:  # a finite sum beyond the float range
         var = math.inf
     if var == math.inf:

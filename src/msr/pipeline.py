@@ -15,7 +15,9 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            formats each record's trace line, placed at its row of the table.
 
 Alignment plans the first `align.samples` survivors per modality again in
-one batch, as phase 1 does, and rolls each out over its rows of the tables.
+one batch, as phase 1 does, and rolls them out together, one array step per
+horizon step. Its slips and its holdout split are keyed uniforms too, so no
+numpy Generator reaches the outputs.
 
 Step semantics per record (predicted vs actual):
   1  kept by the trust filter            vs the stored valid flag
@@ -82,7 +84,7 @@ from .sim2real import (
     randomize_batch,
     randomize_env,
     reward_discrepancy,
-    rollout_row,
+    rollout_batch,
     solve_batch,
 )
 
@@ -148,12 +150,6 @@ class Outcomes(Table):
     confidence: np.ndarray
 
 
-def env_draws(cfg: RunConfig, modality_index: int, ids) -> np.ndarray:
-    """Each record's row of open uniforms for `randomize_batch`."""
-    return seeding.keyed_uniforms(cfg.seed, seeding.ENV_RANDOMIZATION, modality_index, ids,
-                                  len(cfg.randomization.continuous) + 1, open_interval=True)
-
-
 def build_envs(cfg: RunConfig, envs: tuple, direction: int, draws):
     """One record's randomized sim env and real env from `GridSpec.envs`."""
     return randomize_env(envs[direction][0], cfg.randomization, draws), envs[direction][1]
@@ -193,17 +189,25 @@ def plan_sim2real(ctx: ModalityContext, ids, decision):
     """Step 6 for N records: (sim, real) `SolvedBatch`es of each record's
     randomized sim env, solved as is, and its real env, re-planned on
     R_real + alpha * (R_real - R_sim); the goal direction is the decision."""
-    cfg = ctx.cfg
-    sim = randomize_batch(ctx.sim_bases.take(decision), cfg.randomization,
-                          env_draws(cfg, ctx.modality_index, ids))
-    real = ctx.real_envs.take(decision)
-    sim_nxt, sim_rewards = sim.tables()
-    real_nxt, real_rewards = real.tables()
-    delta = reward_discrepancy(real_rewards, sim_rewards)
-    horizon = cfg.grid.horizon
-    sim_actions = solve_batch(sim_nxt, sim_rewards, sim.slip_prob, horizon, cfg.gamma)[0]
-    real_actions = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
-                               real.slip_prob, horizon, cfg.gamma)[0]
+    cfg, grid = ctx.cfg, ctx.cfg.grid
+    draws = seeding.keyed_uniforms(cfg.seed, seeding.ENV_RANDOMIZATION, ctx.modality_index, ids,
+                                   len(cfg.randomization.continuous) + 1, open_interval=True)
+    # a reward that is not finite makes a value that is not, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sim = randomize_batch(ctx.sim_bases.take(decision), cfg.randomization, draws)
+        real = ctx.real_envs.take(decision)
+        sim_nxt, sim_rewards = sim.tables()
+        real_nxt, real_rewards = real.tables()
+        delta = reward_discrepancy(real_rewards, sim_rewards)
+        sim_actions, sim_values = solve_batch(sim_nxt, sim_rewards, sim.slip_prob, grid.horizon,
+                                              cfg.gamma)
+        real_actions, real_values = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
+                                                real.slip_prob, grid.horizon, cfg.gamma)
+    if not (np.isfinite(sim_values).all() and np.isfinite(real_values).all()):
+        raise ConfigError(f"grid rewards (step_reward {grid.step_reward!r}, goal_reward "
+                          f"{grid.goal_reward!r}, real_step_reward {grid.real_step_reward!r}) "
+                          "and randomization.continuous give a value table that is not a "
+                          "finite number")
     return (SolvedBatch(sim, sim_nxt, sim_rewards, sim_actions),
             SolvedBatch(real, real_nxt, real_rewards, real_actions))
 
@@ -402,31 +406,36 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                           trace_lines=trace_lines, outcomes=out, context=ctx)
 
 
-def _trajectory_features(solved: SolvedBatch, row: int, rng) -> list:
-    envs = solved.envs
-    return [[x / max(envs.width - 1, 1), y / max(envs.height - 1, 1), t / envs.horizon, reward]
-            for t, ((x, y), _, reward) in enumerate(rollout_row(solved, row, rng).steps)]
-
-
 def run_alignment(cfg: RunConfig, results) -> float:
     """Adversarial alignment over rollout features from the sim and real
     environments of the first `align.samples` survivors per modality, planned
-    again as in phase 1 in one batch per modality; slips in both rollouts of
-    a record draw from that record's own stream."""
+    again as in phase 1 in one batch per modality and rolled out as one batch
+    each; both rollouts of a record read its row of keyed uniforms. A feature
+    row is (x, y, t) scaled to [0, 1] and the step's reward."""
+    horizon = cfg.grid.horizon
     sim_rows, real_rows = [], []
     for res in results:
         picked = res.outcomes.record_id[: cfg.align.samples]
-        sim, real = plan_sim2real(res.context, picked,
-                                  res.outcomes.decision_id[: cfg.align.samples])
-        for row, rid in enumerate(picked.tolist()):
-            slips = seeding.substream(cfg.seed, seeding.ALIGNMENT, res.context.modality_index, rid)
-            sim_rows.extend(_trajectory_features(sim, row, slips))
-            real_rows.extend(_trajectory_features(real, row, slips))
+        draws = seeding.keyed_uniforms(cfg.seed, seeding.ALIGNMENT, res.context.modality_index,
+                                       picked, 2 * horizon)
+        plans = plan_sim2real(res.context, picked, res.outcomes.decision_id[: cfg.align.samples])
+        for solved, rows in zip(plans, (sim_rows, real_rows)):
+            states, _, rewards, taken = rollout_batch(solved, draws)
+            width, height = solved.envs.width, solved.envs.height
+            t = np.broadcast_to(np.arange(horizon) / horizon, states.shape)
+            rows.append(np.stack([states % width / max(width - 1, 1),
+                                  states // width / max(height - 1, 1), t, rewards],
+                                 axis=2)[taken])
     model = AlignmentModel.init(in_dim=4, lambda_task=cfg.align.lambda_task)
-    _, accuracy = align_features(
-        np.asarray(sim_rows), np.asarray(real_rows), model,
-        steps=cfg.align.steps, lr=cfg.align.learning_rate,
-        rng=seeding.substream(cfg.seed, seeding.ALIGNMENT))
+    sim_rows, real_rows = np.concatenate(sim_rows), np.concatenate(real_rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite weights fail below
+        model, accuracy = align_features(sim_rows, real_rows, model, steps=cfg.align.steps,
+                                         lr=cfg.align.learning_rate, rng=cfg.seed)
+    if not all(np.isfinite(w).all() for w in (model.encoder, model.disc_w, model.disc_b)):
+        peak = max(np.abs(sim_rows[:, 3]).max(), np.abs(real_rows[:, 3]).max())
+        raise ConfigError(f"align.learning_rate {cfg.align.learning_rate!r} is too large for "
+                          f"rollout rewards up to {float(peak)!r} in magnitude (set by the "
+                          "grid rewards): the alignment weights are not finite numbers")
     return accuracy
 
 

@@ -10,9 +10,9 @@ pseudorandom number generators", OOPSLA 2014) applied to the record's key plus
 j + 1 golden-ratio increments, which is output j of a SplitMix64 stream
 seeded with the key. The key absorbs seed, purpose, modality and record id
 through the same finaliser. Everything is evaluated on uint64 arrays, so one
-call draws a whole modality. `substream` builds a numpy Generator for the few
-draws that are not per record in the hot path (alignment rollouts and its
-holdout split).
+call draws a whole modality. Alignment's rollout slips and holdout split are
+keyed uniforms as well. `substream` and `derived_seed` build numpy streams that
+no stream of the package uses; the benchmark's tracer wraps them by name.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ SCENARIO_NOISE = 1
 BASELINE_NOISE = 2
 ENV_RANDOMIZATION = 3
 ALIGNMENT = 4
+HOLDOUT_SPLIT = 5
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -74,7 +75,8 @@ def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent numpy generator for the given purpose key."""
+    """Independent numpy generator for the given purpose key. No stream of
+    the package uses it; the benchmark's tracer wraps it by name."""
     ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, ShapeError, StateLookupError
+from .seeding import HOLDOUT_SPLIT, keyed_uniforms
 from .special import expit, ndtri
 
 ACTIONS = ("up", "down", "left", "right")
@@ -313,32 +314,43 @@ class SolvedBatch(NamedTuple):
     actions: np.ndarray
 
 
-def rollout_row(solved: SolvedBatch, row: int, rng=None) -> Trajectory:
-    """Greedy rollout of environment `row` of a solved batch from its start;
-    stops on goal entry or horizon. A slip draws `rng.random()` and then
-    `rng.choice` of the other three moves."""
-    envs = solved.envs
-    slip = float(envs.slip_prob[row])
-    if slip > 0.0 and rng is None:
-        raise ConfigError("stochastic environment needs an rng for rollout")
-    nxt, rewards, actions = (table[row].tolist() for table in solved[1:])
-    s, goal = int(envs.start[row]), int(envs.goal[row])
+def rollout_batch(solved: SolvedBatch, draws):
+    """Greedy rollouts of all N environments of a solved batch from their
+    starts, one array step per horizon step. Row i reads row i of the
+    (N, 2 * horizon) uniforms on [0, 1) in `draws`: step t slips when column
+    2t is below the row's slip_prob, to the move at index floor(3u) of column
+    2t+1 among the other three in ascending order. Returns (N, horizon) state
+    indices, intended actions and rewards per step, and whether the row took
+    the step: the goal is absorbing, so a row stops once it is there."""
+    envs, horizon = solved.envs, solved.envs.horizon
+    u = np.asarray(draws, dtype=float)
+    if u.shape != (len(envs.start), 2 * horizon) or not np.all((u >= 0.0) & (u < 1.0)):
+        raise ShapeError(f"rollout needs ({len(envs.start)}, {2 * horizon}) draws on [0, 1), "
+                         f"got shape {u.shape}")
+    rows, s = np.arange(len(u)), envs.start
     steps = []
-    for h in range(envs.horizon, 0, -1):
-        move = a = actions[h - 1][s]
-        if slip > 0.0 and rng.random() < slip:
-            move = int(rng.choice([b for b in range(4) if b != a]))
-        steps.append(((s % envs.width, s // envs.width), a, rewards[s][move]))
-        s = nxt[s][move]
-        if s == goal:
-            break
-    return Trajectory(steps=tuple(steps))
+    for t in range(horizon):
+        a = solved.actions[rows, horizon - 1 - t, s]
+        j = np.floor(3.0 * u[:, 2 * t + 1]).astype(np.int64)
+        move = np.where(u[:, 2 * t] < envs.slip_prob, j + (j >= a), a)
+        steps.append((s, a, solved.rewards[rows, s, move]))
+        s = solved.nxt[rows, s, move]
+    states, actions, rewards = (np.stack(column, axis=1) for column in zip(*steps))
+    return states, actions, rewards, states != envs.goal[:, None]
 
 
-def rollout(env: GridEnv, policy: PolicyTable, rng=None) -> Trajectory:
-    """Greedy rollout of one environment under its policy; see `rollout_row`."""
+def rollout(env: GridEnv, policy: PolicyTable, draws=None) -> Trajectory:
+    """Greedy rollout of one environment under its policy, reading the row
+    of 2 * horizon uniforms in `draws`, which only a slippery environment
+    needs; see `rollout_batch`."""
+    if draws is None and env.slip_prob > 0.0:
+        raise ConfigError("stochastic environment needs draws for rollout")
     batch = EnvBatch.of([env])
-    return rollout_row(SolvedBatch(batch, *batch.tables(), policy.actions[None]), 0, rng)
+    u = np.zeros((1, 2 * env.horizon)) if draws is None else np.asarray(draws, dtype=float)[None]
+    *columns, taken = rollout_batch(SolvedBatch(batch, *batch.tables(), policy.actions[None]), u)
+    states, actions, rewards = (column[0, :int(taken.sum())].tolist() for column in columns)
+    return Trajectory(steps=tuple(((s % env.width, s // env.width), a, r)
+                                  for s, a, r in zip(states, actions, rewards)))
 
 
 def reward_discrepancy(r_real, r_sim):
@@ -406,8 +418,8 @@ def align_features(sim_features, real_features, model: AlignmentModel,
     The discriminator ascends the logistic log-likelihood of separating
     encoded sim (label 1) from real (label 0) samples; the encoder descends
     the same objective plus lambda_task times a reconstruction loss. Half of
-    each sample set is held out; returns (updated model, held-out
-    discriminator accuracy).
+    each sample set is held out, picked by keyed uniforms of the int seed
+    `rng`; returns (updated model, held-out discriminator accuracy).
     """
     sim = np.atleast_2d(np.asarray(sim_features, dtype=float))
     real = np.atleast_2d(np.asarray(real_features, dtype=float))
@@ -420,10 +432,10 @@ def align_features(sim_features, real_features, model: AlignmentModel,
             f"encoder expects dim {model.encoder.shape[1]}, samples have {sim.shape[1]}"
         )
 
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     halves = []
-    for block in (sim, real):
-        perm = gen.permutation(block.shape[0])
+    for index, block in enumerate((sim, real)):
+        split = keyed_uniforms(rng, HOLDOUT_SPLIT, index, np.arange(block.shape[0]), 1)
+        perm = np.argsort(split[:, 0], kind="stable")
         cut = block.shape[0] // 2 if block.shape[0] > 1 else 1
         halves.append((block[perm[:cut]], block[perm[cut:]] if block.shape[0] > 1 else block))
     (sim_tr, sim_ho), (real_tr, real_ho) = halves

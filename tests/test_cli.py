@@ -142,6 +142,50 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
         assert (out / "trace.jsonl").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fragment", [
+        {"grid": {"real_step_reward": 1e308}}, {"grid": {"step_reward": -1e308}},
+        {"randomization": {"continuous": {"step_reward": [0.0, 1e308]}}},
+    ], ids=["real_step_reward", "step_reward", "randomized"])
+    def test_overflowing_grid_rewards_are_an_error(self, tmp_path, capsys, fragment):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 50}, **fragment}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid rewards (step_reward "), err
+        assert "real_step_reward" in err and "not a finite number" in err
+        assert not out.exists()
+
+    # the plan's tables stay finite here; the alignment on its rollout
+    # rewards overflows, whatever the learning rate's share in it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fragment,peak", [
+        ({"grid": {"goal_reward": 1e308}}, "1e+308"),
+        ({"align": {"learning_rate": 1e308}}, "9."),
+    ], ids=["goal_reward", "learning_rate"])
+    def test_overflowing_alignment_is_an_error(self, tmp_path, capsys, fragment, peak):
+        cfg = tmp_path / "align.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 50}, **fragment}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: align.learning_rate "), err
+        assert f"rollout rewards up to {peak}" in err and "grid rewards" in err
+        assert "not finite numbers" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_trust_spread_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "trust.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 50,
+                                                 "trust_distribution": [0.5, 1e308]}}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: generator.trust_distribution spread 1e+308 "), err
+        assert not out.exists()
+
     def test_features_too_large_to_normalize_are_an_error(self, tmp_path, capsys):
         # the file is valid: every value is finite; only their sums overflow
         cfg = tmp_path / "gen.json"

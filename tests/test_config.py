@@ -179,6 +179,9 @@ BUILT_INVALID = [
     (RunConfig, {"workers": 0}, r"workers must be >= 1"),
     (RunConfig, {"generator": GeneratorConfig(n_actions=6, feature_dim=10)},
      r"generator\.n_actions must be <= 4"),
+    (GeneratorConfig, {"trust_distribution": (0.5, 1e308)},
+     r"generator\.trust_distribution spread 1e\+308 puts the trust bands past the float "
+     "range"),
 ]
 
 

@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ from msr import pipeline, seeding, special
 from msr.config import GridSpec, RunConfig
 from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, save
 from msr.decision import feedback_means
+from msr.errors import DegenerateModalityError, MsrError
+from msr.ingest import NormStats, fit_norm_stats
 from msr.memory import (
     LTM,
     MemoryEntry,
@@ -44,7 +46,7 @@ from msr.sim2real import (
     reward_discrepancy,
     reward_table,
     rollout,
-    rollout_row,
+    rollout_batch,
     solve_batch,
 )
 
@@ -69,6 +71,47 @@ def _fsum_rows(values):
 def _same_rounding(values):
     u = np.asarray(values, dtype=float)
     assert _result(semantic_features, u) == _result(_rounded, u)
+
+
+def _norm_stats(fit, values):
+    """The bytes of fit(values)'s (mean, std), or the type of what it raises."""
+    try:
+        stats = fit(values)
+    except MsrError as exc:
+        return type(exc)
+    return np.array([stats.mean, stats.std]).tobytes()
+
+
+def _per_element_norm_stats(values):
+    """fit_norm_stats one element at a time: fsum over numpy scalars and each
+    deviation squared by the scalar `** 2`."""
+    v = np.asarray(values, dtype=float)
+    try:
+        mean = math.fsum(v) / v.size
+        with np.errstate(over="ignore"):
+            var = math.fsum((x - mean) ** 2 for x in v) / v.size
+    except OverflowError:
+        var = math.inf
+    if var == math.inf or var == 0.0:
+        raise DegenerateModalityError(var)
+    return NormStats(mean=mean, std=math.sqrt(var))
+
+
+class TestFitNormStats:
+    @given(hnp.arrays(np.float64, st.integers(2, 64), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1.0, 1.7e308, -1.7e308]))))
+    # a deviation whose vector square (x * x) moves the std by one ulp
+    @example(np.array([2.23031011746327, -0.2966170059539525]))
+    def test_any_finite_values(self, values):
+        assert (_norm_stats(fit_norm_stats, values)
+                == _norm_stats(_per_element_norm_stats, values))
+
+    def test_many_small_samples(self):
+        # the vector square moves the std of 2 of these rows by one ulp
+        for v in np.random.default_rng(8).normal(0.3, 1.7, (2_000, 3)):
+            assert (_norm_stats(fit_norm_stats, v)
+                    == _norm_stats(_per_element_norm_stats, v))
 
 
 class TestSemanticFeatures:
@@ -139,23 +182,35 @@ class TestScenarioUtilities:
         assert out.tobytes() == np.zeros((2, 3)).tobytes()
 
 
-def _stepwise_rollout(env, policy, rng):
-    """The per-step greedy walk over one GridEnv's tables that alignment ran
-    before it rolled out rows of a solved batch."""
+def _stepwise_rollout(env, policy, u):
+    """The per-step greedy walk over one GridEnv's tables, one step at a time:
+    step t slips when u[2t] < slip_prob, to the move at index floor(3 * u[2t+1])
+    of the other three in ascending order, the pick rng.choice made over that
+    list."""
     nxt, rewards = next_state_table(env), reward_table(env)
     goal, s = env.state_index(env.goal), env.state_index(env.start)
     steps = []
-    for h in range(env.horizon, 0, -1):
+    for t, h in enumerate(range(env.horizon, 0, -1)):
         x, y = s % env.width, s // env.width
         a = policy.action((x, y), h)
         move = a
-        if env.slip_prob > 0.0 and rng.random() < env.slip_prob:
-            move = int(rng.choice([b for b in range(4) if b != a]))
+        if u[2 * t] < env.slip_prob:
+            move = [b for b in range(4) if b != a][math.floor(3 * u[2 * t + 1])]
         steps.append(((x, y), a, float(rewards[s, move])))
         s = int(nxt[s, move])
         if s == goal:
             break
     return tuple(steps)
+
+
+def _row_steps(walk, width, row):
+    """Row `row` of a batched rollout as `Trajectory.steps`; its taken steps
+    must come first."""
+    *columns, taken = walk
+    k = int(taken[row].sum())
+    assert taken[row, :k].all()
+    return tuple(((s % width, s // width), a, r) for s, a, r in
+                 zip(*(column[row, :k].tolist() for column in columns)))
 
 
 LAYOUTS = {
@@ -167,9 +222,9 @@ SWAPPED = RandomizationConfig(
     variants={"keep": 0.5, "swap_start_goal": 0.5})
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(LAYOUTS)))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(LAYOUTS)), st.data())
 @settings(deadline=None)
-def test_table_rollout_matches_stepwise_rollout(seed, layout):
+def test_table_rollout_matches_stepwise_rollout(seed, layout, data):
     gamma, alpha, n = 0.9, 0.5, 8
     pairs = LAYOUTS[layout].envs()
     directions = np.random.default_rng(seed).integers(0, 4, size=n)
@@ -179,11 +234,16 @@ def test_table_rollout_matches_stepwise_rollout(seed, layout):
     real = EnvBatch.of([r for _, r in pairs]).take(directions)
     sim_tables, real_tables = sim.tables(), real.tables()
     delta = reward_discrepancy(real_tables[1], sim_tables[1])
-    horizon = sim.horizon
+    horizon, width = sim.horizon, sim.width
     sim_solved = SolvedBatch(sim, *sim_tables,
                              solve_batch(*sim_tables, sim.slip_prob, horizon, gamma)[0])
     real_solved = SolvedBatch(real, *real_tables, solve_batch(
         real_tables[0], real_tables[1] + alpha * delta, real.slip_prob, horizon, gamma)[0])
+    # both rollouts of a record read its row of uniforms; some equal the
+    # real env's slip_prob, which does not slip
+    uniforms = data.draw(hnp.arrays(np.float64, (n, 2 * horizon), elements=st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True), st.just(real.slip_prob[0]))))
+    walks = [rollout_batch(sim_solved, uniforms), rollout_batch(real_solved, uniforms)]
     for row, direction in enumerate(directions.tolist()):
         sim_base, real_env = pairs[direction]
         sim_env = randomize_env(sim_base, SWAPPED, draws[row])
@@ -191,15 +251,15 @@ def test_table_rollout_matches_stepwise_rollout(seed, layout):
         refined = refine_policy(
             real_env, reward_discrepancy(reward_table(real_env), reward_table(sim_env)),
             alpha, gamma)
-        # both rollouts of a record share one stream, sim first
-        rngs = [np.random.default_rng([seed, row]) for _ in range(3)]
-        expected = [_stepwise_rollout(sim_env, policy, rngs[0]),
-                    _stepwise_rollout(real_env, refined, rngs[0])]
-        batched = [rollout_row(sim_solved, row, rngs[1]).steps,
-                   rollout_row(real_solved, row, rngs[1]).steps]
-        single = [rollout(sim_env, policy, rngs[2]).steps,
-                  rollout(real_env, refined, rngs[2]).steps]
+        expected = [_stepwise_rollout(sim_env, policy, uniforms[row]),
+                    _stepwise_rollout(real_env, refined, uniforms[row])]
+        batched = [_row_steps(walk, width, row) for walk in walks]
+        single = [rollout(sim_env, policy, uniforms[row]).steps,
+                  rollout(real_env, refined, uniforms[row]).steps]
+        one_row = SolvedBatch(sim.take([row]), *(table[row:row + 1] for table in sim_solved[1:]))
+        alone = _row_steps(rollout_batch(one_row, uniforms[row:row + 1]), width, 0)
         assert repr(batched) == repr(expected) == repr(single)
+        assert repr(alone) == repr(single[0])
 
 
 @st.composite

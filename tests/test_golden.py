@@ -26,7 +26,7 @@ GOLDEN = {
     "report_auditory.csv": "833df5da752992fcadc065a3c0bd5b0466ca7713ca19dd924823fee2dae1ff99",
     "report_tactile.csv": "183520044bb1e963327480811263682fb033afa5f66b139b1df948f1543ead8e",
     "report_visual.csv": "3ada34f3614be944e4ee0b46eba0276326bfb2483a4410e5475655b96ef69cbe",
-    "run_summary.json": "a7cfb653b51737a23529ed940cdf8b8a443acb10f573818e2c1bd577600cac02",
+    "run_summary.json": "6c28c99ae048fc95ecf6ab2e86ae6e7b973558221bdd24371505a7d4314b8cd0",
     "trace.jsonl": "8615a63a4d71ad7a0761e538b5f4d2d249ecc17ef1576be18b61e8226431cec1",
 }
 
@@ -71,14 +71,17 @@ OUTCOME_FIELDS = (
 
 # Output files of the same runs for every config but "default", which GOLDEN
 # pins on a larger corpus. "slip" and "swap-randomized" roll out slippery
-# environments in alignment, so their slips reach run_summary.json.
+# environments in alignment, so their slips reach run_summary.json. The
+# run_summary.json digests here and in GOLDEN were retaken once when
+# alignment's slips and holdout split moved to keyed uniforms; no other
+# digest moved with them.
 CONFIG_FILES = {
     "slip": {
         "report.md": "94e91e541a7ed4cbfc04d2049a6cbf3e4d625b9e756b24c3724692338b0e0bcf",
         "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
-        "run_summary.json": "dfdaabadae14b0da66819be1b33fca704f92c7f134474f777fdb4fffc43f3350",
+        "run_summary.json": "002b858040524a8c3ee3362401ab67380f8fefc2a720139d43fec03664d673cc",
         "trace.jsonl": "12eafc6ac81e94472eeb07a04c554026aa75b84de7ae629e03a73a55b3374e0c",
     },
     "swap-randomized": {
@@ -86,7 +89,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
-        "run_summary.json": "162ee6e5d4fde8e94f17c9df0c3f4e69f03d0392c16f6389ee8f6a8170b49066",
+        "run_summary.json": "347cd8f60db65fbab8b89b3c3421df4f0785498b37adfea0b63cb975fb755126",
         "trace.jsonl": "af0928574f18b1109ab2e99cf4999a109c21fd206ce51a5430a41ba4a7c57cde",
     },
     "swap-always": {
@@ -94,7 +97,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
-        "run_summary.json": "281e7c0f8ed55a6b35fe1165178a7cdd6ec78a94f090b78b04ee7908c2c4c3af",
+        "run_summary.json": "b7a7a4fac3c028f2ce958be6bc745e583bbb4bf39c759ecf77bbc3c7c3e75fce",
         "trace.jsonl": "8620bcafefd05cada0cb2339c7c47fbd631fd8ec8cd55a725bcacd0770a93e44",
     },
     "k-beyond-pool": {
@@ -102,7 +105,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "f59d90e4a8f63a28c5cbdd1123563befdb66b4584adafffefee8b189ae833334",
         "report_tactile.csv": "8958d5d2b5660574cf60c5ef097f42a11be1ec12262cc3b5eb7647ac3f34c48c",
         "report_visual.csv": "a151ba02e92c224e90bba69d19be797e3a9c12878a01ffb9e0b62a61dc0384ab",
-        "run_summary.json": "52a41ffda69a315cfe62fa0a08037bce28bce9dd3eb272eadaaa3f2022c05ae1",
+        "run_summary.json": "62d657d86966d00f57eca5600f7bf8170cf60ad3b7faf4a422db5c99ea6bd1ef",
         "trace.jsonl": "968d3674a43af9921e871a4f691af242b98aaf035d5a0d415114593380a98b54",
     },
     "sparse-readout": {
@@ -110,7 +113,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
-        "run_summary.json": "486721cfb034e64b5d2c66da6d530ae993cf3cf06e68c2fe5a63c028e5e9b28b",
+        "run_summary.json": "996520e50a36d241259a9bbe80c2fccc18c3dd0e54c036f242cc2d0f3aec9b76",
         "trace.jsonl": "a233fb83a05c17f4f3c83a2c107d552f6aab13aa6514e1b189c2204580888a2c",
     },
     "grid-7x6": {
@@ -118,7 +121,7 @@ CONFIG_FILES = {
         "report_auditory.csv": "7d025b4ff2d8e10f8c61b16b4342b5de4e62888566c9f44ba9ff81289fc4296b",
         "report_tactile.csv": "730125e18b5968671290aa94f8bbfbe2a67356709d15915d3539be304f951134",
         "report_visual.csv": "b26c99af8381680062eff390be9b68e793ab0e02d0bc29892a5715fce5e2876a",
-        "run_summary.json": "5f9627b4d3e76ca271fb706d75772c06ff129c9d1c9d794b84cb7dd8cb0d2305",
+        "run_summary.json": "232fa5e4dd4a5de3afa6085d7beda13efa9e9f4314065944eb3fe48d7196b068",
         "trace.jsonl": "12eafc6ac81e94472eeb07a04c554026aa75b84de7ae629e03a73a55b3374e0c",
     },
 }

@@ -130,7 +130,7 @@ def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
 
 
 def test_alignment_plans_in_batch(monkeypatch):
-    from msr import pipeline, sim2real
+    from msr import pipeline, seeding, sim2real
     from msr.config import GridSpec
     from msr.dataset import MODALITIES
 
@@ -139,11 +139,17 @@ def test_alignment_plans_in_batch(monkeypatch):
     results = [pipeline.run_modality(cfg, GEN, m, data.by_modality(m), 1) for m in MODALITIES]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("single-environment plan or rollout in alignment")
+        raise AssertionError("single-environment plan or rollout, or a numpy generator, "
+                             "in alignment")
 
+    # every draw of alignment is a keyed uniform: no numpy generator or seed
+    # sequence is built, and no substream asked for
     for owner, name in ((sim2real, "_solve"), (sim2real.PolicyTable, "__init__"),
                         (pipeline, "build_envs"), (pipeline, "optimize_policy"),
-                        (pipeline, "refine_policy"), (pipeline, "rollout")):
+                        (pipeline, "refine_policy"), (pipeline, "rollout"),
+                        (np.random, "default_rng"), (np.random, "Generator"),
+                        (np.random, "SeedSequence"), (np.random, "RandomState"),
+                        (seeding, "substream")):
         monkeypatch.setattr(owner, name, refuse)
     assert 0.0 <= pipeline.run_alignment(cfg, results) <= 1.0
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -339,14 +340,22 @@ class TestRollout:
         assert [s for s, _, _ in traj.steps] == [(0, 0), (1, 0)]
         assert sum(r for _, _, r in traj.steps) == pytest.approx(pol.value(env.start))
 
-    def test_stochastic_requires_rng(self):
+    def test_stochastic_requires_draws(self):
         env = GridEnv(width=2, height=2, start=(0, 0), goal=(1, 1),
                       slip_prob=0.2, horizon=3)
         pol = optimize_policy(env, 0.9)
         with pytest.raises(ConfigError):
             rollout(env, pol)
-        traj = rollout(env, pol, rng=np.random.default_rng(0))
-        assert 1 <= len(traj.steps) <= 3
+        for draws in (np.zeros(5), [0.5] * 5 + [1.0], [-0.0] * 5 + [math.nan]):
+            with pytest.raises(ShapeError, match=r"rollout needs \(1, 6\) draws on \[0, 1\)"):
+                rollout(env, pol, draws=draws)
+        assert len(rollout(env, pol, draws=[0.5] * 6).steps) == 2
+        # step 0 slips (0.0 < 0.2) from down to the lowest other move, up,
+        # which runs off the grid and stays put; no later step slips
+        slipped = rollout(env, pol, draws=[0.0, 0.0] + [0.5] * 4)
+        assert pol.action((0, 0)) == 1
+        assert [s for s, _, _ in slipped.steps[:2]] == [(0, 0), (0, 0)]
+        assert len(slipped.steps) == 3
 
 
 def numeric_grad(f, x, eps=1e-6):
