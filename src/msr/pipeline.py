@@ -6,9 +6,9 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
   phase 1  every record is processed against run-constant state only (norm
            stats, the memory prototype table, config thresholds); records are
            pure functions of (record, context) and may run in any order or
-           process. `score_chunk` runs steps 2-7 on chunk tables of
-           CHUNK_RECORDS survivors; each record's draws are a row of keyed
-           uniforms that depends only on its id, so every outcome equals the
+           process. `score_chunk` runs steps 2-7 on chunk tables sized by
+           `chunk_records`; each record's draws are a row of keyed uniforms
+           that depends only on its id, so every outcome equals the
            one-record result bit for bit whatever the chunking.
   phase 2  the merge over the concatenated columns in record-id order applies
            feedback (decision history means, feedback-adjusted utilities) and
@@ -319,15 +319,17 @@ def process_record(ctx: ModalityContext, survivors: Columns, row: int) -> Outcom
     return score_chunk(ctx, survivors[row:row + 1])
 
 
-# Survivors per score_chunk call. Time per record is flat from 64 to 1024;
-# peak RSS grows with the chunk (see CHANGES.md), so keep it small.
-CHUNK_RECORDS = 128
+def chunk_records(grid) -> int:
+    """Survivors per score_chunk call: about 64,000 solver value cells of
+    n_states * (horizon + 1) per record, and at least 128 (see CHANGES.md)."""
+    return max(128, 64_000 // (grid.width * grid.height * (grid.horizon + 1)))
 
 
 def score_records(ctx: ModalityContext, survivors: Columns, workers: int):
-    """Phase 1 over one modality's survivors in chunks of CHUNK_RECORDS;
+    """Phase 1 over one modality's survivors in chunks of `chunk_records`;
     output order follows input."""
-    chunks = [survivors[lo:lo + CHUNK_RECORDS] for lo in range(0, len(survivors), CHUNK_RECORDS)]
+    size = chunk_records(ctx.cfg.grid)
+    chunks = [survivors[lo:lo + size] for lo in range(0, len(survivors), size)]
     score = functools.partial(score_chunk, ctx)
     if workers <= 1 or len(chunks) < 2:
         return Outcomes.concat(list(map(score, chunks)))

@@ -198,22 +198,24 @@ def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
     once: nxt and rewards are (N, n_states, 4) tables (`EnvBatch.tables`),
     slip_probs is (N,). Returns actions (N, horizon, n_states), where row h-1
     is the greedy action with h steps left, and values (N, horizon + 1,
-    n_states). Each environment's tables equal its own solve bit for bit."""
+    n_states). Successor values and the chosen q are gathers at flat indices
+    built once per call; each environment's tables equal its own solve bit
+    for bit."""
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
     n_env, n = rewards.shape[:2]
-    mix_t = np.swapaxes(_slip_mix(slip_probs), 1, 2)
-    flat_nxt = nxt.reshape(n_env, -1)
+    mix_t = np.ascontiguousarray(np.swapaxes(_slip_mix(slip_probs), 1, 2))
+    successor = nxt + (np.arange(n_env) * n)[:, None, None]
+    cell = 4 * np.arange(n_env * n).reshape(n_env, n)
     actions = np.empty((n_env, horizon, n), dtype=np.int64)
     values = np.zeros((n_env, horizon + 1, n), dtype=float)
     v = values[:, 0]
     for h in range(1, horizon + 1):
-        future = np.take_along_axis(v, flat_nxt, axis=1).reshape(nxt.shape)
-        per_move = rewards + gamma * future   # (N, n, 4) per executed move
-        q = per_move @ mix_t                  # (N, n, 4) per intended action
-        best = np.argmax(q, axis=2)           # first max = fixed action order
+        per_move = rewards + gamma * v.ravel()[successor]  # (N, n, 4) per executed move
+        q = per_move @ mix_t                 # (N, n, 4) per intended action
+        best = np.argmax(q, axis=2)          # first max = fixed action order
         actions[:, h - 1] = best
-        v = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
+        v = q.ravel()[cell + best]           # not np.maximum: it can flip a zero's sign
         values[:, h] = v
     return actions, values
 
@@ -390,16 +392,16 @@ class AlignmentModel:
                    lambda_task=lambda_task)
 
 
-def _adv_loss_grads(x, y, w_enc, v, b):
-    """Gradients of the mean discriminator log-likelihood."""
-    z = x @ w_enc.T
-    p = expit(z @ v + b)
-    resid = y - p
-    n = x.shape[0]
-    gv = resid @ z / n
-    gb = float(resid.mean())
-    gw = np.outer(v, resid @ x / n)
-    return gv, gb, gw
+def _disc_grads(z, y, v, b):
+    """Gradients in v and b of the mean discriminator log-likelihood at
+    encoded samples z = x @ W.T."""
+    resid = y - expit(z @ v + b)
+    return resid @ z / len(y), float(resid.mean())
+
+
+def _encoder_grad(x, z, y, v, b):
+    """Its gradient in the encoder W."""
+    return np.outer(v, (y - expit(z @ v + b)) @ x / len(y))
 
 
 def _task_grad(x, w_enc):
@@ -448,11 +450,12 @@ def align_features(sim_features, real_features, model: AlignmentModel,
     v = model.disc_w.copy()
     b = model.disc_b
     for _ in range(steps):
-        gv, gb, _ = _adv_loss_grads(x_tr, y_tr, w_enc, v, b)
+        z = x_tr @ w_enc.T  # the discriminator step leaves the encoder as it is
+        gv, gb = _disc_grads(z, y_tr, v, b)
         v = v + lr * gv
         b = b + lr * gb
         if not freeze_encoder:
-            _, _, gw = _adv_loss_grads(x_tr, y_tr, w_enc, v, b)
+            gw = _encoder_grad(x_tr, z, y_tr, v, b)
             w_enc = w_enc - lr * (gw + model.lambda_task * _task_grad(x_tr, w_enc))
 
     p_ho = expit((x_ho @ w_enc.T) @ v + b)

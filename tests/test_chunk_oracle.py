@@ -66,5 +66,16 @@ def test_one_record_at_a_time(name):
 @pytest.mark.parametrize("name", ["default", "swap-randomized", "sparse-readout"])
 def test_worker_counts(monkeypatch, name, workers):
     ctx, survivors, whole = scored(name)
-    monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 7)
+    monkeypatch.setattr(pipeline, "chunk_records", lambda grid: 7)
     assert_same_columns(score_records(ctx, survivors, workers), whole)
+
+
+# (grid config, survivors per chunk): about 64,000 solver value cells of
+# n_states * (horizon + 1) per record, and at least 128 records
+@pytest.mark.parametrize("grid, size", [
+    ({}, 512),                                 # 5x5, horizon 4: 125 cells
+    (CONFIGS["grid-7x6"]["grid"], 217),        # 7x6, horizon 6: 294 cells
+    ({"width": 21, "height": 21, "start": [10, 10], "horizon": 20}, 128),  # 9,261 cells
+])
+def test_chunk_length_follows_the_solver_cells(grid, size):
+    assert pipeline.chunk_records(RunConfig.from_mapping({"grid": grid}).grid) == size

@@ -262,6 +262,62 @@ def test_table_rollout_matches_stepwise_rollout(seed, layout, data):
         assert repr(alone) == repr(single[0])
 
 
+def _take_along_axis_solve(nxt, rewards, slip_probs, horizon, gamma):
+    """`solve_batch` as it was before its flat gathers: take_along_axis for
+    the successor values and for the chosen q, over a transposed slip mix."""
+    n_env, n = rewards.shape[:2]
+    p = np.asarray(slip_probs, dtype=float)
+    mix = np.empty((n_env, 4, 4))
+    mix[:] = (p / 3.0)[:, None, None]
+    mix[:, np.arange(4), np.arange(4)] = (1.0 - p)[:, None]
+    mix_t = np.swapaxes(mix, 1, 2)
+    flat_nxt = nxt.reshape(n_env, -1)
+    actions = np.empty((n_env, horizon, n), dtype=np.int64)
+    values = np.zeros((n_env, horizon + 1, n), dtype=float)
+    v = values[:, 0]
+    for h in range(1, horizon + 1):
+        future = np.take_along_axis(v, flat_nxt, axis=1).reshape(nxt.shape)
+        q = (rewards + gamma * future) @ mix_t
+        best = np.argmax(q, axis=2)
+        actions[:, h - 1] = best
+        v = np.take_along_axis(q, best[..., None], axis=2)[..., 0]
+        values[:, h] = v
+    return actions, values
+
+
+# slip 0 leaves many ties for the first-maximum rule; signed zeros and values
+# that are not finite must come out of the flat gathers as they went in
+@given(layout=st.sampled_from(sorted(LAYOUTS)), n=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1), slippery=st.booleans(),
+       gamma=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       poison=st.sampled_from([None, math.inf, -math.inf, math.nan, 0.0, -0.0]),
+       data=st.data())
+@settings(deadline=None)
+def test_flat_gather_solver_equals_take_along_axis(layout, n, seed, slippery, gamma, poison,
+                                                    data):
+    grid = replace(LAYOUTS[layout], slip_prob=0.0)
+    continuous = {"goal_reward": (0.0, 1.0), "step_reward": (0.0, 0.05)}
+    if slippery:
+        continuous["slip_prob"] = (0.1, 0.05)
+    spec = RandomizationConfig(continuous=continuous,
+                               variants={"keep": 0.5, "swap_start_goal": 0.5})
+    directions = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+    draws = seeding.keyed_uniforms(seed, seeding.ENV_RANDOMIZATION, 0, np.arange(n),
+                                   len(continuous) + 1, open_interval=True)
+    envs = randomize_batch(EnvBatch.of([sim for sim, _ in grid.envs()]).take(directions),
+                           spec, draws)
+    nxt, rewards = envs.tables()
+    if poison is not None:
+        cells = data.draw(st.lists(st.integers(0, rewards.size - 1), min_size=1, max_size=8))
+        rewards.flat[cells] = poison
+    with np.errstate(all="ignore"):
+        got = solve_batch(nxt, rewards, envs.slip_prob, grid.horizon, gamma)
+        want = _take_along_axis_solve(nxt, rewards, envs.slip_prob, grid.horizon, gamma)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
 @st.composite
 def memory_tables(draw, sparse):
     """(entries, timestamps, queries, top_n, threshold): a (K, d) entry table

@@ -168,7 +168,8 @@ def test_no_record_objects_from_generate_to_outputs(tmp_path, monkeypatch, worke
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ModalRecord, "__init__", counted)
-    monkeypatch.setattr(pipeline, "CHUNK_RECORDS", 16)  # several chunks, so the pool runs
+    # several chunks, so the pool runs
+    monkeypatch.setattr(pipeline, "chunk_records", lambda grid: 16)
     path = str(tmp_path / "data.json")
     save(generate(GEN), path)
     data = load(path)

@@ -12,7 +12,8 @@ from msr.sim2real import (
     EnvBatch,
     GridEnv,
     RandomizationConfig,
-    _adv_loss_grads,
+    _disc_grads,
+    _encoder_grad,
     _task_grad,
     align_features,
     next_state_table,
@@ -386,7 +387,8 @@ class TestAlignment:
         w_enc = rng.normal(size=(3, 3)) * 0.3
         v = rng.normal(size=3) * 0.3
         b = 0.1
-        gv, gb, gw = _adv_loss_grads(x, y, w_enc, v, b)
+        z = x @ w_enc.T
+        (gv, gb), gw = _disc_grads(z, y, v, b), _encoder_grad(x, z, y, v, b)
         num_v = numeric_grad(lambda: self._loss(x, y, w_enc, v, b), v)
         num_w = numeric_grad(lambda: self._loss(x, y, w_enc, v, b), w_enc)
         assert gv == pytest.approx(num_v, abs=1e-6)
