@@ -166,6 +166,9 @@ def main(argv=None) -> int:
     except (MsrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a grid or a generator config too large to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -152,6 +152,14 @@ def half_partition(label: int, n_classes: int) -> bool:
     return label < n_classes // 2
 
 
+def _layout(cfg: GeneratorConfig) -> dict:
+    """Each dimension block of the feature layout, as a range."""
+    a_end = 2 + (cfg.n_actions + 1) // 2
+    m_end = a_end + (cfg.n_memory_classes + 1) // 2
+    return {"relevance": range(0, 2), "action": range(2, a_end), "memory": range(a_end, m_end),
+            "padding": range(m_end, cfg.feature_dim)}
+
+
 def _class_centers(dims, n_classes: int, magnitude: float, feature_dim: int) -> np.ndarray:
     """Signed one-hot centers: class c sits at +magnitude (c even) or
     -magnitude (c odd) on dimension dims[c // 2]."""
@@ -176,19 +184,13 @@ class FeatureGeometry:
     relevance_dims: tuple
     action_dims: tuple
     memory_dims: tuple
-    padding_dims: tuple
     relevance_centers: np.ndarray
     action_centers: np.ndarray
     memory_centers: np.ndarray
 
     @classmethod
     def from_config(cls, cfg: GeneratorConfig) -> "FeatureGeometry":
-        rel = (0, 1)
-        a_width = (cfg.n_actions + 1) // 2
-        m_width = (cfg.n_memory_classes + 1) // 2
-        action = tuple(range(2, 2 + a_width))
-        memory = tuple(range(2 + a_width, 2 + a_width + m_width))
-        padding = tuple(range(2 + a_width + m_width, cfg.feature_dim))
+        rel, action, memory, _ = _layout(cfg).values()
         # the relevance pair lies `cluster_separation` apart, and so do the
         # nearest two signed one-hot centers of a class block
         rel_magnitude = cfg.cluster_separation / 2.0 / math.sqrt(2.0)
@@ -201,7 +203,6 @@ class FeatureGeometry:
             relevance_dims=rel,
             action_dims=action,
             memory_dims=memory,
-            padding_dims=padding,
             relevance_centers=relevance,
             action_centers=_class_centers(action, cfg.n_actions, class_magnitude,
                                           cfg.feature_dim),
@@ -335,17 +336,12 @@ def _truncated(u, bound: float):
     return ndtri(y, out=y)
 
 
-def _build_meta(cfg: GeneratorConfig, geom: FeatureGeometry) -> dict:
+def _build_meta(cfg: GeneratorConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": cfg.to_mapping(),
         "counts": {m: cfg.n_per_modality for m in MODALITIES},
-        "feature_layout": {
-            "relevance": list(geom.relevance_dims),
-            "action": list(geom.action_dims),
-            "memory": list(geom.memory_dims),
-            "padding": list(geom.padding_dims),
-        },
+        "feature_layout": {name: list(dims) for name, dims in _layout(cfg).items()},
     }
 
 
@@ -386,7 +382,7 @@ def generate(cfg: GeneratorConfig) -> Dataset:
             ids=np.arange(m_idx * n, (m_idx + 1) * n, dtype=np.uint64), features=features,
             trust=trust, valid=valid ^ flip[:, 0], relevant=relevant ^ flip[:, 1],
             action=stored_action, mem_label=stored_mem))
-    return Dataset(meta=_build_meta(cfg, geom), table=Columns.concat(blocks),
+    return Dataset(meta=_build_meta(cfg), table=Columns.concat(blocks),
                    modality=np.repeat(np.arange(len(MODALITIES), dtype=np.int8), n))
 
 
@@ -463,19 +459,22 @@ def _parse(payload) -> Dataset:
         cfg = GeneratorConfig.from_mapping(meta.get("generator"))
     except ConfigError as exc:
         raise ParseError(f"meta.generator: {exc}") from None
+    rows = payload["records"]
+    if not isinstance(rows, list):
+        raise ParseError("records must be a list")
+    # the records go first: each holds feature_dim numbers, so the layout
+    # built below is no larger than the file, whatever size meta claims
+    table, owner = _columns(rows, cfg, {m: cfg.n_per_modality for m in MODALITIES})
     # everything but the generator block follows from it, so a file cannot
     # carry a layout or counts that the records were not generated with
-    expected = _build_meta(cfg, FeatureGeometry.from_config(cfg))
+    expected = _build_meta(cfg)
     for key in sorted(meta.keys() | expected.keys()):
         if key not in expected:
             raise ParseError(f"meta.{key} is not a meta key; expected {sorted(expected)}")
         if key != "generator" and meta.get(key) != expected[key]:
             raise ParseError(f"meta.{key} {meta.get(key)!r} inconsistent with meta.generator, "
                              f"expected {expected[key]!r}")
-    rows = payload["records"]
-    if not isinstance(rows, list):
-        raise ParseError("records must be a list")
-    return Dataset(meta, *_columns(rows, cfg, expected["counts"]))
+    return Dataset(meta, table, owner)
 
 
 class _FirstFault:

@@ -2,13 +2,12 @@
 
 Templates expand depth-first into flat subtask lists; a template may embed
 references to other templates, and expansion aborts on cycles. Decision
-scoring is a weighted sum of context factors with an argmax selection; the
-feedback channel keeps a per-decision running mean of past outcomes.
+scoring is a weighted sum of context factors, and `first_best` picks the
+first maximal one, in the run and in `select_decision` alike; the feedback
+channel keeps a per-decision running mean of past outcomes.
 """
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -133,26 +132,11 @@ def decision_utility(candidate: DecisionCandidate, weights: ContextWeights) -> f
     return float(decision_utilities(c, weights))
 
 
-def _exact_utility(candidate: DecisionCandidate, weights: ContextWeights):
-    """The candidate's utility as an exact rational when its context and the
-    weights are finite, else the float utility with NaN as -inf."""
-    utility = decision_utility(candidate, weights)
-    c = np.asarray(candidate.context, dtype=float)
-    w = weights.vector()
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(w))):
-        return -math.inf if math.isnan(utility) else utility
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(c.tolist(), w.tolist()))
-
-
 def select_decision(candidates, weights: ContextWeights) -> DecisionCandidate:
-    """Candidate with maximal utility; ties go to the lowest list index and NaN
-    never wins. Finite utilities compare exactly, so rounding neither makes nor
-    breaks a tie: a context entry of 1e-45 still counts next to 5.0, and a
-    uniform positive rescaling of the weights keeps the winner."""
-    if not candidates:
-        raise EmptyInputError("no decision candidates")
-    keys = [_exact_utility(cand, weights) for cand in candidates]
-    return candidates[max(range(len(keys)), key=keys.__getitem__)]
+    """Candidate with maximal utility by the run's own rule, `first_best` of
+    each candidate's `decision_utility`: ties go to the lowest list index and
+    NaN never wins."""
+    return candidates[int(first_best([decision_utility(c, weights) for c in candidates]))]
 
 
 @dataclass

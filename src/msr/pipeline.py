@@ -89,12 +89,12 @@ from .sim2real import (
 )
 
 # Single-record layer functions (and `build_envs` below), each a thin form of
-# a batched function that phase 1, the merge or alignment calls; route_feedback,
-# which the merge no longer needs; the extraction, fusion and template
-# stages, which are the identity for one modality and one template; and
-# subtask_priority, whose dot products phase 1 takes in one `row_dot`.
-# perfbench's tracer looks up every layer function it wraps in this module,
-# so they stay importable.
+# a batched function that phase 1, the merge or alignment calls, with no rule
+# of its own; route_feedback, which the merge no longer needs; the extraction,
+# fusion and template stages, the identity for one modality and one template;
+# and subtask_priority, whose dot products phase 1 takes in one `row_dot`. No
+# run calls them (tests/test_benchmark_names.py), but perfbench's tracer looks
+# up every layer function it wraps in this module, so they stay importable.
 from .sim2real import optimize_policy, refine_policy, reward_table, rollout  # noqa: F401
 from .attention import top_k_by_relevance  # noqa: F401
 from .decision import decision_utility, decompose, select_decision, subtask_priority  # noqa: F401

@@ -1,5 +1,6 @@
 """Scenario construction: channel integration, feature mapping, candidate
-generation with bounded perturbations, utility scoring, and top-k selection."""
+generation with bounded perturbations of the caller's uniforms (each record's
+row of keyed uniforms in a run), utility scoring, and top-k selection."""
 
 from dataclasses import dataclass
 import math
@@ -81,17 +82,19 @@ def perturb(map_rows, m_count: int, noise_width: float, u) -> np.ndarray:
     if noise_width < 0.0:
         raise ConfigError(f"noise_width must be >= 0, got {noise_width}")
     m = np.asarray(map_rows, dtype=float)
+    if np.shape(u) != (m.shape[0], m_count * m.shape[-1]):
+        raise ShapeError(f"scenario draws {np.shape(u)} for {m.shape[0]} maps of "
+                         f"{m.shape[-1]} values and m_count {m_count}")
     noise = -noise_width + 2.0 * noise_width * np.asarray(u, dtype=float)
     return m[:, None, :] + noise.reshape(m.shape[0], m_count, m.shape[-1])
 
 
-def generate_scenarios(map_values, m_count: int, noise_width: float, rng) -> list:
-    """Perturb the feature map m_count times (see `perturb`). Deterministic
-    for a given seed; pass an int seed or a Generator."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+def generate_scenarios(map_values, m_count: int, noise_width: float, draws) -> list:
+    """m_count scenarios around one feature map, read from its row of
+    m_count * d uniforms on [0, 1) in `draws`: the one-row form of `perturb`,
+    as the run perturbs each record's map with its keyed SCENARIO_NOISE row."""
     row = np.asarray(map_values, dtype=float)[None]
-    u = gen.random((1, max(m_count, 0) * row.shape[1]))
-    attrs = perturb(row, m_count, noise_width, u)[0]
+    attrs = perturb(row, m_count, noise_width, np.asarray(draws, dtype=float)[None])[0]
     return [Scenario(index=j, attributes=a, utility=scenario_utility(a))
             for j, a in enumerate(attrs)]
 

@@ -74,8 +74,8 @@ def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
     return u
 
 
-def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent numpy generator for the given purpose key. No stream of
+def substream(master_seed: int, *key: int):
+    """Independent numpy Generator for the given purpose key. No stream of
     the package uses it; the benchmark's tracer wraps it by name."""
     ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)

@@ -13,7 +13,6 @@ and `expit` of `msr.special`, equal to scipy.special's bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
-import functools
 import math
 from typing import NamedTuple
 
@@ -63,26 +62,10 @@ class GridEnv:
         return y * self.width + x
 
 
-@functools.lru_cache(maxsize=256)
-def _next_table(width: int, height: int, goal_idx: int):
-    nxt = np.empty((width * height, 4), dtype=np.int64)
-    for y in range(height):
-        for x in range(width):
-            s = y * width + x
-            for a, (dx, dy) in enumerate(MOVES):
-                nx, ny = x + dx, y + dy
-                if not (0 <= nx < width and 0 <= ny < height):
-                    nx, ny = x, y
-                nxt[s, a] = ny * width + nx
-    nxt[goal_idx, :] = goal_idx
-    nxt.setflags(write=False)
-    return nxt
-
-
 def next_state_table(env: GridEnv) -> np.ndarray:
     """(n_states, 4) index table of executed moves; off-grid moves stay in
-    place and the goal is absorbing."""
-    return _next_table(env.width, env.height, env.state_index(env.goal))
+    place and the goal is absorbing. The one-row form of `EnvBatch.tables`."""
+    return EnvBatch.of([env]).tables()[0][0]
 
 
 @dataclass(frozen=True)
@@ -140,15 +123,20 @@ class EnvBatch:
                               f"..{self.slip_prob.max()!r}")
 
     def tables(self):
-        """(N, n_states, 4) next-state and reward tables; see
-        `next_state_table` and `reward_table`."""
-        goals, inverse = np.unique(self.goal, return_inverse=True)
-        nxt = np.stack([_next_table(self.width, self.height, g)
-                        for g in goals.tolist()])[inverse]
+        """(N, n_states, 4) next-state and reward tables. A move clamps x and
+        y to the grid, so an off-grid move stays in place, and each row's
+        goal is absorbing; the rewards are as `reward_table` describes."""
+        cells = np.arange(self.width * self.height)
+        dx, dy = np.asarray(MOVES).T
+        moved = (np.clip(cells[:, None] // self.width + dy, 0, self.height - 1) * self.width
+                 + np.clip(cells[:, None] % self.width + dx, 0, self.width - 1))
+        rows = np.arange(len(self.goal))
+        nxt = np.repeat(moved[None], len(rows), axis=0)
+        nxt[rows, self.goal] = self.goal[:, None]
         goal = self.goal[:, None, None]
         rewards = self.step_reward[:, None, None] + np.where(
             nxt == goal, self.goal_reward[:, None, None], 0.0)
-        rewards[np.arange(len(self.goal)), self.goal] = 0.0
+        rewards[rows, self.goal] = 0.0
         return nxt, rewards
 
 
@@ -404,9 +392,9 @@ def _encoder_grad(x, z, y, v, b):
     return np.outer(v, (y - expit(z @ v + b)) @ x / len(y))
 
 
-def _task_grad(x, w_enc):
-    """Gradient of the mean squared reconstruction error |x - W^T W x|^2."""
-    z = x @ w_enc.T
+def _task_grad(x, z, w_enc):
+    """Gradient of the mean squared reconstruction error |x - W^T W x|^2, at
+    encoded samples z = x @ W.T."""
     r = z @ w_enc - x
     n = x.shape[0]
     return 2.0 / n * w_enc @ (x.T @ r + r.T @ x)
@@ -456,7 +444,7 @@ def align_features(sim_features, real_features, model: AlignmentModel,
         b = b + lr * gb
         if not freeze_encoder:
             gw = _encoder_grad(x_tr, z, y_tr, v, b)
-            w_enc = w_enc - lr * (gw + model.lambda_task * _task_grad(x_tr, w_enc))
+            w_enc = w_enc - lr * (gw + model.lambda_task * _task_grad(x_tr, z, w_enc))
 
     p_ho = expit((x_ho @ w_enc.T) @ v + b)
     accuracy = float(np.mean((p_ho > 0.5) == (y_ho > 0.5)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -288,3 +289,32 @@ def test_dataset_with_more_actions_than_moves_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n_actions" in err, err
     assert not out.exists()
+
+
+def test_dataset_claiming_a_huge_layout_is_an_error(tmp_path, capsys):
+    # no address space holds a 10**15-wide layout, so building the expected
+    # meta from these claims would fail at once; the records are checked first
+    dataset = generate(GeneratorConfig(n_per_modality=2, seed=3))
+    meta = {**dataset.meta, "generator": {**dataset.meta["generator"],
+                                          "feature_dim": 10 ** 15,
+                                          "n_memory_classes": 10 ** 15}}
+    data = tmp_path / "data.json"
+    save(dataclasses.replace(dataset, meta=meta), str(data))
+    assert run_cli("run", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: record 0: features must hold {10 ** 15} numbers\n", err
+
+
+@pytest.mark.parametrize("argv, name", [(("run",), "execute_run"),
+                                        (("gen", "--out", "data.json"), "generate")])
+def test_out_of_memory_is_an_error(tmp_path, monkeypatch, capsys, argv, name):
+    from msr import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr(cli, name, exhausted)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 74.5 TiB for an array\n", err

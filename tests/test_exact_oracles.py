@@ -285,6 +285,35 @@ def _take_along_axis_solve(nxt, rewards, slip_probs, horizon, gamma):
     return actions, values
 
 
+def _per_cell_next_table(width, height, goal):
+    """`EnvBatch.tables`' move table as it was before its array arithmetic:
+    a loop over every cell and move, off-grid moves kept in place."""
+    nxt = np.empty((width * height, 4), dtype=np.int64)
+    for y in range(height):
+        for x in range(width):
+            for a, (dx, dy) in enumerate(((0, -1), (0, 1), (-1, 0), (1, 0))):
+                nx, ny = x + dx, y + dy
+                if not (0 <= nx < width and 0 <= ny < height):
+                    nx, ny = x, y
+                nxt[y * width + x, a] = ny * width + nx
+    nxt[goal, :] = goal
+    return nxt
+
+
+@given(width=st.integers(1, 9), height=st.integers(1, 9), data=st.data())
+@settings(deadline=None)
+def test_array_move_table_equals_the_per_cell_loop(width, height, data):
+    goals = data.draw(hnp.arrays(np.int64, st.integers(1, 40),
+                                 elements=st.integers(0, width * height - 1)))
+    zeros = np.zeros(len(goals))
+    envs = EnvBatch(width=width, height=height, horizon=1, start=np.zeros_like(goals),
+                    goal=goals, step_reward=zeros, goal_reward=zeros, slip_prob=zeros)
+    nxt, _ = envs.tables()
+    want = np.stack([_per_cell_next_table(width, height, g) for g in goals.tolist()])
+    assert (nxt.dtype, nxt.shape) == (want.dtype, want.shape)
+    assert nxt.tobytes() == want.tobytes()
+
+
 # slip 0 leaves many ties for the first-maximum rule; signed zeros and values
 # that are not finite must come out of the flat gathers as they went in
 @given(layout=st.sampled_from(sorted(LAYOUTS)), n=st.integers(1, 600),

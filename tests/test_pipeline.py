@@ -112,6 +112,30 @@ class TestProcessRecord:
             assert 0.0 < out.relevance_mass[0] < 1.0
 
 
+def test_generate_scenarios_gives_the_records_own_scenarios(monkeypatch):
+    from msr import pipeline, seeding
+    from msr.scenario import generate_scenarios, perturb, scenario_utilities
+
+    cfg = RunConfig(generator=GEN, seed=13)
+    survivors = _survivors(cfg, "auditory")[:24]
+    ctx = build_context(cfg, GEN, "auditory", survivors)
+    calls = []
+
+    def spy(map_rows, m_count, noise_width, u):
+        calls.append((np.array(map_rows), perturb(map_rows, m_count, noise_width, u)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "perturb", spy)
+    pipeline.score_chunk(ctx, survivors)
+    maps, own = calls[0]  # the records' own scenarios come first; the reference pool next
+    for row, record_id in enumerate(survivors.ids.tolist()):
+        draws = seeding.keyed_uniforms(cfg.seed, seeding.SCENARIO_NOISE, ctx.modality_index,
+                                       [record_id], cfg.m_count * maps.shape[1])[0]
+        scenarios = generate_scenarios(maps[row], cfg.m_count, cfg.noise_width, draws)
+        assert np.stack([s.attributes for s in scenarios]).tobytes() == own[row].tobytes()
+        assert [s.utility for s in scenarios] == scenario_utilities(own[row]).tolist()
+
+
 def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
     from msr import decision, evaluation, executor, pipeline, sim2real
 
@@ -201,6 +225,19 @@ def test_gen_save_load_run_import_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert (tmp_path / "out" / "trace.jsonl").exists()
+
+
+def test_import_does_not_load_numpy_random(tmp_path):
+    # no stream of a run is a numpy Generator, so importing msr leaves
+    # numpy.random unloaded (about 15 ms of import time)
+    script = ("import sys, msr.pipeline, msr.cli\n"
+              "assert 'numpy.random' not in sys.modules, "
+              "sorted(m for m in sys.modules if m.startswith('numpy.random'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):

@@ -13,8 +13,14 @@ from msr.scenario import (
     select_top_k,
     semantic_features,
 )
+from msr.seeding import SCENARIO_NOISE, keyed_uniforms
 
 EQUAL = ModalityWeights(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
+
+def _draws(seed, n):
+    """One record's row of n scenario-noise uniforms, as the run draws them."""
+    return keyed_uniforms(seed, SCENARIO_NOISE, 0, [0], n)[0]
 
 
 class TestWeights:
@@ -86,24 +92,29 @@ class TestFeatureMap:
 class TestGenerateScenarios:
     def test_zero_noise_copies_map(self):
         m = np.array([0.5, 1.5])
-        for s in generate_scenarios(m, 4, 0.0, rng=0):
+        for s in generate_scenarios(m, 4, 0.0, _draws(0, 8)):
             assert s.attributes == pytest.approx(m, abs=0.0)
 
     def test_noise_bound(self):
         m = np.array([1.0, 2.0, 3.0])
-        for s in generate_scenarios(m, 64, 0.1, rng=3):
+        for s in generate_scenarios(m, 64, 0.1, _draws(3, 192)):
             assert np.all(np.abs(s.attributes - m) <= 0.1)
 
     def test_deterministic_under_seed(self):
-        a = generate_scenarios([1.0, 2.0], 8, 0.1, rng=99)
-        b = generate_scenarios([1.0, 2.0], 8, 0.1, rng=99)
+        a = generate_scenarios([1.0, 2.0], 8, 0.1, _draws(99, 16))
+        b = generate_scenarios([1.0, 2.0], 8, 0.1, _draws(99, 16))
         for x, y in zip(a, b):
             assert np.array_equal(x.attributes, y.attributes)
             assert x.utility == y.utility
 
     def test_bad_count(self):
         with pytest.raises(ConfigError):
-            generate_scenarios([1.0], 0, 0.1, rng=0)
+            generate_scenarios([1.0], 0, 0.1, np.zeros(0))
+
+    @pytest.mark.parametrize("n", [0, 7, 9])
+    def test_draws_of_the_wrong_length(self, n):
+        with pytest.raises(ShapeError):
+            generate_scenarios([1.0, 2.0], 4, 0.1, np.zeros(n))
 
 
 class TestUtility:
@@ -148,7 +159,7 @@ class TestSelectTopK:
             select_top_k([_mk(0, 1.0)], 0)
 
     def test_zero_noise_top_k_returns_lowest_indices(self):
-        scenarios = generate_scenarios([0.7, 1.1], 8, 0.0, rng=0)
+        scenarios = generate_scenarios([0.7, 1.1], 8, 0.0, _draws(0, 16))
         assert len({s.utility for s in scenarios}) == 1
         out = select_top_k(scenarios, 3)
         assert [s.index for s in out] == [0, 1, 2]

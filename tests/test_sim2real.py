@@ -407,7 +407,8 @@ class TestAlignment:
             r = (x @ w_enc.T) @ w_enc - x
             return float(np.mean(np.sum(r * r, axis=1)))
 
-        assert _task_grad(x, w_enc) == pytest.approx(numeric_grad(loss, w_enc), abs=1e-5)
+        assert _task_grad(x, x @ w_enc.T, w_enc) == pytest.approx(numeric_grad(loss, w_enc),
+                                                                abs=1e-5)
 
     def test_identical_distributions_chance_level(self):
         rng = np.random.default_rng(0)
