@@ -3,6 +3,7 @@
 The softmax here is max-subtracted, so utilities around 1e3 are as safe as
 utilities around 1. Selection by relevance must agree with selection by raw
 utility (softmax is strictly monotone); that equivalence is enforced by test.
+The memory readout is the same softmax and top-k over cosine scores.
 """
 
 import numpy as np

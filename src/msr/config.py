@@ -33,8 +33,8 @@ class GridSpec:
     real_step_reward: float = -1.2
 
     def __post_init__(self):
-        if self.goal_distance < 1:
-            raise ConfigError(f"grid.goal_distance must be >= 1, got {self.goal_distance}")
+        for name in ("goal_distance", "width", "height", "horizon"):
+            mapping.check_count(f"grid.{name}", getattr(self, name), 1)
         if self.horizon < self.goal_distance:
             raise ConfigError(f"grid.horizon {self.horizon} shorter than grid.goal_distance "
                               f"{self.goal_distance}")
@@ -124,8 +124,7 @@ class RunConfig:
         check_actions(self.generator)
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
-        if self.m_count < 1:
-            raise ConfigError(f"m_count must be >= 1, got {self.m_count}")
+        mapping.check_count("m_count", self.m_count, 1)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.sparse_readout_top_n < 1:

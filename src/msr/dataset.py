@@ -92,18 +92,15 @@ class GeneratorConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_per_modality < 1:
-            raise ConfigError(f"generator.n_per_modality must be >= 1, "
-                              f"got {self.n_per_modality}")
+        mapping.check_count("generator.n_per_modality", self.n_per_modality, 1)
         if self.n_actions < 2:
             raise ConfigError(f"generator.n_actions must be >= 2, got {self.n_actions}")
-        if self.n_memory_classes < 2:
-            raise ConfigError(f"generator.n_memory_classes must be >= 2, "
-                              f"got {self.n_memory_classes}")
+        mapping.check_count("generator.n_memory_classes", self.n_memory_classes, 2)
         needed = 2 + (self.n_actions + 1) // 2 + (self.n_memory_classes + 1) // 2
         if self.feature_dim < needed:
             raise ConfigError(f"generator.feature_dim {self.feature_dim} too small; "
                               f"layout needs {needed}")
+        mapping.check_count("generator.feature_dim", self.feature_dim, needed)
         if set(self.label_noise) != set(MODALITIES):
             raise ConfigError(f"generator.label_noise must cover exactly {MODALITIES}, "
                               f"got {sorted(self.label_noise)}")

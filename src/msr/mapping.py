@@ -3,7 +3,7 @@ annotation: int, float, str, X | None, tuple[X, Y], tuple[X, ...],
 dict[K, V] or a nested dataclass. A value of the wrong type or length is a
 ConfigError that names its key. An int is accepted for a float field and
 kept as given; a bool is never a number, and NaN and infinities are not
-numbers either."""
+numbers either. `check_count` bounds the ints that size arrays."""
 
 import dataclasses
 import math
@@ -64,6 +64,15 @@ def _value(tp, value, key: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
+
+
+def check_count(key: str, value: int, least: int) -> None:
+    """A count that sizes arrays: at least `least`, and below 2**60, whose
+    float64 array alone would overflow numpy's int64 byte count."""
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    if value >= 2 ** 60:
+        raise ConfigError(f"{key} must be < 2**60, got {value}")
 
 
 def to_mapping(obj):

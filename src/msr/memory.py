@@ -1,10 +1,10 @@
 """Short- and long-term memory with cosine retrieval and attention readout.
 
 Retrieval and readout are functions of an entry table, one row per entry;
-`MemoryStore` runs them over its entries in timestamp order. The store is
+`MemoryStore` calls them on its entries in timestamp order. The store is
 single-writer. STM is a bounded FIFO; entries evicted at capacity are always
-promoted to LTM with their original timestamp. Past a threshold of rows, the
-readout keeps only the top-n best-scoring rows and renormalizes over them.
+promoted to LTM with their original timestamp. The readout is attention's
+softmax over the rows' cosine scores, past a threshold over its top-n rows.
 """
 
 from dataclasses import dataclass
@@ -12,6 +12,7 @@ from collections import deque
 
 import numpy as np
 
+from .attention import relevance_scores, top_k_indices
 from .errors import ConfigError, EmptyMemoryError, InvalidEntryError
 
 STM = "stm"
@@ -82,20 +83,18 @@ def retrieve_rows(entries, queries) -> np.ndarray:
 
 
 def readout_rows(entries, queries, top_n: int, threshold: int) -> np.ndarray:
-    """Per row of (N, d) queries, the softmax-over-cosine weighted average of
-    the rows of the (K, d) array `entries`, or past `threshold` rows of the
-    `top_n` best-scoring ones (equal scores keep the earlier row). Weights
-    are positive and sum to 1: each output stays inside the rows' range."""
+    """Per row of (N, d) queries, attention over the rows of the (K, d) array
+    `entries`: the `relevance_scores` softmax of their cosine scores weights
+    them, or past `threshold` rows only the `top_k_indices` `top_n` of them,
+    in row order (equal scores keep the earlier row). Weights are positive
+    and sum to 1: each output stays inside the rows' range."""
     q = np.asarray(queries, dtype=float)
     scores = cosine_scores(q[:, None, :], entries)
     if len(entries) > threshold:
-        keep = np.argsort(-scores, axis=1, kind="stable")[:, :top_n]
-        keep.sort(axis=1)
+        keep = np.sort(top_k_indices(scores, top_n), axis=1)
         scores = np.take_along_axis(scores, keep, axis=1)
         entries = entries[keep]
-    z = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = z / z.sum(axis=1, keepdims=True)
-    return (weights[:, None, :] @ entries)[:, 0, :]
+    return (relevance_scores(scores)[:, None, :] @ entries)[:, 0, :]
 
 
 class MemoryStore:
@@ -112,17 +111,13 @@ class MemoryStore:
         self.ltm = []
         self.clock = 0
 
-    def _next_timestamp(self) -> int:
-        t = self.clock
-        self.clock += 1
-        return t
-
     def stm_append(self, vector, label: int) -> None:
         """Append to STM; at capacity the oldest entry moves to LTM."""
         v = np.asarray(vector, dtype=float)
         if not np.any(v):
             raise InvalidEntryError("cannot store an all-zero vector")
-        self.stm.append(MemoryEntry(v.copy(), int(label), self._next_timestamp(), STM))
+        self.stm.append(MemoryEntry(v.copy(), int(label), self.clock, STM))
+        self.clock += 1
         if len(self.stm) > self.stm_capacity:
             self.promote_to_ltm(self.stm.popleft())
 
@@ -134,15 +129,11 @@ class MemoryStore:
             self.clock = entry.timestamp + 1
 
     def ltm_retrieve(self, query) -> MemoryEntry:
-        """The LTM entry with maximal cosine score; ties go to the earliest
-        timestamp."""
-        return self.ltm_retrieve_rows(np.asarray(query, dtype=float)[None])[0]
-
-    def ltm_retrieve_rows(self, queries) -> list:
-        """`ltm_retrieve` for each row of an (N, d) query array."""
+        """`retrieve_rows` of the LTM entries: the entry with maximal cosine
+        score; ties go to the earliest timestamp."""
+        q = np.asarray(query, dtype=float)[None]
         entries = self._gather((LTM,))
-        best = retrieve_rows(np.stack([e.vector for e in entries]), queries)
-        return [entries[i] for i in best.tolist()]
+        return entries[retrieve_rows(np.stack([e.vector for e in entries]), q)[0]]
 
     def _gather(self, tiers) -> list:
         """The entries of the given tiers, in timestamp order; there must be one."""
@@ -162,9 +153,5 @@ class MemoryStore:
     def attention_readout(self, query, tiers=(STM, LTM)) -> np.ndarray:
         """`readout_rows` of the entries in the given tiers."""
         q = np.asarray(query, dtype=float)[None]
-        return self.attention_readout_rows(q, tiers)[0]
-
-    def attention_readout_rows(self, queries, tiers=(STM, LTM)) -> np.ndarray:
-        """`attention_readout` for each row of an (N, d) query array."""
-        return readout_rows(np.stack([e.vector for e in self._gather(tiers)]), queries,
-                            self.sparse_readout_top_n, self.sparse_readout_threshold)
+        return readout_rows(np.stack([e.vector for e in self._gather(tiers)]), q,
+                            self.sparse_readout_top_n, self.sparse_readout_threshold)[0]

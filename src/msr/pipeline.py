@@ -381,13 +381,20 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     matched = out.policy_action == action
     outcome = matched.astype(float)
     feedback = feedback_means(out.decision_id, outcome)
-    adjusted = out.predicted_outcome + cfg.lambda_feedback * feedback
 
     # the trace: json's allow_nan=False, then one formatted line per record
     floats = (records.trust, out.semantic, out.relevance_mass, out.confidence,
-              feedback, adjusted)
+              out.predicted_outcome, feedback)
     if not all(np.isfinite(column).all() for column in floats):
         raise ValueError("Out of range float values are not JSON compliant")
+    with np.errstate(over="ignore"):  # finite terms (checked above): only overflow fails
+        adjusted = out.predicted_outcome + cfg.lambda_feedback * feedback
+    finite = np.isfinite(adjusted)
+    if not finite.all():
+        raise ConfigError(f"lambda_feedback {cfg.lambda_feedback} and context_weights "
+                          f"{list(ctx.context_weights.w)} give record "
+                          f"{survivors.ids[np.argmin(finite)]} a feedback-adjusted utility "
+                          "that is not a finite number")
     name = json.dumps(modality)
     subtask = [json.dumps(f"move-{action}") for action in ACTIONS]
     label, decision, act = (column.tolist() for column in

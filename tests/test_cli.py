@@ -28,6 +28,13 @@ class TestGen:
         assert "n_per_modality" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_records_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "data.json"
+        assert run_cli("gen", "--n", str(10 ** 20), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: generator.n_per_modality must be < 2**60, got {10 ** 20}\n", err
+        assert not out.exists()
+
     def test_same_flags_identical_files(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli("gen", "--n", "8", "--seed", "7", "--out", str(a)) == 0
@@ -113,6 +120,40 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: context_weights [1e+308, 1e+308, 1e+308] give"), err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_feedback_adjusted_utility_is_an_error(self, tmp_path, capsys):
+        # every decision utility is finite; adding the weighted feedback overflows
+        cfg = tmp_path / "feedback.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 300},
+                                   "context_weights": [5e307, 0.0, 0.0],
+                                   "lambda_feedback": 1.5e308}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda_feedback 1.5e+308 and context_weights "
+                              "[5e+307, 0.0, 0.0] give record "), err
+        assert err.endswith(" a feedback-adjusted utility that is not a finite number\n"), err
+        assert not out.exists()
+
+    # numpy refuses each of these sizes before it allocates anything
+    @pytest.mark.parametrize("fragment,key", [
+        ({"generator": {"n_per_modality": 10 ** 20}}, "generator.n_per_modality"),
+        ({"m_count": 10 ** 20}, "m_count"),
+        ({"generator": {"feature_dim": 10 ** 20}}, "generator.feature_dim"),
+        ({"generator": {"n_memory_classes": 10 ** 20}}, "generator.n_memory_classes"),
+        ({"grid": {"horizon": 10 ** 20, "goal_distance": 1}}, "grid.horizon"),
+        ({"grid": {"width": 10 ** 20}}, "grid.width"),
+    ], ids=["n_per_modality", "m_count", "feature_dim", "n_memory_classes", "horizon",
+            "width"])
+    def test_integers_too_large_for_numpy_are_an_error(self, tmp_path, capsys, fragment, key):
+        cfg = tmp_path / "sizes.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 20}} | fragment))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be < 2**60, got {10 ** 20}\n", err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

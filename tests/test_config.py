@@ -182,6 +182,8 @@ BUILT_INVALID = [
     (GeneratorConfig, {"trust_distribution": (0.5, 1e308)},
      r"generator\.trust_distribution spread 1e\+308 puts the trust bands past the float "
      "range"),
+    (GridSpec, {"height": 2 ** 60}, r"grid\.height must be < 2\*\*60, got 1152921504606846976"),
+    (RunConfig, {"m_count": 2 ** 60}, r"m_count must be < 2\*\*60"),
 ]
 
 

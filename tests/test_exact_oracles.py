@@ -374,12 +374,12 @@ def test_memory_store_equals_the_table_functions(sparse, data):
     store = MemoryStore(sparse_readout_top_n=top_n, sparse_readout_threshold=threshold)
     for row in data.draw(st.permutations(range(len(entries)))):
         store.promote_to_ltm(MemoryEntry(entries[row], row, timestamps[row], LTM))
-    labels = [entry.label for entry in store.ltm_retrieve_rows(queries)]
+    labels = [store.ltm_retrieve(q).label for q in queries]
     assert labels == retrieve_rows(entries, queries).tolist()
     # the first maximum in timestamp order, as a scan of the entries finds it
     assert labels == [max(range(len(entries)), key=lambda row: cosine_score(q, entries[row]))
                       for q in queries]
-    readout = store.attention_readout_rows(queries)
+    readout = np.stack([store.attention_readout(q) for q in queries])
     assert readout.tobytes() == readout_rows(entries, queries, top_n, threshold).tobytes()
 
 
