@@ -122,6 +122,8 @@ def cmd_report(args) -> int:
                 values[modality] = parse_report_csv(fh.read())
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if not values:
         raise ConfigError(f"no report_<modality>.csv files found in {directory}")
     print(markdown_from_values(values, band=args.band))

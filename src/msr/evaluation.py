@@ -16,6 +16,7 @@ from .rounding import round_half_away
 
 N_STEPS = 7
 CSV_HEADER = "step,precision,recall,f1,specificity,accuracy"
+_STEP_IDS = {str(step) for step in range(1, N_STEPS + 1)}
 _COLUMNS = ("Precision", "Recall", "F1-score", "Specificity", "Accuracy")
 
 
@@ -159,7 +160,8 @@ def markdown_from_values(values_by_modality: dict, band: float | None = None) ->
 def parse_report_csv(text: str) -> dict:
     """Parse a report CSV back into {step: {column: value-or-None}}.
 
-    Raises ParseError with the 1-based line number on malformed input.
+    Raises ParseError with the 1-based line number on malformed input: a step
+    outside 1-7, a duplicate step, or a cell neither n/a nor a number in [0, 1].
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -172,10 +174,9 @@ def parse_report_csv(text: str) -> dict:
         parts = line.split(",")
         if len(parts) != len(names) + 1:
             raise ParseError(f"line {lineno}: expected {len(names) + 1} fields, got {len(parts)}")
-        try:
-            step = int(parts[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad step id {parts[0]!r}") from None
+        if parts[0] not in _STEP_IDS:
+            raise ParseError(f"line {lineno}: bad step id {parts[0]!r}, expected 1-{N_STEPS}")
+        step = int(parts[0])
         row = {}
         for name, cell in zip(names, parts[1:]):
             if cell == "n/a":
@@ -184,7 +185,10 @@ def parse_report_csv(text: str) -> dict:
             try:
                 row[name] = float(cell)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad value {cell!r} for {name}") from None
+                row[name] = np.nan
+            if not 0.0 <= row[name] <= 1.0:  # false at nan
+                raise ParseError(f"line {lineno}: bad value {cell!r} for {name}, "
+                                 "expected n/a or a number in [0, 1]")
         if step in out:
             raise ParseError(f"line {lineno}: duplicate step {step}")
         out[step] = row

@@ -333,7 +333,7 @@ def score_records(ctx: ModalityContext, survivors: Columns, workers: int):
     score = functools.partial(score_chunk, ctx)
     if workers <= 1 or len(chunks) < 2:
         return Outcomes.concat(list(map(score, chunks)))
-    with multiprocessing.Pool(processes=workers) as pool:
+    with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
         return Outcomes.concat(pool.map(score, chunks))
 
 
@@ -442,9 +442,10 @@ def run_alignment(cfg: RunConfig, results) -> float:
                                          lr=cfg.align.learning_rate, rng=cfg.seed)
     if not all(np.isfinite(w).all() for w in (model.encoder, model.disc_w, model.disc_b)):
         peak = max(np.abs(sim_rows[:, 3]).max(), np.abs(real_rows[:, 3]).max())
-        raise ConfigError(f"align.learning_rate {cfg.align.learning_rate!r} is too large for "
-                          f"rollout rewards up to {float(peak)!r} in magnitude (set by the "
-                          "grid rewards): the alignment weights are not finite numbers")
+        raise ConfigError(f"align.learning_rate {cfg.align.learning_rate!r} and align.lambda_task "
+                          f"{cfg.align.lambda_task!r} are too large for rollout rewards up to "
+                          f"{float(peak)!r} in magnitude (set by the grid rewards): the "
+                          "alignment weights are not finite numbers")
     return accuracy
 
 

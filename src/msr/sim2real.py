@@ -192,7 +192,7 @@ def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
     n_env, n = rewards.shape[:2]
-    mix_t = np.ascontiguousarray(np.swapaxes(_slip_mix(slip_probs), 1, 2))
+    mix_t = _slip_mix(slip_probs)  # its own transpose: p/3 off the diagonal, 1 - p on it
     successor = nxt + (np.arange(n_env) * n)[:, None, None]
     cell = 4 * np.arange(n_env * n).reshape(n_env, n)
     actions = np.empty((n_env, horizon, n), dtype=np.int64)

@@ -4,8 +4,10 @@
 scipy computes `ndtri`, `ndtr` and its `erf`/`erfc` with the rational
 approximations of the Cephes library (S. L. Moshier, *Methods and Programs
 for Mathematical Functions*, 1989), and `expit` as 1 / (1 + exp(-x)). The
-ports below do the same IEEE operations in the same order: `polevl` and
-`p1evl` are Horner's rule with the leading coefficient as written, or 1.
+ports below do the same IEEE operations in the same order. One Horner
+routine, `_polevl`/`_p1evl`, evaluates every rational: the `ndtri` paths
+pass their arrays and `ndtr` a 0-d array of its one value, whose float64
+`multiply` and `add` round as Python's float operations do.
 Every operation but `exp` and `log` rounds correctly, so only those two
 need care: scipy calls the C library's, and numpy's float64 ufuncs may use
 their own SIMD kernels, which differ from it in the last bit. `exp` and the
@@ -23,8 +25,11 @@ _DBL_MIN = 2.2250738585072014e-308
 _NONE = np.empty(0, dtype=np.intp)
 
 
-def _polevl(x, coef, out):
-    """Horner's rule, coef[0] * x**n + ... + coef[n], into `out`."""
+def _polevl(x, coef, out=None):
+    """Cephes' polevl: Horner's rule, coef[0] * x**n + ... + coef[n], at each
+    element of the float64 array x (0-d for one value), into `out` or a new
+    array."""
+    out = np.empty(np.shape(x)) if out is None else out
     np.multiply(x, coef[0], out=out)
     np.add(out, coef[1], out=out)
     for c in coef[2:]:
@@ -33,8 +38,9 @@ def _polevl(x, coef, out):
     return out
 
 
-def _p1evl(x, coef, out):
-    """Horner's rule with an implied leading coefficient of 1."""
+def _p1evl(x, coef, out=None):
+    """Cephes' p1evl: `_polevl` with an implied leading coefficient of 1."""
+    out = np.empty(np.shape(x)) if out is None else out
     np.add(x, coef[0], out=out)
     for c in coef[1:]:
         np.multiply(out, x, out=out)
@@ -99,8 +105,6 @@ _P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.9388102529247444341
 _Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
        2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_PQ1 = np.array([_P1, (1.0,) + _Q1]).T[:, :, None]
-_PQ2 = np.array([_P2, (1.0,) + _Q2]).T[:, :, None]
 _S2PI = 2.50662827463100050242E0
 _EXPM2 = 0.13533528323661269189  # exp(-2)
 # values per block of the central rational: 120 KiB per buffer, under
@@ -129,19 +133,6 @@ def _ndtri_central(y, out):
     return out
 
 
-def _rational_pair(z, coef):
-    """P(z) and Q(z) as the rows of one (2, n) array, by Horner's rule on both
-    at once: coef[i] is the column (P_i, Q_i), with Q's leading 1 written out,
-    and 1 * z + Q_0 is p1evl's z + Q_0. Half the numpy calls of `_polevl` and
-    `_p1evl` apart, for the same arithmetic."""
-    pq = np.multiply(coef[0], z)
-    pq += coef[1]
-    for c in coef[2:]:
-        pq *= z
-        pq += c
-    return pq
-
-
 def _ndtri_tail(w):
     """-ndtri(w) for w in (0, exp(-2)]: with x = sqrt(-2 log w),
     x - log(x) / x - z * P(z) / Q(z) at z = 1 / x, where P/Q is the
@@ -151,11 +142,10 @@ def _ndtri_tail(w):
     x = np.sqrt(-2.0 * _libm(np.log, math.log, w, np.flatnonzero(w < _DBL_MIN)))
     x0 = x - _libm(np.log, math.log, x, _NONE) / x
     z = 1.0 / x
-    pq = _rational_pair(z, _PQ1)
+    p, q = _polevl(z, _P1), _p1evl(z, _Q1)
     far = np.flatnonzero(x >= 8.0)
     if far.size:
-        pq[:, far] = _rational_pair(z[far], _PQ2)
-    p, q = pq
+        p[far], q[far] = _polevl(z[far], _P2), _p1evl(z[far], _Q2)
     np.multiply(z, p, out=p)
     np.divide(p, q, out=p)
     return np.subtract(x0, p, out=p)
@@ -214,24 +204,10 @@ _MAXLOG = 7.09782712893383996843E2
 _SQRTH = 7.07106781186547524401E-1  # sqrt(1/2)
 
 
-def _polevl1(x: float, coef) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl1(x: float, coef) -> float:
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _erf(x: float) -> float:
     """erf for |x| <= 1; Cephes' -erf(-x) for x < 0 has the same bits."""
-    z = x * x
-    return x * _polevl1(z, _T) / _p1evl1(z, _U)
+    z = np.array(x * x)
+    return float(x * _polevl(z, _T) / _p1evl(z, _U))
 
 
 def _erfc(x: float) -> float:
@@ -241,12 +217,9 @@ def _erfc(x: float) -> float:
     z = -x * x
     if z < -_MAXLOG:
         return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p, q = _polevl1(x, _P), _p1evl1(x, _Q)
-    else:
-        p, q = _polevl1(x, _R), _p1evl1(x, _S)
-    return (z * p) / q
+    num, den = (_P, _Q) if x < 8.0 else (_R, _S)
+    x = np.array(x)
+    return float((math.exp(z) * _polevl(x, num)) / _p1evl(x, den))
 
 
 def ndtr(a: float) -> float:

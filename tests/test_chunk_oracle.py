@@ -3,8 +3,11 @@ not depend on which chunk it is scored in, on the chunk size, or on the
 worker count. Runs over the golden test's configs, whose outcome digests tie
 the same branches to the one-record-at-a-time scorer."""
 
+import contextlib
 import dataclasses
 import functools
+import multiprocessing
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +71,24 @@ def test_worker_counts(monkeypatch, name, workers):
     ctx, survivors, whole = scored(name)
     monkeypatch.setattr(pipeline, "chunk_records", lambda grid: 7)
     assert_same_columns(score_records(ctx, survivors, workers), whole)
+
+
+def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    # an in-process stand-in for multiprocessing.Pool: no process starts
+    opened = []
+
+    @contextlib.contextmanager
+    def pool(processes):
+        opened.append(processes)
+        yield types.SimpleNamespace(map=lambda fn, items: list(map(fn, items)))
+
+    ctx, survivors, _ = scored("default")
+    monkeypatch.setattr(pipeline, "chunk_records", lambda grid: 16)
+    one_worker = score_records(ctx, survivors, 1)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    got = score_records(ctx, survivors, 10_000)
+    assert opened == [-(-len(survivors) // 16)] and opened[0] > 1
+    assert_same_columns(got, one_worker)
 
 
 # (grid config, survivors per chunk): about 64,000 solver value cells of

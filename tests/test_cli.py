@@ -200,12 +200,13 @@ class TestRun:
         assert not out.exists()
 
     # the plan's tables stay finite here; the alignment on its rollout
-    # rewards overflows, whatever the learning rate's share in it
+    # rewards overflows, whatever the learning rate's or lambda_task's share in it
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fragment,peak", [
         ({"grid": {"goal_reward": 1e308}}, "1e+308"),
         ({"align": {"learning_rate": 1e308}}, "9."),
-    ], ids=["goal_reward", "learning_rate"])
+        ({"align": {"lambda_task": 1e308}}, "9."),
+    ], ids=["goal_reward", "learning_rate", "lambda_task"])
     def test_overflowing_alignment_is_an_error(self, tmp_path, capsys, fragment, peak):
         cfg = tmp_path / "align.json"
         cfg.write_text(json.dumps({"generator": {"n_per_modality": 50}, **fragment}))
@@ -213,6 +214,7 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: align.learning_rate "), err
+        assert " and align.lambda_task " in err
         assert f"rollout rewards up to {peak}" in err and "grid rewards" in err
         assert "not finite numbers" in err
         assert not out.exists()
@@ -276,14 +278,23 @@ class TestReport:
         flagged = md.count("[below inf]")
         assert flagged > 0 and f"Cells below inf: {flagged}" in md
 
-    def test_corrupt_csv_reports_line(self, run_dir, tmp_path, capsys):
+    # each row replaces the given line of a good report; line 9 comes after step 7
+    @pytest.mark.parametrize("line,row", [
+        (3, "2,bad,0.9,0.9,0.9,0.9"), (2, "1,nan,inf,1e300,-3,1_0"), (3, "2,0.9,inf,0.9,0.9,0.9"),
+        (3, "2,0.9,0.9,1e300,0.9,0.9"), (3, "2,0.9,0.9,0.9,-3,0.9"), (3, "2,0.9,0.9,0.9,0.9,1_0"),
+        (3, "0,0.9,0.9,0.9,0.9,0.9"), (9, "8,0.9,0.9,0.9,0.9,0.9"),
+    ], ids=["word", "nan", "inf", "1e300", "negative", "underscore", "step0", "step8"])
+    def test_corrupt_csv_reports_line(self, run_dir, tmp_path, capsys, line, row):
         src = (run_dir / "report_visual.csv").read_text().splitlines()
-        src[2] = "2,bad,0.9,0.9,0.9,0.9"
+        src[line - 1:line] = [row]
         broken_dir = tmp_path / "broken"
         broken_dir.mkdir()
-        (broken_dir / "report_visual.csv").write_text("\n".join(src))
+        path = broken_dir / "report_visual.csv"
+        path.write_text("\n".join(src))
         assert run_cli("report", "--out", str(broken_dir)) == 1
-        assert "line 3" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: line {line}: "), captured.err
+        assert captured.out == ""
 
     def test_missing_inputs_nonzero(self, tmp_path, capsys):
         assert run_cli("report", "--out", str(tmp_path / "empty")) == 1

@@ -630,6 +630,29 @@ def test_ndtr_on_every_float(a):
     _same_bits(special.ndtr(a), scipy_special.ndtr(a))
 
 
+def _floats_around(v, n=3):
+    """v and the n floats on each side of it."""
+    out, lo, hi = [v], v, v
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+# ndtr's branch points in a, where x = a * sqrt(1/2): erf or erfc at
+# |x| = sqrt(1/2), 1 - erf or erfc's rational for x < 8 at x = 1, that
+# rational or the one for x >= 8 at x = 8, and 0 where exp(-x * x)
+# underflows, at x = sqrt(MAXLOG); st.floats() seldom lands near them
+_NDTR_BRANCHES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * special._MAXLOG)]
+_NDTR_POINTS = [s * a for c in _NDTR_BRANCHES for a in _floats_around(c) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("a", _NDTR_POINTS + [-12.0, 20.0, -30.0, 0.0, -0.0, math.inf,
+                                              -math.inf, math.nan])
+def test_ndtr_at_its_branch_points(a):
+    _same_bits(special.ndtr(a), scipy_special.ndtr(a))
+
+
 @given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.one_of(
     st.floats(min_value=700.0), st.floats(max_value=-700.0),
     st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-40.0, 40.0))))
