@@ -16,6 +16,12 @@ from .scenario import ModalityWeights
 from .sim2real import MOVES, GridEnv, RandomizationConfig
 
 
+def chunk_records(grid) -> int:
+    """Survivors per score_chunk call: about 64,000 solver value cells of
+    n_states * (horizon + 1) per record, and at least 128 (see CHANGES.md)."""
+    return max(128, 64_000 // (grid.width * grid.height * (grid.horizon + 1)))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Base gridworld shared by the simulated and 'real' environments; the
@@ -35,6 +41,9 @@ class GridSpec:
     def __post_init__(self):
         for name in ("goal_distance", "width", "height", "horizon"):
             mapping.check_count(f"grid.{name}", getattr(self, name), 1)
+        cells = self.width * self.height * max(4, self.horizon + 1)  # a chunk row's solver tables
+        mapping.check_count(f"grid.width * grid.height * max(4, grid.horizon + 1) * "
+                            f"{chunk_records(self)} chunk rows", cells * chunk_records(self), 0)
         if self.horizon < self.goal_distance:
             raise ConfigError(f"grid.horizon {self.horizon} shorter than grid.goal_distance "
                               f"{self.goal_distance}")
@@ -125,8 +134,13 @@ class RunConfig:
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         mapping.check_count("m_count", self.m_count, 1)
+        rows = chunk_records(self.grid)  # a chunk's pool of 2 * m_count two-value scenarios
+        mapping.check_count(f"m_count * 4 * {rows} chunk rows", self.m_count * 4 * rows, 0)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.sparse_readout_threshold < 0:
+            raise ConfigError(f"sparse_readout_threshold must be >= 0, "
+                              f"got {self.sparse_readout_threshold}")
         if self.sparse_readout_top_n < 1:
             raise ConfigError(f"sparse_readout_top_n must be >= 1, "
                               f"got {self.sparse_readout_top_n}")
@@ -150,6 +164,8 @@ class RunConfig:
             raise ConfigError(f"unknown modalities {bad}")
         if not self.modalities:
             raise ConfigError("at least one modality required")
+        if len(set(self.modalities)) < len(self.modalities):
+            raise ConfigError(f"modalities must not repeat, got {list(self.modalities)}")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":

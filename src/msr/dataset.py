@@ -101,6 +101,9 @@ class GeneratorConfig:
             raise ConfigError(f"generator.feature_dim {self.feature_dim} too small; "
                               f"layout needs {needed}")
         mapping.check_count("generator.feature_dim", self.feature_dim, needed)
+        # the largest tables: three modalities' draws and features
+        mapping.check_count("3 * generator.n_per_modality * (generator.feature_dim + 11)",
+                            3 * self.n_per_modality * (self.feature_dim + 11), 0)
         if set(self.label_noise) != set(MODALITIES):
             raise ConfigError(f"generator.label_noise must cover exactly {MODALITIES}, "
                               f"got {sorted(self.label_noise)}")
@@ -187,6 +190,10 @@ class FeatureGeometry:
 
     @classmethod
     def from_config(cls, cfg: GeneratorConfig) -> "FeatureGeometry":
+        # not in GeneratorConfig: `load` checks a file's records before its meta
+        mapping.check_count("max(2, generator.n_actions, generator.n_memory_classes) * "
+                            "generator.feature_dim", max(2, cfg.n_actions, cfg.n_memory_classes)
+                            * cfg.feature_dim, 0)
         rel, action, memory, _ = _layout(cfg).values()
         # the relevance pair lies `cluster_separation` apart, and so do the
         # nearest two signed one-hot centers of a class block

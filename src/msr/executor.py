@@ -3,8 +3,9 @@
 A run's command per surviving record is the refined policy's action at the
 start cell, read from the batched policy tables, with `check_confidence` on
 its confidence. `select_optimal_action` and `route_feedback` are one-record
-forms: one ActionCommand, and the outcome routed into the decision's feedback
-history with the episode's scenario vector into short-term memory.
+forms: one ActionCommand from a one-environment `SolvedBatch`, and the outcome
+routed into the decision's feedback history with the episode's scenario
+vector into short-term memory.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from .decision import DecisionCandidate, FeedbackHistory
 from .errors import ConfigError
 from .memory import MemoryStore
-from .sim2real import PolicyTable
+from .sim2real import SolvedBatch
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class FeedbackRecord:
     matched: bool
 
 
-def select_optimal_action(decision: DecisionCandidate, policy: PolicyTable,
+def select_optimal_action(decision: DecisionCandidate, policy: SolvedBatch,
                           state, confidence: float, record_id: int) -> ActionCommand:
     """Command for the policy's greedy action at `state` with the relevance
     confidence carried from scenario selection."""

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import seeding
 from .attention import refine_scenario, relevance_scores, top_k_indices
-from .config import RunConfig, check_actions
+from .config import RunConfig, check_actions, chunk_records
 from .dataset import (
     Columns,
     Dataset,
@@ -79,13 +79,12 @@ from .sim2real import (
     ACTIONS,
     AlignmentModel,
     EnvBatch,
-    SolvedBatch,
     align_features,
     randomize_batch,
     randomize_env,
     reward_discrepancy,
     rollout_batch,
-    solve_batch,
+    solve,
 )
 
 # Single-record layer functions (and `build_envs` below), each a thin form of
@@ -194,22 +193,16 @@ def plan_sim2real(ctx: ModalityContext, ids, decision):
                                    len(cfg.randomization.continuous) + 1, open_interval=True)
     # a reward that is not finite makes a value that is not, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
-        sim = randomize_batch(ctx.sim_bases.take(decision), cfg.randomization, draws)
-        real = ctx.real_envs.take(decision)
-        sim_nxt, sim_rewards = sim.tables()
-        real_nxt, real_rewards = real.tables()
-        delta = reward_discrepancy(real_rewards, sim_rewards)
-        sim_actions, sim_values = solve_batch(sim_nxt, sim_rewards, sim.slip_prob, grid.horizon,
-                                              cfg.gamma)
-        real_actions, real_values = solve_batch(real_nxt, real_rewards + cfg.alpha * delta,
-                                                real.slip_prob, grid.horizon, cfg.gamma)
-    if not (np.isfinite(sim_values).all() and np.isfinite(real_values).all()):
+        sim = solve(randomize_batch(ctx.sim_bases.take(decision), cfg.randomization, draws),
+                    cfg.gamma)
+        real = solve(ctx.real_envs.take(decision), cfg.gamma,
+                     plan=lambda r: r + cfg.alpha * reward_discrepancy(r, sim.rewards))
+    if not (np.isfinite(sim.values).all() and np.isfinite(real.values).all()):
         raise ConfigError(f"grid rewards (step_reward {grid.step_reward!r}, goal_reward "
                           f"{grid.goal_reward!r}, real_step_reward {grid.real_step_reward!r}) "
                           "and randomization.continuous give a value table that is not a "
                           "finite number")
-    return (SolvedBatch(sim, sim_nxt, sim_rewards, sim_actions),
-            SolvedBatch(real, real_nxt, real_rewards, real_actions))
+    return sim, real
 
 
 def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
@@ -317,12 +310,6 @@ def score_chunk(ctx: ModalityContext, records: Columns) -> Outcomes:
 def process_record(ctx: ModalityContext, survivors: Columns, row: int) -> Outcomes:
     """Run survivor `row` alone through steps 2-7. Pure given (ctx, its row)."""
     return score_chunk(ctx, survivors[row:row + 1])
-
-
-def chunk_records(grid) -> int:
-    """Survivors per score_chunk call: about 64,000 solver value cells of
-    n_states * (horizon + 1) per record, and at least 128 (see CHANGES.md)."""
-    return max(128, 64_000 // (grid.width * grid.height * (grid.horizon + 1)))
 
 
 def score_records(ctx: ModalityContext, survivors: Columns, workers: int):

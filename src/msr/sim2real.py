@@ -5,11 +5,13 @@ alignment.
 Environments are small rectangular grids with an absorbing goal. A step costs
 `step_reward` (also on the step that enters the goal) and entering the goal
 adds `goal_reward`; with `slip_prob` the executed move is replaced by one of
-the other three, uniformly. Policies are solved exactly by backward induction
-over the remaining horizon, so oracle tests can compare against brute-force
-enumeration. Greedy ties break in the fixed action order up, down, left,
-right. Randomization's normals and the discriminator's sigmoid are `ndtri`
-and `expit` of `msr.special`, equal to scipy.special's bit for bit.
+the other three, uniformly. `solve` plans a batch of environments exactly by
+backward induction over the remaining horizon, so oracle tests can compare
+against brute-force enumeration; its `SolvedBatch` is the one policy type, and
+the one-environment forms are batches of one. Greedy ties break in the fixed
+action order up, down, left, right. Randomization's normals and the
+discriminator's sigmoid are `ndtri` and `expit` of `msr.special`, equal to
+scipy.special's bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -110,18 +112,6 @@ class EnvBatch:
                        goal_reward=float(self.goal_reward[row]),
                        slip_prob=float(self.slip_prob[row]), horizon=self.horizon)
 
-    def check(self) -> None:
-        """`GridEnv`'s per-environment checks, over all rows at once."""
-        n_states = self.width * self.height
-        for name, cells in (("start", self.start), ("goal", self.goal)):
-            if not np.all((cells >= 0) & (cells < n_states)):
-                raise ConfigError(f"{name} outside the {self.width}x{self.height} grid")
-        if np.any(self.start == self.goal):
-            raise ConfigError("start and goal must differ")
-        if not np.all((self.slip_prob >= 0.0) & (self.slip_prob < 1.0)):
-            raise ConfigError(f"slip_prob must be in [0, 1), got {self.slip_prob.min()!r}"
-                              f"..{self.slip_prob.max()!r}")
-
     def tables(self):
         """(N, n_states, 4) next-state and reward tables. A move clamps x and
         y to the grid, so an off-grid move stays in place, and each row's
@@ -144,32 +134,6 @@ def reward_table(env: GridEnv) -> np.ndarray:
     """(n_states, 4) reward per executed move: step_reward everywhere outside
     the goal, plus goal_reward on moves that enter the goal."""
     return EnvBatch.of([env]).tables()[1][0]
-
-
-@dataclass
-class PolicyTable:
-    """Greedy action per (state, remaining-horizon) plus the value tables,
-    solved over `env`'s grid and horizon."""
-
-    env: GridEnv
-    actions: np.ndarray  # (horizon, n_states) int; row h-1 = h steps remaining
-    values: np.ndarray   # (horizon + 1, n_states); row h = value with h steps left
-
-    def _lookup(self, state, steps_remaining: int | None, lowest: int) -> tuple:
-        """(steps left, state index); steps left must lie in [lowest, horizon]."""
-        s = self.env.state_index(state)
-        h = self.env.horizon if steps_remaining is None else steps_remaining
-        if not lowest <= h <= self.env.horizon:
-            raise StateLookupError(f"steps_remaining {h} outside [{lowest}, {self.env.horizon}]")
-        return h, s
-
-    def action(self, state, steps_remaining: int | None = None) -> int:
-        h, s = self._lookup(state, steps_remaining, 1)
-        return int(self.actions[h - 1, s])
-
-    def value(self, state, steps_remaining: int | None = None) -> float:
-        h, s = self._lookup(state, steps_remaining, 0)
-        return float(self.values[h, s])
 
 
 def _slip_mix(slip_probs) -> np.ndarray:
@@ -206,17 +170,6 @@ def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
         v = q.ravel()[cell + best]           # not np.maximum: it can flip a zero's sign
         values[:, h] = v
     return actions, values
-
-
-def _solve(env: GridEnv, rewards: np.ndarray, gamma: float) -> PolicyTable:
-    actions, values = solve_batch(next_state_table(env)[None], rewards[None],
-                                  [env.slip_prob], env.horizon, gamma)
-    return PolicyTable(env=env, actions=actions[0], values=values[0])
-
-
-def optimize_policy(env: GridEnv, gamma: float) -> PolicyTable:
-    """Exact backward induction over the remaining horizon."""
-    return _solve(env, reward_table(env), gamma)
 
 
 @dataclass(frozen=True)
@@ -278,9 +231,7 @@ def randomize_batch(bases: EnvBatch, spec: RandomizationConfig, draws) -> EnvBat
         swap = variant == names.index("swap_start_goal")
         changes["start"] = np.where(swap, bases.goal, bases.start)
         changes["goal"] = np.where(swap, bases.start, bases.goal)
-    randomized = replace(bases, **changes)
-    randomized.check()
-    return randomized
+    return replace(bases, **changes)
 
 
 def randomize_env(base: GridEnv, spec: RandomizationConfig, draws) -> GridEnv:
@@ -289,19 +240,49 @@ def randomize_env(base: GridEnv, spec: RandomizationConfig, draws) -> GridEnv:
     return randomize_batch(EnvBatch.of([base]), spec, np.asarray(draws, dtype=float)[None]).env(0)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    steps: tuple  # ((state, action, reward), ...)
-
-
 class SolvedBatch(NamedTuple):
     """N environments with their (N, n_states, 4) `EnvBatch.tables` and the
-    (N, horizon, n_states) greedy actions of one `solve_batch` call."""
+    (N, horizon, n_states) greedy actions and (N, horizon + 1, n_states)
+    values of one `solve_batch` call: the one solved-policy type, for a run's
+    batches and for the one-environment forms, whose lookups read row 0.
+    `rewards` are the environments' own, whatever the plan solved on."""
 
     envs: EnvBatch
     nxt: np.ndarray
     rewards: np.ndarray
-    actions: np.ndarray
+    actions: np.ndarray  # [i, h - 1]: row i's greedy actions with h steps left
+    values: np.ndarray   # [i, h]: row i's values with h steps left
+
+    def _lookup(self, state, steps_remaining: int | None, lowest: int) -> tuple:
+        """(steps left, state index) in row 0; steps left lie in [lowest, horizon]."""
+        env = self.envs.env(0)
+        s = env.state_index(state)
+        h = env.horizon if steps_remaining is None else steps_remaining
+        if not lowest <= h <= env.horizon:
+            raise StateLookupError(f"steps_remaining {h} outside [{lowest}, {env.horizon}]")
+        return h, s
+
+    def action(self, state, steps_remaining: int | None = None) -> int:
+        h, s = self._lookup(state, steps_remaining, 1)
+        return int(self.actions[0, h - 1, s])
+
+    def value(self, state, steps_remaining: int | None = None) -> float:
+        h, s = self._lookup(state, steps_remaining, 0)
+        return float(self.values[0, h, s])
+
+
+def solve(envs: EnvBatch, gamma: float, plan=None) -> SolvedBatch:
+    """Backward induction for every environment of `envs` on its own rewards
+    or, given `plan`, on plan(rewards) of the (N, n_states, 4) reward table."""
+    nxt, rewards = envs.tables()
+    actions, values = solve_batch(nxt, rewards if plan is None else plan(rewards),
+                                  envs.slip_prob, envs.horizon, gamma)
+    return SolvedBatch(envs, nxt, rewards, actions, values)
+
+
+def optimize_policy(env: GridEnv, gamma: float) -> SolvedBatch:
+    """Exact backward induction over the remaining horizon."""
+    return solve(EnvBatch.of([env]), gamma)
 
 
 def rollout_batch(solved: SolvedBatch, draws):
@@ -329,18 +310,18 @@ def rollout_batch(solved: SolvedBatch, draws):
     return states, actions, rewards, states != envs.goal[:, None]
 
 
-def rollout(env: GridEnv, policy: PolicyTable, draws=None) -> Trajectory:
-    """Greedy rollout of one environment under its policy, reading the row
-    of 2 * horizon uniforms in `draws`, which only a slippery environment
-    needs; see `rollout_batch`."""
-    if draws is None and env.slip_prob > 0.0:
+def rollout(policy: SolvedBatch, draws=None) -> tuple:
+    """Greedy rollout of a one-environment policy from its start, reading the
+    row of 2 * horizon uniforms in `draws`, which only a slippery environment
+    needs; see `rollout_batch`. Returns ((x, y), action, reward) per step."""
+    envs = policy.envs
+    if draws is None and envs.slip_prob[0] > 0.0:
         raise ConfigError("stochastic environment needs draws for rollout")
-    batch = EnvBatch.of([env])
-    u = np.zeros((1, 2 * env.horizon)) if draws is None else np.asarray(draws, dtype=float)[None]
-    *columns, taken = rollout_batch(SolvedBatch(batch, *batch.tables(), policy.actions[None]), u)
+    u = np.zeros((1, 2 * envs.horizon)) if draws is None else np.asarray(draws, dtype=float)[None]
+    *columns, taken = rollout_batch(policy, u)
     states, actions, rewards = (column[0, :int(taken.sum())].tolist() for column in columns)
-    return Trajectory(steps=tuple(((s % env.width, s // env.width), a, r)
-                                  for s, a, r in zip(states, actions, rewards)))
+    return tuple(((s % envs.width, s // envs.width), a, r)
+                 for s, a, r in zip(states, actions, rewards))
 
 
 def reward_discrepancy(r_real, r_sim):
@@ -354,15 +335,16 @@ def reward_discrepancy(r_real, r_sim):
     return a - b
 
 
-def refine_policy(env_real: GridEnv, delta, alpha: float, gamma: float) -> PolicyTable:
+def refine_policy(env_real: GridEnv, delta, alpha: float, gamma: float) -> SolvedBatch:
     """Re-plan on the real environment with rewards R_real + alpha * delta."""
-    rewards = reward_table(env_real)
+    envs = EnvBatch.of([env_real])
     if not np.isscalar(delta):
         d = np.asarray(delta, dtype=float)
-        if d.shape != rewards.shape:
-            raise ShapeError(f"delta shape {d.shape} vs reward table {rewards.shape}")
+        shape = (envs.width * envs.height, 4)
+        if d.shape != shape:
+            raise ShapeError(f"delta shape {d.shape} vs reward table {shape}")
         delta = d
-    return _solve(env_real, rewards + alpha * delta, gamma)
+    return solve(envs, gamma, plan=lambda rewards: rewards + alpha * delta)
 
 
 @dataclass

@@ -156,6 +156,46 @@ class TestRun:
         assert err == f"error: {key} must be < 2**60, got {10 ** 20}\n", err
         assert not out.exists()
 
+    # each count is below 2**60, but the largest table their product sizes is
+    # not; the config check refuses them before any of these builds a table
+    @pytest.mark.parametrize("fragment,keys", [
+        ({"m_count": 2 ** 59}, "m_count * 4 * 512 chunk rows"),
+        ({"generator": {"n_per_modality": 20, "feature_dim": 2 ** 59}},
+         "3 * generator.n_per_modality * (generator.feature_dim + 11)"),
+        ({"grid": {"width": 2 ** 59}},
+         "grid.width * grid.height * max(4, grid.horizon + 1) * 128 chunk rows"),
+        ({"grid": {"horizon": 2 ** 59, "goal_distance": 1}},
+         "grid.width * grid.height * max(4, grid.horizon + 1) * 128 chunk rows"),
+    ], ids=["m_count", "feature_dim", "width", "horizon"])
+    def test_products_too_large_for_numpy_are_an_error(self, tmp_path, capsys, monkeypatch,
+                                                       fragment, keys):
+        from msr import dataset, seeding, sim2real
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built from a config too large for numpy")
+
+        for owner, name in ((seeding, "keyed_uniforms"), (dataset.FeatureGeometry, "from_config"),
+                            (sim2real.EnvBatch, "tables"), (sim2real, "solve_batch")):
+            monkeypatch.setattr(owner, name, refuse)
+        cfg = tmp_path / "sizes.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 20}} | fragment))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {keys} must be < 2**60, got "), err
+        assert not out.exists()
+
+    def test_class_centers_too_large_for_numpy_are_an_error(self, tmp_path, capsys):
+        # below the corpus bound, but the (4, feature_dim) action centers are not
+        cfg = tmp_path / "centers.json"
+        cfg.write_text(json.dumps({"generator": {"n_per_modality": 1, "feature_dim": 2 ** 58}}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: max(2, generator.n_actions, generator.n_memory_classes) * "
+                       f"generator.feature_dim must be < 2**60, got {2 ** 60}\n"), err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("channels", [
         {"noise_width": 1e308},

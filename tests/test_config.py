@@ -184,6 +184,9 @@ BUILT_INVALID = [
      "range"),
     (GridSpec, {"height": 2 ** 60}, r"grid\.height must be < 2\*\*60, got 1152921504606846976"),
     (RunConfig, {"m_count": 2 ** 60}, r"m_count must be < 2\*\*60"),
+    (RunConfig, {"modalities": ("visual", "visual")},
+     r"modalities must not repeat, got \['visual', 'visual'\]"),
+    (RunConfig, {"sparse_readout_threshold": -5}, r"sparse_readout_threshold must be >= 0, got -5"),
 ]
 
 

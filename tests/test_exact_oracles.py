@@ -47,6 +47,7 @@ from msr.sim2real import (
     reward_table,
     rollout,
     rollout_batch,
+    solve,
     solve_batch,
 )
 
@@ -204,7 +205,7 @@ def _stepwise_rollout(env, policy, u):
 
 
 def _row_steps(walk, width, row):
-    """Row `row` of a batched rollout as `Trajectory.steps`; its taken steps
+    """Row `row` of a batched rollout as `rollout` returns it; its taken steps
     must come first."""
     *columns, taken = walk
     k = int(taken[row].sum())
@@ -222,6 +223,34 @@ SWAPPED = RandomizationConfig(
     variants={"keep": 0.5, "swap_start_goal": 0.5})
 
 
+# every randomizable parameter, mu and sigma up to 1e308, and every variant mix
+SPECS = st.builds(
+    RandomizationConfig,
+    continuous=st.dictionaries(st.sampled_from(("goal_reward", "slip_prob", "step_reward")),
+                               st.tuples(st.floats(-1e308, 1e308), st.floats(0.0, 1e308))),
+    variants=st.floats(0.0, 1.0).map(lambda p: {"keep": p, "swap_start_goal": 1.0 - p})
+    | st.sampled_from([{"keep": 1.0}, {"swap_start_goal": 1.0}]))
+
+
+@given(SPECS, st.sampled_from(sorted(LAYOUTS)), st.data())
+@settings(deadline=None)
+def test_randomized_batch_keeps_slip_and_cells_in_range(spec, layout, data):
+    """`GridEnv`'s checks hold on every row `randomize_batch` makes from
+    checked bases: slip_prob in [0, 0.95] (never NaN), start and goal distinct
+    and inside the grid."""
+    directions = data.draw(hnp.arrays(np.int64, 8, elements=st.integers(0, 3)))
+    draws = data.draw(hnp.arrays(np.float64, (8, len(spec.continuous) + 1), elements=st.floats(
+        0.0, 1.0, exclude_min=True, exclude_max=True)))
+    bases = EnvBatch.of([sim for sim, _ in LAYOUTS[layout].envs()]).take(directions)
+    with np.errstate(over="ignore"):  # a reward may reach +-inf
+        envs = randomize_batch(bases, spec, draws)
+    assert ((envs.slip_prob >= 0.0) & (envs.slip_prob <= 0.95)).all()
+    n_states = envs.width * envs.height
+    for cells in (envs.start, envs.goal):
+        assert ((cells >= 0) & (cells < n_states)).all()
+    assert (envs.start != envs.goal).all()
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(LAYOUTS)), st.data())
 @settings(deadline=None)
 def test_table_rollout_matches_stepwise_rollout(seed, layout, data):
@@ -232,13 +261,10 @@ def test_table_rollout_matches_stepwise_rollout(seed, layout, data):
                                    len(SWAPPED.continuous) + 1, open_interval=True)
     sim = randomize_batch(EnvBatch.of([s for s, _ in pairs]).take(directions), SWAPPED, draws)
     real = EnvBatch.of([r for _, r in pairs]).take(directions)
-    sim_tables, real_tables = sim.tables(), real.tables()
-    delta = reward_discrepancy(real_tables[1], sim_tables[1])
     horizon, width = sim.horizon, sim.width
-    sim_solved = SolvedBatch(sim, *sim_tables,
-                             solve_batch(*sim_tables, sim.slip_prob, horizon, gamma)[0])
-    real_solved = SolvedBatch(real, *real_tables, solve_batch(
-        real_tables[0], real_tables[1] + alpha * delta, real.slip_prob, horizon, gamma)[0])
+    sim_solved = solve(sim, gamma)
+    real_solved = solve(real, gamma,
+                        plan=lambda r: r + alpha * reward_discrepancy(r, sim_solved.rewards))
     # both rollouts of a record read its row of uniforms; some equal the
     # real env's slip_prob, which does not slip
     uniforms = data.draw(hnp.arrays(np.float64, (n, 2 * horizon), elements=st.one_of(
@@ -254,8 +280,7 @@ def test_table_rollout_matches_stepwise_rollout(seed, layout, data):
         expected = [_stepwise_rollout(sim_env, policy, uniforms[row]),
                     _stepwise_rollout(real_env, refined, uniforms[row])]
         batched = [_row_steps(walk, width, row) for walk in walks]
-        single = [rollout(sim_env, policy, uniforms[row]).steps,
-                  rollout(real_env, refined, uniforms[row]).steps]
+        single = [rollout(policy, uniforms[row]), rollout(refined, uniforms[row])]
         one_row = SolvedBatch(sim.take([row]), *(table[row:row + 1] for table in sim_solved[1:]))
         alone = _row_steps(rollout_batch(one_row, uniforms[row:row + 1]), width, 0)
         assert repr(batched) == repr(expected) == repr(single)

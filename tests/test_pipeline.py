@@ -142,7 +142,8 @@ def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-record object or call in phase 1 or the merge")
 
-    for owner, name in ((sim2real.PolicyTable, "__init__"),
+    for owner, name in ((sim2real, "optimize_policy"), (sim2real, "refine_policy"),
+                        (sim2real, "rollout"), (sim2real.EnvBatch, "env"),
                         (decision.DecisionCandidate, "__init__"),
                         (decision.FeedbackHistory, "__init__"),
                         (pipeline, "select_optimal_action"), (executor, "select_optimal_action"),
@@ -168,7 +169,8 @@ def test_alignment_plans_in_batch(monkeypatch):
 
     # every draw of alignment is a keyed uniform: no numpy generator or seed
     # sequence is built, and no substream asked for
-    for owner, name in ((sim2real, "_solve"), (sim2real.PolicyTable, "__init__"),
+    for owner, name in ((sim2real, "optimize_policy"), (sim2real, "refine_policy"),
+                        (sim2real, "rollout"), (sim2real.EnvBatch, "env"),
                         (pipeline, "build_envs"), (pipeline, "optimize_policy"),
                         (pipeline, "refine_policy"), (pipeline, "rollout"),
                         (np.random, "default_rng"), (np.random, "Generator"),
