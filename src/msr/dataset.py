@@ -38,13 +38,20 @@ n_per_modality. Truncated normals come from the inverse CDF, `ndtri` and
 Storage is by column too. A `Dataset` holds the meta block, one `Columns`
 table of every record in id order, which is the file's order, and each row's
 index into MODALITIES. `save` formats the JSON text straight from the table.
-`load` parses it with json.load and runs every record check as a check over
-a whole column; a fault names the lowest bad record and the first check it
-fails. `Dataset.records` is a read-only tuple of `ModalRecord`s derived from
-the table on first access, for callers that want one object per record;
-nothing in msr reads it.
+`load` reads the file in 4 MiB pieces and walks its top-level object with
+json's own scanner: it decodes `meta` whole and the records one at a time,
+and runs every record check over the columns of each block of SAVE_BLOCK
+records, keeping the checked columns and dropping the block's dicts. So it
+holds about one piece of text and one block of dicts besides the columns:
+a 3 x 10^5 file (86 MB) loads in a fresh process with a peak RSS of 93 MB,
+where a whole `json.load` tree peaked at 340 MB. A fault names the lowest
+bad record and the first check it fails; text the walk cannot read gets
+json.load's own error. `Dataset.records` is a read-only tuple of
+`ModalRecord`s derived from the table on first access, for callers that want
+one object per record; nothing in msr reads it.
 """
 
+import codecs
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -242,7 +249,7 @@ def oracle_valid(trust: float, trust_distribution) -> bool:
     return trust > mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModalRecord:
     id: int
     modality: str
@@ -294,8 +301,8 @@ class Columns(Table):
     mem_label: np.ndarray
 
 
-# rows per step of `save`, `Dataset.records` and the trace writer, which
-# bounds the Python lists each step builds
+# rows per step of `save`, `load`, `Dataset.records` and the trace writer,
+# which bounds the Python lists each step builds
 SAVE_BLOCK = 1 << 12
 
 
@@ -438,38 +445,36 @@ def save(dataset: Dataset, path: str) -> None:
 def load(path: str) -> Dataset:
     """Read and fully re-validate a dataset file; every error names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: invalid JSON: nesting too deep") from None
-    try:
-        return _parse(payload)
+        return _load(path)
+    except _Unreadable:
+        error = _json_error(path)
     except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        error = exc
+    raise ParseError(f"{path}: {error}") from None
 
 
-def _parse(payload) -> Dataset:
-    if not isinstance(payload, dict) or set(payload) != {"meta", "records"}:
-        raise ParseError("top level must be an object with keys meta, records")
-    meta = payload["meta"]
-    if not isinstance(meta, dict):
-        raise ParseError("meta must be an object")
-    version = meta.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"schema_version {version!r} unsupported, expected {SCHEMA_VERSION}")
-    try:
-        cfg = GeneratorConfig.from_mapping(meta.get("generator"))
-    except ConfigError as exc:
-        raise ParseError(f"meta.generator: {exc}") from None
-    rows = payload["records"]
-    if not isinstance(rows, list):
-        raise ParseError("records must be a list")
-    # the records go first: each holds feature_dim numbers, so the layout
-    # built below is no larger than the file, whatever size meta claims
-    table, owner = _columns(rows, cfg, {m: cfg.n_per_modality for m in MODALITIES})
-    # everything but the generator block follows from it, so a file cannot
+def _load(path: str) -> Dataset:
+    cfg = None
+    # a second walk only when the last records array was checked with
+    # another generator than the last meta's: records before meta, or a
+    # later meta key
+    while True:
+        keys, meta, records = _walk(path, cfg)
+        if keys != {"meta", "records"}:
+            raise ParseError("top level must be an object with keys meta, records")
+        cfg = _meta_config(meta)
+        if not isinstance(records, _Blocks):
+            raise ParseError("records must be a list")
+        if records.cfg == cfg:
+            break
+    table, owner = records.result()
+    seen = {m: int(np.count_nonzero(owner == k)) for k, m in enumerate(MODALITIES)}
+    counts = {m: cfg.n_per_modality for m in MODALITIES}
+    if seen != counts:
+        raise ParseError(f"record counts {seen} do not match meta {counts}")
+    # the records went first: each holds feature_dim numbers, so the layout
+    # built below is no larger than the file, whatever size meta claims.
+    # Everything but the generator block follows from it, so a file cannot
     # carry a layout or counts that the records were not generated with
     expected = _build_meta(cfg)
     for key in sorted(meta.keys() | expected.keys()):
@@ -481,14 +486,250 @@ def _parse(payload) -> Dataset:
     return Dataset(meta, table, owner)
 
 
+def _meta_config(meta) -> GeneratorConfig:
+    """The generator that a meta block names; a ParseError for a meta block
+    that is not one."""
+    if not isinstance(meta, dict):
+        raise ParseError("meta must be an object")
+    version = meta.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ParseError(f"schema_version {version!r} unsupported, expected {SCHEMA_VERSION}")
+    try:
+        return GeneratorConfig.from_mapping(meta.get("generator"))
+    except ConfigError as exc:
+        raise ParseError(f"meta.generator: {exc}") from None
+
+
+def _json_error(path: str) -> ParseError:
+    """What json.load makes of a file that `_walk` cannot read: its error,
+    or, as a file of valid JSON is then not an object, the top-level one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            json.load(fh)
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
+        return ParseError(f"invalid JSON: {exc}")
+    except RecursionError:
+        return ParseError("invalid JSON: nesting too deep")
+    return ParseError("top level must be an object with keys meta, records")
+
+
+# bytes per read of `load`, which holds about one piece of the file's text.
+# Not less: glibc's malloc sets its mmap and trim thresholds from the largest
+# block freed so far, and below about 4 MiB it keeps handing back the memory
+# of `execute_run`'s per-chunk solver arrays, which then fault in again. With
+# 1 MiB pieces a run of the default experiment after `load` took 45,000
+# minor faults instead of 4,000, and about 12% longer
+_PIECE = 4 << 20
+# JSON's whitespace, which json.decoder skips between tokens
+_WS = " \t\n\r"
+_skip = json.decoder.WHITESPACE.match
+
+
+class _Unreadable(Exception):
+    """Text that `_walk` cannot read as a JSON object."""
+
+
+class _Text:
+    """A UTF-8 file read in pieces: buf[pos:] is the text read but not yet
+    consumed."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.scan = json.JSONDecoder().scan_once
+        self.buf, self.pos, self.eof = "", 0, False
+
+    def more(self) -> None:
+        """Append the next piece, at least as long as the text not yet
+        consumed, so a value retried on more text is scanned at most twice
+        its length over all its tries."""
+        if self.eof:
+            raise _Unreadable
+        rest, self.buf = self.buf[self.pos:], ""
+        data = self.fh.read(max(_PIECE, len(rest)))
+        self.eof = not data
+        try:
+            text = self.decode(data, final=self.eof)
+        except UnicodeDecodeError:
+            raise _Unreadable from None
+        del data  # so that no more than two pieces' worth is held at once
+        self.buf, self.pos = rest + text, 0
+
+    def read(self, parse):
+        """The result of parse(buf, pos) -> (result, end), which consumes the
+        text up to end. A token cut at the end of the text read so far fails
+        in parse, or ends there, where parse then fails on the next token; so
+        a failing parse is retried on more text until the file ends."""
+        while True:
+            try:
+                result, self.pos = parse(self.buf, self.pos)
+                return result
+            except RecursionError:
+                raise ParseError("invalid JSON: nesting too deep") from None
+            except (ValueError, StopIteration, IndexError):
+                pass
+            # past the handler, so that the text read so far, which a
+            # JSONDecodeError holds, is freed before more is read
+            self.more()
+
+    def at_end(self) -> bool:
+        """Whether nothing but whitespace is left."""
+        while True:
+            self.pos = _skip(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.pos == len(self.buf)
+            self.more()
+
+    def member(self, buf: str, pos: int) -> tuple:
+        """((value, the next character after it), the position after that)."""
+        value, pos = self.scan(buf, _skip(buf, pos).end())
+        c, pos = _char(buf, pos)
+        return (value, c), pos
+
+    def records(self, take) -> None:
+        """Decode an array's values, from after its "[" to after its "]",
+        and hand them to take(rows) in lists of SAVE_BLOCK, then the rest."""
+        block, scan = SAVE_BLOCK, self.scan
+        rows = []
+        if self.read(_peek) == "]":
+            self.pos += 1
+            take(rows)
+            return
+        buf, pos = self.buf, self.pos
+        while True:
+            # one value and the "," or "]" after it, all read or none
+            try:
+                row, end = scan(buf, _skip(buf, pos).end() if buf[pos] in _WS else pos)
+                c = buf[end]
+                if c in _WS:
+                    end = _skip(buf, end).end()
+                    c = buf[end]
+                if c not in ",]":
+                    raise ValueError(c)
+            except RecursionError:
+                raise ParseError("invalid JSON: nesting too deep") from None
+            except (ValueError, StopIteration, IndexError):
+                self.pos, buf = pos, None
+            if buf is None:  # see `read`
+                self.more()
+                buf, pos = self.buf, self.pos
+                continue
+            rows.append(row)
+            pos = end + 1
+            if c == "]":
+                break
+            if len(rows) == block:
+                take(rows)
+                rows = []
+        self.pos = pos
+        take(rows)
+
+
+def _char(buf: str, pos: int) -> tuple:
+    """The next character after whitespace, and the position after it."""
+    pos = _skip(buf, pos).end()
+    return buf[pos], pos + 1
+
+
+def _peek(buf: str, pos: int) -> tuple:
+    """The next character after whitespace, and its position."""
+    pos = _skip(buf, pos).end()
+    return buf[pos], pos
+
+
+def _key(buf: str, pos: int) -> tuple:
+    """A member's key, from after its opening quote, and the position after
+    its colon."""
+    key, pos = json.decoder.scanstring(buf, pos)
+    colon, pos = _char(buf, pos)
+    if colon != ":":
+        raise ValueError(colon)
+    return key, pos
+
+
+def _walk(path: str, cfg=None) -> tuple:
+    """One pass over the file's top-level object: the set of its keys, the
+    last meta value and the last records value, as a `_Blocks` when it is a
+    list. Each records list is checked with `cfg`, or if that is None with
+    the generator of the last meta before it, when that meta is valid.
+    Raises _Unreadable for text that is not one JSON object."""
+    fixed = cfg is not None
+    keys, meta, records = set(), None, None
+    with open(path, "rb") as fh:
+        text = _Text(fh)
+        if text.read(_char) != "{":
+            raise _Unreadable
+        c = text.read(_char)
+        # "}" straight after "{" closes an empty object; after "," it is not JSON
+        while c != "}" or keys:
+            if c != '"':
+                raise _Unreadable
+            key = text.read(_key)
+            keys.add(key)
+            if key == "records" and text.read(_peek) == "[":
+                text.pos += 1
+                records = _Blocks(cfg)
+                text.records(records)
+                c = text.read(_char)
+            else:
+                value, c = text.read(text.member)
+                if key == "records":
+                    records = value
+                elif key == "meta":
+                    meta = value
+                    if not fixed:
+                        cfg = None
+                        with suppress(ParseError):
+                            cfg = _meta_config(meta)
+            if c == "}":
+                break
+            if c != ",":
+                raise _Unreadable
+            c = text.read(_char)
+        if not text.at_end():
+            raise _Unreadable
+    return keys, meta, records
+
+
+class _Blocks:
+    """One records array, checked a block at a time with `cfg` (or not at
+    all when it is None): the checked columns of each block up to the first
+    block with a fault, and that fault. Its records are numbered in the
+    whole array, and each block's id-order check starts from the last id of
+    the block before."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.parts = []
+        self.fault = None
+        self.n = 0
+
+    def __call__(self, rows: list) -> None:
+        if self.cfg is not None and self.fault is None:
+            last_id = int(self.parts[-1][0].ids[-1]) if self.n else None
+            try:
+                self.parts.append(_columns(rows, self.cfg, self.n, last_id))
+            except ParseError as exc:
+                self.fault = exc
+        self.n += len(rows)
+
+    def result(self) -> tuple:
+        """The whole `Columns` table and each row's index into MODALITIES."""
+        if self.fault is not None:
+            raise self.fault
+        tables, owners = zip(*self.parts)
+        return Columns.concat(tables), np.concatenate(owners)
+
+
 class _FirstFault:
     """The lowest index of a record that fails a check, and the message of
     the first check that fails there. Checks run in a fixed order, each over
     the records below the lowest failure so far; those have passed every
     earlier check, so a check may rely on what the earlier ones established."""
 
-    def __init__(self, rows: list):
+    def __init__(self, rows: list, first: int):
         self.rows = rows
+        self.first = first
         self.stop = len(rows)
         self.message = None
 
@@ -502,7 +743,7 @@ class _FirstFault:
         first = next(compress(range(self.stop), bad), None)
         if first is not None:
             self.stop = first
-            self.message = f"record {first}: {message(first)}"
+            self.message = f"record {self.first + first}: {message(first)}"
 
 
 def _numbers(values: list) -> np.ndarray:
@@ -523,19 +764,23 @@ def _number(value) -> float:
     return math.nan
 
 
-def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> tuple:
+def _columns(rows: list, cfg: GeneratorConfig, first: int, last_id) -> tuple:
     """Check every record, each check over a whole column, and return the
-    records as a `Columns` table and each one's index into MODALITIES. A
-    fault is reported for the lowest bad record, by the first check it fails
-    in this order."""
-    fault = _FirstFault(rows)
+    records as a `Columns` table and each one's index into MODALITIES. rows
+    are records first, first + 1, ... of the file, after one with id
+    last_id, or at its start when that is None. A fault is reported for the
+    lowest bad record, by the first check it fails in this order."""
+    fault = _FirstFault(rows, first)
     keys = set(RECORD_FIELDS)
     fault.check([type(row) is not dict or row.keys() != keys for row in rows],
                 lambda i: f"fields must be exactly {RECORD_FIELDS}")
     ids = fault.column("id")
     fault.check([type(rid) is not int for rid in ids], lambda i: "id must be an integer")
-    # record 0 has id 0, and every later id exceeds the one before it
-    fault.check([*map(ne, ids[:1], [0]), *map(le, ids[1:fault.stop], ids)],
+    # record 0 has id 0, and every later id exceeds the one before it, which
+    # for the first row is last_id
+    head = ids[:min(1, fault.stop)]
+    head = map(ne, head, [0]) if last_id is None else map(le, head, [last_id])
+    fault.check([*head, *map(le, ids[1:fault.stop], ids)],
                 lambda i: f"id {ids[i]} breaks the strictly-increasing-from-0 order")
     fault.check([rid >= 2 ** 64 for rid in ids[:fault.stop]],
                 lambda i: f"id {ids[i]} outside [0, 2**64)")
@@ -567,9 +812,6 @@ def _columns(rows: list, cfg: GeneratorConfig, counts: dict) -> tuple:
         raise ParseError(fault.message)
 
     owner = np.array(list(map(MODALITIES.index, modalities)), dtype=np.int8)
-    seen = {m: int(np.count_nonzero(owner == k)) for k, m in enumerate(MODALITIES)}
-    if seen != counts:
-        raise ParseError(f"record counts {seen} do not match meta {counts}")
     table = Columns(ids=np.array(ids, dtype=np.uint64), features=features, trust=trust,
                     valid=np.array(flags["valid"], dtype=bool),
                     relevant=np.array(flags["relevant"], dtype=bool),

@@ -1,13 +1,16 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from msr import dataset
 from msr.cli import main
 from msr.config import RunConfig
 from msr.dataset import (
+    SAVE_BLOCK,
     FeatureGeometry,
     GeneratorConfig,
     MODALITIES,
@@ -440,3 +443,214 @@ class TestLoadValidation:
         path.write_text(text)
         assert main(["run", flag, str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: {reason}")
+
+
+# `load` checks the records a block of SAVE_BLOCK at a time; 1 and 3 put
+# block boundaries inside the n=2 files above
+BLOCKS = [1, 3, SAVE_BLOCK]
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda block: f"block{block}")
+def block(request, monkeypatch):
+    monkeypatch.setattr(dataset, "SAVE_BLOCK", request.param)
+    return request.param
+
+
+def _two_block_file(tmp_path, block, edits=()):
+    """A generated dataset with at least block + 1 records, and the path of
+    its file with `edits` (as in EXACT_MESSAGES) made."""
+    source = generate(GeneratorConfig(n_per_modality=block // 3 + 1, seed=3))
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(_edited(_payload(source), edits)))
+    return source, path
+
+
+def _load_message(path) -> str:
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    return str(info.value)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("name", sorted(EXACT_MESSAGES))
+    def test_exact_load_messages(self, tmp_path, block, name):
+        path = _bad_file(tmp_path, name)
+        assert _load_message(path) == f"{path}: {EXACT_MESSAGES[name][1]}"
+
+    def test_valid_file_loads_equal(self, tmp_path, block):
+        source, path = _two_block_file(tmp_path, block)
+        assert load(str(path)) == source
+
+    def test_fault_at_the_first_record_of_block_two(self, tmp_path, block):
+        _, path = _two_block_file(tmp_path, block, [(block, "trust", 1.3)])
+        assert _load_message(path) == f"{path}: record {block}: trust 1.3 outside [0, 1]"
+
+    def test_duplicate_id_across_a_block_boundary(self, tmp_path, block):
+        _, path = _two_block_file(tmp_path, block, [(block, "id", block - 1)])
+        assert _load_message(path) == (
+            f"{path}: record {block}: id {block - 1} breaks the strictly-increasing-from-0 order")
+
+    def test_faults_in_two_blocks_name_the_lower_record(self, tmp_path, block):
+        # the lower record fails a later check than the higher one
+        _, path = _two_block_file(tmp_path, block, [(block, "id", "x"),
+                                                    (block - 1, "mem_label", 9)])
+        assert _load_message(path) == f"{path}: record {block - 1}: mem_label 9 outside [0, 4)"
+
+
+def _json_message(path) -> str:
+    """json.loads' own error for the file's text, as `load` reports it."""
+    try:
+        json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        return f"{path}: invalid JSON: {exc}"
+    raise AssertionError(f"{path} holds valid JSON")
+
+
+@pytest.fixture(scope="module")
+def large_text():
+    """A generated dataset and its file's text, which runs past the first
+    piece that `load` reads."""
+    source = generate(GeneratorConfig(n_per_modality=6_000, seed=7))
+    text = json.dumps(_payload(source), separators=(",", ":"))
+    assert len(text) > dataset._PIECE
+    return source, text
+
+
+def _members(*pairs) -> str:
+    """A top-level object of (key, value) members, keys repeated as given."""
+    return "{" + ",".join(f"{json.dumps(key)}:{json.dumps(value)}" for key, value in pairs) + "}"
+
+
+class TestJsonOutcomes:
+    """Whatever the layout of the top-level object, `load` ends as json.load
+    of the whole file did: the last of a repeated key wins, and text that is
+    not JSON gets json's own message and position."""
+
+    @pytest.fixture()
+    def tiny(self):
+        source = generate(GeneratorConfig(n_per_modality=2, seed=3))
+        return source, _payload(source)
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "data.json"
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        return path
+
+    def test_records_before_meta(self, tmp_path, tiny):
+        source, payload = tiny
+        path = self._write(tmp_path, _members(("records", payload["records"]),
+                                              ("meta", payload["meta"])))
+        assert load(str(path)) == source
+
+    def test_whitespace_between_every_token(self, tmp_path, block, tiny):
+        source, payload = tiny
+        path = self._write(tmp_path, " \n" + json.dumps(payload, indent="\t") + "\r\n ")
+        assert load(str(path)) == source
+
+    def test_last_records_wins_and_a_faulty_first_is_not_reported(self, tmp_path, tiny):
+        source, payload = tiny
+        faulty = _edited(_payload(source), [(0, "trust", 1.3)])["records"]
+        path = self._write(tmp_path, _members(("meta", payload["meta"]), ("records", faulty),
+                                              ("records", payload["records"])))
+        assert load(str(path)) == source
+        path = self._write(tmp_path, _members(("meta", payload["meta"]),
+                                              ("records", payload["records"]), ("records", faulty)))
+        assert _load_message(path) == f"{path}: record 0: trust 1.3 outside [0, 1]"
+
+    def test_last_meta_wins(self, tmp_path, tiny):
+        source, payload = tiny
+        # under the first meta every record has too few features
+        wider = generate(GeneratorConfig(n_per_modality=2, seed=3, feature_dim=9)).meta
+        for first in (wider, {"schema_version": 99}, "not a meta block"):
+            path = self._write(tmp_path, _members(("meta", first), ("records", payload["records"]),
+                                                  ("meta", payload["meta"])))
+            assert load(str(path)) == source
+        path = self._write(tmp_path, _members(("meta", payload["meta"]),
+                                              ("records", payload["records"]), ("meta", wider)))
+        assert _load_message(path) == f"{path}: record 0: features must hold 9 numbers"
+
+    def test_only_meta_and_records(self, tmp_path, tiny):
+        _, payload = tiny
+        for pairs in ([("meta", payload["meta"])], [("records", [])],
+                      [("meta", payload["meta"]), ("records", payload["records"]), ("x", [])]):
+            path = self._write(tmp_path, _members(*pairs))
+            assert _load_message(path) == (
+                f"{path}: top level must be an object with keys meta, records")
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "1", '"meta"', "null", "{}"])
+    def test_top_level_not_an_object_with_meta_and_records(self, tmp_path, text):
+        path = self._write(tmp_path, text)
+        assert _load_message(path) == (
+            f"{path}: top level must be an object with keys meta, records")
+
+    @pytest.mark.parametrize("text", ["", "   ", "[", "{", "{,}", '{"meta":1,}', '{"meta" 1}',
+                                      '{"meta":1}}', "{} x", "\ufeff{}", "nul", '{"meta":[1,]}'])
+    def test_short_text_that_is_not_json(self, tmp_path, text):
+        path = self._write(tmp_path, text)
+        assert _load_message(path) == _json_message(path)
+
+    def test_trailing_data(self, tmp_path, large_text):
+        _, text = large_text
+        for tail in ("x", " {}", "\n]"):
+            path = self._write(tmp_path, text + tail)
+            assert _load_message(path) == _json_message(path)
+
+    def test_utf8_bom(self, tmp_path, large_text):
+        _, text = large_text
+        path = self._write(tmp_path, b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert _load_message(path) == _json_message(path)
+
+    def test_non_utf8_byte_past_the_first_piece(self, tmp_path, large_text):
+        _, text = large_text
+        at = text.rindex('"tactile"') + 3
+        assert at > dataset._PIECE
+        path = self._write(tmp_path, text[:at].encode("utf-8") + b"\xff" + text[at:].encode("utf-8"))
+        message = _json_message(path)
+        assert f"position {at}" in message
+        assert _load_message(path) == message
+
+    def test_file_cut_mid_record(self, tmp_path, large_text):
+        _, text = large_text
+        for cut in (300, dataset._PIECE + 5, len(text) // 2, len(text) - 2):
+            path = self._write(tmp_path, text[:cut])
+            assert _load_message(path) == _json_message(path)
+
+    def test_record_fault_then_invalid_json(self, tmp_path, large_text):
+        source, _ = large_text
+        text = json.dumps(_edited(_payload(source), [(0, "trust", 1.3)]), separators=(",", ":"))
+        path = self._write(tmp_path, text[:-2] + ",]}")
+        message = _json_message(path)
+        assert "invalid JSON" in message
+        assert _load_message(path) == message
+
+    def test_large_file_loads_equal(self, tmp_path, large_text):
+        source, text = large_text
+        assert load(str(self._write(tmp_path, text))) == source
+
+    @pytest.mark.parametrize("piece", [1, 2, 7, 64])
+    def test_any_piece_size(self, tmp_path, monkeypatch, tiny, piece):
+        # every token in turn is cut at the end of a piece
+        monkeypatch.setattr(dataset, "_PIECE", piece)
+        source, payload = tiny
+        for text in (json.dumps(payload, separators=(",", ":")), json.dumps(payload, indent=1)):
+            path = self._write(tmp_path, text)
+            assert load(str(path)) == source
+            path = self._write(tmp_path, text[:-1])
+            assert _load_message(path) == _json_message(path)
+        path = _bad_file(tmp_path, "feature-huge-int")
+        assert _load_message(path) == f"{path}: {EXACT_MESSAGES['feature-huge-int'][1]}"
+
+
+def test_load_holds_little_more_than_the_file(tmp_path):
+    # the whole-file json.load tree peaked at 3.44 times the file's size; the
+    # walk holds a piece of text, one block of record dicts and the columns,
+    # which peaked at 1.44 times
+    path = tmp_path / "data.json"
+    save(generate(GeneratorConfig(n_per_modality=10_000, seed=42)), str(path))
+    tracemalloc.start()
+    try:
+        load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
