@@ -1,4 +1,4 @@
-"""Command-line entry points: gen, run, report.
+"""Command-line entry points: gen, run, report, diff.
 
 Seed precedence: --seed flag, then the config file, then the MSR_SEED
 environment variable, then 42. The master seed fans out to every module
@@ -14,6 +14,7 @@ import sys
 
 from .config import RunConfig
 from .dataset import MODALITIES, generate, save
+from .diff import differences
 from .errors import ConfigError, MsrError, ParseError
 from .evaluation import markdown_from_values, parse_report_csv
 from .pipeline import execute_run
@@ -130,6 +131,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def cmd_diff(args) -> int:
+    lines = differences(args.run_a, args.run_b)
+    for line in lines:
+        print(line)
+    if not lines:
+        print(f"no difference between {args.run_a} and {args.run_b}")
+    return 1 if lines else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msr",
@@ -158,6 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--modality", choices=MODALITIES, help="restrict to one modality")
     rep.add_argument("--band", type=float, help="flag metric cells below this value")
     rep.set_defaults(func=cmd_report)
+
+    diff = sub.add_parser("diff", help="name the first difference between two run directories")
+    diff.add_argument("run_a", metavar="RUN_A", help="output directory of one run")
+    diff.add_argument("run_b", metavar="RUN_B", help="output directory of another run")
+    diff.set_defaults(func=cmd_diff)
     return parser
 
 

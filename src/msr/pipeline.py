@@ -11,8 +11,10 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            that depends only on its id, so every outcome equals the
            one-record result bit for bit whatever the chunking.
   phase 2  the merge over the concatenated columns in record-id order applies
-           feedback (decision history means, feedback-adjusted utilities) and
-           formats each record's trace line, placed at its row of the table.
+           feedback (decision history means, feedback-adjusted utilities).
+           The trace writer formats each record's line from these columns
+           while it writes, one id-ordered block of SAVE_BLOCK dataset rows
+           at a time, so no line outlives its block.
 
 Alignment plans the first `align.samples` survivors per modality again in
 one batch, as phase 1 does, and rolls them out together, one array step per
@@ -337,11 +339,18 @@ _KEPT_LINE = ('{"id":%d,"modality":%s,"trust":%r,"kept":true,"semantic":[%r,%r],
 
 @dataclass
 class ModalityResult:
+    """One modality's confusions and phase-1 outcomes, with the phase-2
+    columns its trace lines are formatted from: `kept` over the modality's
+    records in id order, the rest one row per survivor."""
+
     modality: str
     confusions: dict          # step -> StepConfusion
-    trace_lines: np.ndarray   # one trace line per record, in the records' row order
     outcomes: Outcomes
     context: ModalityContext
+    kept: np.ndarray          # the trust filter's mask
+    matched: np.ndarray       # the command equals the stored action
+    feedback: np.ndarray      # running feedback mean of the record's decision
+    adjusted: np.ndarray      # feedback-adjusted utility
 
 
 def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
@@ -366,10 +375,9 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
 
     # phase 2: feedback merge in record-id order
     matched = out.policy_action == action
-    outcome = matched.astype(float)
-    feedback = feedback_means(out.decision_id, outcome)
+    feedback = feedback_means(out.decision_id, matched.astype(float))
 
-    # the trace: json's allow_nan=False, then one formatted line per record
+    # the trace's values: json's allow_nan=False, checked before any file opens
     floats = (records.trust, out.semantic, out.relevance_mass, out.confidence,
               out.predicted_outcome, feedback)
     if not all(np.isfinite(column).all() for column in floats):
@@ -382,24 +390,57 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                           f"{list(ctx.context_weights.w)} give record "
                           f"{survivors.ids[np.argmin(finite)]} a feedback-adjusted utility "
                           "that is not a finite number")
-    name = json.dumps(modality)
+    return ModalityResult(modality=modality, confusions=confusions, outcomes=out, context=ctx,
+                          kept=kept, matched=matched, feedback=feedback, adjusted=adjusted)
+
+
+def trace_lines(res: ModalityResult, ids, trust, rows: slice, first: int) -> np.ndarray:
+    """The trace lines of the modality's records at `rows` of its id order,
+    whose ids and trust are `ids` and `trust`; `first` is the survivor row of
+    the first kept one. One line per record, in the order of `rows`."""
+    kept = res.kept[rows]
+    picked = slice(first, first + int(np.count_nonzero(kept)))
+    out, matched = res.outcomes[picked], res.matched[picked]
+    name = json.dumps(res.modality)
     subtask = [json.dumps(f"move-{action}") for action in ACTIONS]
     label, decision, act = (column.tolist() for column in
                             (out.retrieved_label, out.decision_id, out.policy_action))
     hit, s2, s3 = (np.where(column, "true", "false").tolist()
                    for column in (matched, out.pred_step2, out.pred_step3))
-    rows = zip(survivors.ids.tolist(), [name] * len(survivors), survivors.trust.tolist(),
-               *out.semantic.T.tolist(), out.relevance_mass.tolist(),
-               out.own_in_topk.tolist(), label, decision, [subtask[d] for d in decision],
-               out.sim_first_action.tolist(), act, out.confidence.tolist(), hit,
-               outcome.tolist(), feedback.tolist(), adjusted.tolist(), s2, s3, label,
-               decision, act, act)
-    trace_lines = np.empty(len(records), dtype=object)
-    trace_lines[kept] = [_KEPT_LINE % row for row in rows]
-    trace_lines[~kept] = [_DROPPED_LINE % (rid, name, trust) for rid, trust in
-                          zip(records.ids[~kept].tolist(), records.trust[~kept].tolist())]
-    return ModalityResult(modality=modality, confusions=confusions,
-                          trace_lines=trace_lines, outcomes=out, context=ctx)
+    columns = zip(ids[kept].tolist(), [name] * len(label), trust[kept].tolist(),
+                  *out.semantic.T.tolist(), out.relevance_mass.tolist(),
+                  out.own_in_topk.tolist(), label, decision, [subtask[d] for d in decision],
+                  out.sim_first_action.tolist(), act, out.confidence.tolist(), hit,
+                  matched.astype(float).tolist(), res.feedback[picked].tolist(),
+                  res.adjusted[picked].tolist(), s2, s3, label, decision, act, act)
+    lines = np.empty(len(kept), dtype=object)
+    lines[kept] = [_KEPT_LINE % row for row in columns]
+    lines[~kept] = [_DROPPED_LINE % (rid, name, value) for rid, value in
+                    zip(ids[~kept].tolist(), trust[~kept].tolist())]
+    return lines
+
+
+def trace_blocks(dataset: Dataset, results):
+    """The text of trace.jsonl, one block of SAVE_BLOCK dataset rows at a
+    time: each record of a modality that ran, in id order. A running row and
+    survivor offset per modality say where its share of a block starts."""
+    ran = np.zeros(len(MODALITIES), dtype=bool)
+    ran[[res.context.modality_index for res in results]] = True
+    row, first = [0] * len(MODALITIES), [0] * len(MODALITIES)
+    for lo in range(0, len(dataset.modality), SAVE_BLOCK):
+        owner = dataset.modality[lo:lo + SAVE_BLOCK]
+        ids, trust = dataset.table.ids[lo:lo + SAVE_BLOCK], dataset.table.trust[lo:lo + SAVE_BLOCK]
+        lines = np.empty(len(owner), dtype=object)
+        for res in results:
+            index = res.context.modality_index
+            mine = owner == index
+            rows = slice(row[index], row[index] + int(np.count_nonzero(mine)))
+            if rows.start == rows.stop:  # most blocks of a generated set hold one modality
+                continue
+            lines[mine] = trace_lines(res, ids[mine], trust[mine], rows, first[index])
+            row[index] = rows.stop
+            first[index] += int(np.count_nonzero(res.kept[rows]))
+        yield "".join([line + "\n" for line in lines[ran[owner]]])
 
 
 def run_alignment(cfg: RunConfig, results) -> float:
@@ -446,11 +487,24 @@ class RunResult:
     alignment_accuracy: float
 
 
+def check_out_dir(path: str) -> None:
+    """Fail unless `path` is a directory or its nearest existing ancestor
+    is one, so that a run which cannot write its outputs fails before it
+    scores anything. Creates nothing."""
+    probe = path
+    while probe and not os.path.lexists(probe) and os.path.dirname(probe) != probe:
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe or os.curdir):
+        raise ConfigError(f"output directory {path}: {probe} exists and is not a directory")
+
+
 def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
                 out_dir: str | None = None) -> RunResult:
     """Generate or load the dataset, run every configured modality, and write
     trace + report files. Byte-identical for identical seeds and any worker
     count."""
+    target = out_dir or cfg.out_dir
+    check_out_dir(target)
     if dataset is None:
         dataset = load(cfg.dataset_path) if cfg.dataset_path else generate(cfg.generator)
     gen_cfg = GeneratorConfig.from_mapping(dataset.meta["generator"])
@@ -458,17 +512,8 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
 
     results = [run_modality(cfg, gen_cfg, modality, dataset.by_modality(modality), cfg.workers)
                for modality in MODALITIES if modality in cfg.modalities]
-    # each modality's trace lines go to its rows of the id-ordered table;
-    # rows of modalities that did not run stay out of the trace
-    ran = [res.context.modality_index for res in results]
-    trace_lines = np.empty(len(dataset.modality), dtype=object)
-    for res in results:
-        trace_lines[dataset.modality == res.context.modality_index] = res.trace_lines
-    trace_lines = trace_lines[np.isin(dataset.modality, ran)]
-
     accuracy = run_alignment(cfg, results)
 
-    target = out_dir or cfg.out_dir
     os.makedirs(target, exist_ok=True)
 
     confusions = {res.modality: res.confusions for res in results}
@@ -500,8 +545,8 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
         for fh, text in zip(csv_files, rep.csv.values()):
             fh.write(text)
         md_file.write(rep.markdown)
-        for lo in range(0, len(trace_lines), SAVE_BLOCK):
-            trace_file.write("".join([line + "\n" for line in trace_lines[lo:lo + SAVE_BLOCK]]))
+        for text in trace_blocks(dataset, results):
+            trace_file.write(text)
         json.dump(summary, summary_file, indent=2, allow_nan=False)
         summary_file.write("\n")
 

@@ -97,6 +97,23 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", ["", "sub", "sub/deeper"])
+    def test_out_that_cannot_be_a_directory_fails_before_scoring(self, small_config, tmp_path,
+                                                                 capsys, monkeypatch, under):
+        from msr import pipeline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("records scored for a run that cannot write its outputs")
+
+        monkeypatch.setattr(pipeline, "score_records", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = os.path.join(taken, under) if under else str(taken)
+        assert run_cli("run", "--config", small_config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {out}: {taken} exists and is not a directory\n", err
+        assert taken.read_text() == "a file\n" and os.listdir(tmp_path) == ["taken"]
+
     def test_rerun_byte_identical(self, small_config, tmp_path):
         outs = []
         for name in ("r1", "r2"):

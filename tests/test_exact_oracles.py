@@ -19,7 +19,7 @@ from scipy import special as scipy_special
 
 from msr import pipeline, seeding, special
 from msr.config import GridSpec, RunConfig
-from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, save
+from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, load, save
 from msr.decision import feedback_means
 from msr.errors import DegenerateModalityError, MsrError
 from msr.ingest import NormStats, fit_norm_stats
@@ -462,11 +462,61 @@ def _dict_lines(cfg, res, records):
 def test_trace_lines_equal_json_dumps_of_a_dict(tmp_path, modality):
     cfg = _trace_config(tmp_path)
     data = generate(SMALL)
-    res = pipeline.run_modality(cfg, SMALL, modality, data.by_modality(modality), 1)
+    rows = data.by_modality(modality)
+    res = pipeline.run_modality(cfg, SMALL, modality, rows, 1)
+    lines = pipeline.trace_lines(res, rows.ids, rows.trust, slice(0, len(rows)), 0)
     records = [r for r in data.records if r.modality == modality]
-    ids = data.by_modality(modality).ids.tolist()
-    assert ids == [r.id for r in records] and len(res.trace_lines) == len(ids)
-    assert dict(zip(ids, res.trace_lines)) == _dict_lines(cfg, res, records)
+    ids = rows.ids.tolist()
+    assert ids == [r.id for r in records] and len(lines) == len(ids)
+    assert dict(zip(ids, lines)) == _dict_lines(cfg, res, records)
+
+
+def _interleaved(tmp_path):
+    """SMALL's records saved in a shuffled order with ids 0..n-1, and loaded:
+    the modalities interleave in no pattern."""
+    data = generate(SMALL)
+    order = np.random.default_rng(3).permutation(len(data.modality))
+    table = data.table[order]
+    shuffled = Dataset(meta=data.meta, modality=data.modality[order],
+                       table=replace(table, ids=np.arange(len(order), dtype=np.uint64)))
+    path = os.path.join(tmp_path, "interleaved.json")
+    save(shuffled, path)
+    return load(path)
+
+
+# (dataset, modalities that run, workers); two workers score chunks of 16
+# survivors in a pool
+MERGE_CASES = [("generated", MODALITIES, 1), ("interleaved", MODALITIES, 1),
+               ("interleaved", ("auditory",), 1), ("generated", ("visual", "tactile"), 1),
+               ("interleaved", ("visual", "tactile"), 2), ("generated", MODALITIES, 2)]
+
+
+@pytest.mark.parametrize("block", [1, 7, pipeline.SAVE_BLOCK])
+@pytest.mark.parametrize("source, modalities, workers", MERGE_CASES)
+def test_block_merge_equals_the_dict_oracle(tmp_path, monkeypatch, block, source, modalities,
+                                            workers):
+    data = generate(SMALL) if source == "generated" else _interleaved(tmp_path)
+    if source == "interleaved":
+        owner = data.modality.tolist()
+        assert owner != sorted(owner) and data.table.ids.tolist() == list(range(len(owner)))
+    monkeypatch.setattr(pipeline, "SAVE_BLOCK", block)
+    monkeypatch.setattr(pipeline, "chunk_records", lambda grid: 16)
+    run_modality, results = pipeline.run_modality, []
+
+    def recorded(*args):
+        results.append(run_modality(*args))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "run_modality", recorded)
+    cfg = replace(_trace_config(tmp_path / "out"), modalities=modalities, workers=workers)
+    trace = pipeline.execute_run(cfg, data).trace_path
+    expected = {}
+    for res in results:
+        expected |= _dict_lines(cfg, res, [r for r in data.records if r.modality == res.modality])
+    with open(trace, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert [r.modality for r in results] == [m for m in MODALITIES if m in modalities]
+    assert lines == [expected[r.id] for r in data.records if r.modality in modalities]
 
 
 @pytest.mark.parametrize("column", ["semantic", "relevance_mass", "confidence",

