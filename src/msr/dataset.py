@@ -14,10 +14,11 @@ Feature layout (dimension blocks):
     next ceil(K/2) dims   memory: same construction
     remainder             padding: noise only
 
-`FeatureGeometry` builds the centers of each block once, as a read-only
-table with one row per label (relevance: row 0 not relevant, row 1
-relevant). `generate` adds each record's row of the three tables, and a run
-takes its memory prototypes and action directions from the same rows.
+`FeatureGeometry` holds each block's dimensions and the magnitudes of its
+centers. `generate` adds each record's centers by that rule: the relevance
+center on both relevance dimensions, and each class center on its one
+nonzero dimension. Only a run builds dense (n_classes, feature_dim) center
+tables, for its memory prototypes and action directions.
 
 Label noise on the integer labels re-draws uniformly in the opposite half of
 the class range, so the binary half-partition view used by the evaluation
@@ -27,13 +28,17 @@ steps disagrees with the oracle exactly at the flip rate.
 `generator.<key>` as the run config names them, so `generate` trusts any
 config it is given.
 
-Generation is column-at-a-time: each modality draws one (n_per_modality,
-11 + feature_dim) block of keyed uniforms (`seeding.keyed_uniforms`), whose
-columns are valid, relevant, action, mem, trust, the features, four flip
-draws and two opposite-half draws. Row i is keyed by (seed, modality, i), so
-a record's content is independent of every other record and of
-n_per_modality. Truncated normals come from the inverse CDF, `ndtri` and
-`ndtr` of `msr.special`, which equal scipy.special's bit for bit.
+Generation is column-at-a-time, into a table allocated once: `generate`
+draws each modality into its rows of the `Columns` table, _GEN_CHUNK rows
+at a time. A chunk draws one (rows, 11 + feature_dim) block of keyed
+uniforms (`seeding.keyed_uniforms`), whose columns are valid, relevant,
+action, mem, trust, the features, four flip draws and two opposite-half
+draws, writes each column's values straight into the chunk's rows of the
+table, and frees the block before the next chunk. So `generate` holds the
+table and one chunk's draws. Row i is keyed by (seed, modality, i), so a
+record's content is independent of every other record, of n_per_modality
+and of the chunk size. Truncated normals come from the inverse CDF, `ndtri`
+and `ndtr` of `msr.special`, which equal scipy.special's bit for bit.
 
 Storage is by column too. A `Dataset` holds the meta block, one `Columns`
 table of every record in id order, which is the file's order, and each row's
@@ -46,15 +51,15 @@ holds about one piece of text and one block of dicts besides the columns:
 a 3 x 10^5 file (86 MB) loads in a fresh process with a peak RSS of 93 MB,
 where a whole `json.load` tree peaked at 340 MB. A fault names the lowest
 bad record and the first check it fails; text the walk cannot read gets
-json.load's own error. `Dataset.records` is a read-only tuple of
-`ModalRecord`s derived from the table on first access, for callers that want
-one object per record; nothing in msr reads it.
+json.load's own error. `Dataset.records` is a view of the table for
+callers that want one object per record: it has a length, and iterating it
+builds `ModalRecord`s one block of SAVE_BLOCK rows at a time and keeps none
+of them. Nothing in msr reads it.
 """
 
 import codecs
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import chain, compress
 import json
 import math
@@ -174,7 +179,6 @@ def _class_centers(dims, n_classes: int, magnitude: float, feature_dim: int) -> 
     centers = np.zeros((n_classes, feature_dim))
     centers[labels, np.asarray(dims)[labels // 2]] = np.where(labels % 2 == 0, magnitude,
                                                               -magnitude)
-    centers.setflags(write=False)
     return centers
 
 
@@ -182,44 +186,71 @@ def _class_centers(dims, n_classes: int, magnitude: float, feature_dim: int) -> 
 class FeatureGeometry:
     """Dimension blocks and cluster centers derived from a GeneratorConfig.
 
-    The centers are read-only (rows, feature_dim) tables, built once:
-    `relevance_centers` row 0 for a record that is not relevant and row 1
-    for one that is, `action_centers` and `memory_centers` one row per
-    class label."""
+    A record that is not relevant has its relevance center at
+    +rel_magnitude on both relevance dimensions, one that is relevant at
+    -rel_magnitude; a class block puts class c at +class_magnitude (c even)
+    or -class_magnitude (c odd) on its dimension c // 2. `add_centers` adds
+    each record's centers by these rules; `action_centers` and
+    `memory_centers` build the dense (n_classes, feature_dim) tables that a
+    run takes its directions and prototypes from."""
 
     noise_bound: float
-    relevance_dims: tuple
-    action_dims: tuple
-    memory_dims: tuple
-    relevance_centers: np.ndarray
-    action_centers: np.ndarray
-    memory_centers: np.ndarray
+    feature_dim: int
+    relevance_dims: range
+    action_dims: range
+    memory_dims: range
+    n_actions: int
+    n_memory_classes: int
+    rel_magnitude: float
+    class_magnitude: float
 
     @classmethod
     def from_config(cls, cfg: GeneratorConfig) -> "FeatureGeometry":
-        # not in GeneratorConfig: `load` checks a file's records before its meta
+        # the dense center tables of a run; not in GeneratorConfig: `load`
+        # checks a file's records before its meta
         mapping.check_count("max(2, generator.n_actions, generator.n_memory_classes) * "
                             "generator.feature_dim", max(2, cfg.n_actions, cfg.n_memory_classes)
                             * cfg.feature_dim, 0)
         rel, action, memory, _ = _layout(cfg).values()
         # the relevance pair lies `cluster_separation` apart, and so do the
         # nearest two signed one-hot centers of a class block
-        rel_magnitude = cfg.cluster_separation / 2.0 / math.sqrt(2.0)
-        class_magnitude = cfg.cluster_separation / math.sqrt(2.0)
-        relevance = np.zeros((2, cfg.feature_dim))
-        relevance[:, list(rel)] = [[rel_magnitude], [-rel_magnitude]]
-        relevance.setflags(write=False)
         return cls(
             noise_bound=_NOISE_BOUND * cfg.cluster_separation,
+            feature_dim=cfg.feature_dim,
             relevance_dims=rel,
             action_dims=action,
             memory_dims=memory,
-            relevance_centers=relevance,
-            action_centers=_class_centers(action, cfg.n_actions, class_magnitude,
-                                          cfg.feature_dim),
-            memory_centers=_class_centers(memory, cfg.n_memory_classes, class_magnitude,
-                                          cfg.feature_dim),
+            n_actions=cfg.n_actions,
+            n_memory_classes=cfg.n_memory_classes,
+            rel_magnitude=cfg.cluster_separation / 2.0 / math.sqrt(2.0),
+            class_magnitude=cfg.cluster_separation / math.sqrt(2.0),
         )
+
+    def add_centers(self, features, relevant, action, mem) -> None:
+        """Add each record's relevance, action and memory centers to its row
+        of the C-contiguous array `features`, in place, from the records'
+        `relevant` flags and `action` and `mem` labels. A class center is
+        nonzero on one dimension, and only that one is added to: adding 0.0
+        changes no value but -0.0, which `ndtri` does not return."""
+        if not features.flags.c_contiguous:
+            raise ValueError("features must be C-contiguous")
+        rel = self.relevance_dims
+        features[:, rel.start:rel.stop] += np.where(relevant, -self.rel_magnitude,
+                                                    self.rel_magnitude)[:, None]
+        # a view, as features is C-contiguous, and each row's first index in
+        # it; labels are >= 0
+        flat, first = features.reshape(-1), np.arange(0, features.size, self.feature_dim)
+        signed = np.array([self.class_magnitude, -self.class_magnitude])
+        for dims, label in ((self.action_dims, action), (self.memory_dims, mem)):
+            flat[first + dims.start + (label >> 1)] += signed[label & 1]
+
+    def action_centers(self) -> np.ndarray:
+        return _class_centers(self.action_dims, self.n_actions, self.class_magnitude,
+                              self.feature_dim)
+
+    def memory_centers(self) -> np.ndarray:
+        return _class_centers(self.memory_dims, self.n_memory_classes, self.class_magnitude,
+                              self.feature_dim)
 
     # nearest-cluster oracles (exact on generated data by the margin bound)
 
@@ -238,10 +269,10 @@ class FeatureGeometry:
         return best
 
     def oracle_action(self, features) -> int:
-        return self._oracle_class(features, self.action_dims, len(self.action_centers))
+        return self._oracle_class(features, self.action_dims, self.n_actions)
 
     def oracle_memory(self, features) -> int:
-        return self._oracle_class(features, self.memory_dims, len(self.memory_centers))
+        return self._oracle_class(features, self.memory_dims, self.n_memory_classes)
 
 
 def oracle_valid(trust: float, trust_distribution) -> bool:
@@ -302,8 +333,35 @@ class Columns(Table):
 
 
 # rows per step of `save`, `load`, `Dataset.records` and the trace writer,
-# which bounds the Python lists each step builds
+# which bounds the Python lists each step builds and, in `Dataset.records`,
+# the ModalRecords alive at once
 SAVE_BLOCK = 1 << 12
+# rows per draw of `generate`, which holds the table and one chunk's keyed
+# uniforms. A draw costs about 90 numpy calls of `ndtri` per `_truncated`
+# call whatever its size, so the chunk is large: a corpus of up to 65,536
+# records a modality, as the benchmark's are, is drawn one modality a chunk
+_GEN_CHUNK = 1 << 16
+
+
+class _Records:
+    """Every record of a Dataset as a ModalRecord, in id order: its length,
+    and iteration that builds the records one SAVE_BLOCK of rows at a time
+    and keeps none of them."""
+
+    __slots__ = ("dataset",)
+
+    def __init__(self, dataset: "Dataset"):
+        self.dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self.dataset.table)
+
+    def __iter__(self):
+        table, modality = self.dataset.table, self.dataset.modality
+        for lo in range(0, len(table), SAVE_BLOCK):
+            ids, features, *rest = (c.tolist() for c in table[lo:lo + SAVE_BLOCK].arrays())
+            names = map(MODALITIES.__getitem__, modality[lo:lo + SAVE_BLOCK].tolist())
+            yield from map(ModalRecord, ids, names, map(tuple, features), *rest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,25 +382,22 @@ class Dataset:
                 and self.table == other.table
                 and np.array_equal(self.modality, other.modality))
 
-    @cached_property
-    def records(self) -> tuple:
-        """Every record as a ModalRecord, in id order: a read-only view of the
-        table, built on first access, for callers that want one object per
-        record. msr itself never reads it."""
-        records = []
-        for lo in range(0, len(self.table), SAVE_BLOCK):
-            ids, features, *rest = (c.tolist() for c in self.table[lo:lo + SAVE_BLOCK].arrays())
-            names = map(MODALITIES.__getitem__, self.modality[lo:lo + SAVE_BLOCK].tolist())
-            records += map(ModalRecord, ids, names, map(tuple, features), *rest)
-        return tuple(records)
+    @property
+    def records(self) -> _Records:
+        """Every record as a ModalRecord, in id order, for callers that want
+        one object per record: a view of the table with `len` and iteration,
+        which builds each record while it is iterated and caches nothing, so
+        each iteration builds them again. msr itself never reads it."""
+        return _Records(self)
 
 
-def _truncated(u, bound: float):
+def _truncated(u, bound: float, out=None):
     """Map uniforms on [0,1) to a standard normal truncated at +/- bound:
-    ndtri(lo + u * (hi - lo)), formed in one array that ndtri overwrites."""
+    ndtri(lo + u * (hi - lo)), formed in `out` (a new array when None),
+    which ndtri overwrites."""
     lo = ndtr(-bound)
     hi = ndtr(bound)
-    y = u * (hi - lo)
+    y = np.multiply(u, hi - lo, out=out)
     y += lo
     return ndtri(y, out=y)
 
@@ -357,44 +412,53 @@ def _build_meta(cfg: GeneratorConfig) -> dict:
 
 
 def generate(cfg: GeneratorConfig) -> Dataset:
-    """Deterministic synthetic corpus for the given config."""
+    """Deterministic synthetic corpus for the given config. The table is
+    allocated once, and each modality is drawn into its rows `_GEN_CHUNK`
+    rows at a time."""
     geom = FeatureGeometry.from_config(cfg)
-    mean, spread = cfg.trust_distribution
-    n, d = cfg.n_per_modality, cfg.feature_dim
-    blocks = []
-    for m_idx, modality in enumerate(MODALITIES):
-        u = seeding.keyed_uniforms(cfg.seed, seeding.DATASET_RECORD, m_idx,
-                                   np.arange(n), 11 + d)
-        valid = u[:, 0] < 0.5
-        relevant = u[:, 1] < 0.5
-        action = np.floor(u[:, 2] * cfg.n_actions).astype(np.int64)
-        mem = np.floor(u[:, 3] * cfg.n_memory_classes).astype(np.int64)
-
-        center = np.where(valid, _TRUST_CENTER, -_TRUST_CENTER)
-        trust = np.clip(mean + spread * (center + _truncated(u[:, 4], _TRUST_TRUNC)),
-                        0.0, 1.0)
-
-        # each record's three centers, added in place over their own blocks
-        features = _truncated(u[:, 5:5 + d], geom.noise_bound)
-        for centers, dims, label in ((geom.relevance_centers, geom.relevance_dims, relevant),
-                                     (geom.action_centers, geom.action_dims, action),
-                                     (geom.memory_centers, geom.memory_dims, mem)):
-            rows = label.astype(np.intp)
-            for dim in dims:
-                features[:, dim] += centers[rows, dim]
-
-        flip = u[:, 5 + d:9 + d] < cfg.label_noise[modality]
-        stored_action = np.where(
-            flip[:, 2], opposite_half(action, cfg.n_actions, u[:, 9 + d]), action)
-        stored_mem = np.where(
-            flip[:, 3], opposite_half(mem, cfg.n_memory_classes, u[:, 10 + d]), mem)
-
-        blocks.append(Columns(
-            ids=np.arange(m_idx * n, (m_idx + 1) * n, dtype=np.uint64), features=features,
-            trust=trust, valid=valid ^ flip[:, 0], relevant=relevant ^ flip[:, 1],
-            action=stored_action, mem_label=stored_mem))
-    return Dataset(meta=_build_meta(cfg), table=Columns.concat(blocks),
+    n = cfg.n_per_modality
+    size = len(MODALITIES) * n
+    table = Columns(ids=np.arange(size, dtype=np.uint64),
+                    features=np.empty((size, cfg.feature_dim)), trust=np.empty(size),
+                    valid=np.empty(size, dtype=bool), relevant=np.empty(size, dtype=bool),
+                    action=np.empty(size, dtype=np.int64),
+                    mem_label=np.empty(size, dtype=np.int64))
+    for m_idx in range(len(MODALITIES)):
+        for lo in range(0, n, _GEN_CHUNK):
+            hi = min(lo + _GEN_CHUNK, n)
+            _draw(cfg, geom, m_idx, np.arange(lo, hi), table[m_idx * n + lo:m_idx * n + hi])
+    return Dataset(meta=_build_meta(cfg), table=table,
                    modality=np.repeat(np.arange(len(MODALITIES), dtype=np.int8), n))
+
+
+def _draw(cfg: GeneratorConfig, geom: FeatureGeometry, m_idx: int, keys,
+          rows: Columns) -> None:
+    """Draw the records `keys` of modality MODALITIES[m_idx] into `rows`, a
+    view of their rows of the table. Row i is drawn from the (11 +
+    feature_dim) keyed uniforms of key keys[i]."""
+    mean, spread = cfg.trust_distribution
+    d = cfg.feature_dim
+    u = seeding.keyed_uniforms(cfg.seed, seeding.DATASET_RECORD, m_idx, keys, 11 + d)
+    valid = u[:, 0] < 0.5
+    relevant = u[:, 1] < 0.5
+    action = np.floor(u[:, 2] * cfg.n_actions).astype(np.int64)
+    mem = np.floor(u[:, 3] * cfg.n_memory_classes).astype(np.int64)
+
+    center = np.where(valid, _TRUST_CENTER, -_TRUST_CENTER)
+    np.clip(mean + spread * (center + _truncated(u[:, 4], _TRUST_TRUNC)), 0.0, 1.0,
+            out=rows.trust)
+
+    # each record's three centers, added in place over their own blocks
+    geom.add_centers(_truncated(u[:, 5:5 + d], geom.noise_bound, out=rows.features),
+                     relevant, action, mem)
+
+    flip = u[:, 5 + d:9 + d] < cfg.label_noise[MODALITIES[m_idx]]
+    np.bitwise_xor(valid, flip[:, 0], out=rows.valid)
+    np.bitwise_xor(relevant, flip[:, 1], out=rows.relevant)
+    rows.action[:] = np.where(flip[:, 2], opposite_half(action, cfg.n_actions, u[:, 9 + d]),
+                              action)
+    rows.mem_label[:] = np.where(
+        flip[:, 3], opposite_half(mem, cfg.n_memory_classes, u[:, 10 + d]), mem)
 
 
 @contextmanager

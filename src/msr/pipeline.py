@@ -165,7 +165,7 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
         raise EmptyInputError(f"no {modality} records survived the trust filter (tau={cfg.tau})")
     stats = fit_norm_stats(survivors.features.reshape(-1))
 
-    prototypes = normalize(geometry.memory_centers, stats)
+    prototypes = normalize(geometry.memory_centers(), stats)
     prototypes.setflags(write=False)
 
     # both channels span the relevance block, which is 2 wide in every layout
@@ -174,7 +174,7 @@ def build_context(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
     with np.errstate(over="ignore"):  # an infinite map fails score_chunk's check
         neutral = feature_map(integrate(np.zeros(2), internal, instruction, cfg.weights))
     envs = cfg.grid.envs()
-    centers = geometry.action_centers
+    centers = geometry.action_centers()
     return ModalityContext(
         cfg=cfg, modality_index=MODALITIES.index(modality), stats=stats,
         geometry=geometry, prototypes=prototypes,

@@ -28,6 +28,10 @@ HOLDOUT_SPLIT = 5
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# draws per block of `keyed_uniforms`: 120 KiB per buffer, under glibc's
+# 128 KiB mmap threshold, so the two buffers come from the heap and stay in
+# cache while a block is mixed
+_BLOCK = 15 << 10
 
 
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -51,8 +55,10 @@ def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
     `open_interval` (top 52 bits plus half a step), for inverse-CDF
     transforms that must not see 0.
 
-    The outputs are mixed in place, and the scratch array of the mixing
-    becomes the result: fresh memory costs more here than the arithmetic.
+    The rows are mixed a block at a time in two buffers of at most _BLOCK
+    draws, and each block is converted straight into its rows of the
+    result, so the result is the only array as large as the draws: fresh
+    memory costs more here than the arithmetic.
     """
     key = np.full(1, master_seed, dtype=np.uint64)
     for part in (np.full(1, purpose, dtype=np.uint64), np.full(1, modality, dtype=np.uint64),
@@ -60,17 +66,21 @@ def keyed_uniforms(master_seed: int, purpose: int, modality: int, ids, n: int,
         key = key ^ (part + _GOLDEN)
         _mix(key, np.empty_like(key))
     step = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    bits = key[:, None] + step
+    shift, scale = (np.uint64(12), 2.0 ** -52) if open_interval else (np.uint64(11), 2.0 ** -53)
+    u = np.empty((len(key), n))
+    rows = max(1, _BLOCK // max(n, 1))
+    bits = np.empty((min(rows, len(key)), n), dtype=np.uint64)
     scratch = np.empty_like(bits)
-    _mix(bits, scratch)
-    bits >>= np.uint64(12 if open_interval else 11)
-    u = scratch.view(np.float64)
-    np.copyto(u, bits, casting="unsafe")
-    if open_interval:
-        u += 0.5
-        u *= 2.0 ** -52
-    else:
-        u *= 2.0 ** -53
+    for lo in range(0, len(key), rows):
+        out = u[lo:lo + rows]
+        block = bits[:len(out)]
+        np.add(key[lo:lo + rows, None], step, out=block)
+        _mix(block, scratch[:len(out)])
+        block >>= shift
+        np.copyto(out, block, casting="unsafe")
+        if open_interval:
+            out += 0.5
+        out *= scale
     return u
 
 

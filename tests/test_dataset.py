@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -82,6 +86,22 @@ class TestGenerate:
             ma = many.by_modality(m)[:5]
             assert fa.features.tobytes() == ma.features.tobytes()
             assert fa.trust.tobytes() == ma.trust.tobytes()
+
+    @pytest.mark.parametrize("chunk, n", [(1, 1), (1, 7), (1, 300), (5, 1), (5, 7), (5, 300),
+                                          (5, 4099), (4096, 1), (4096, 7), (4096, 300),
+                                          (4096, 4099)])
+    def test_any_chunk_size(self, tmp_path, monkeypatch, chunk, n):
+        # each record is drawn from its own key, so how the rows are split
+        # into draws changes no bit of the dataset or its file
+        cfg = GeneratorConfig(n_per_modality=n, feature_dim=12, n_actions=3, n_memory_classes=5,
+                              seed=11)
+        whole = generate(cfg)
+        save(whole, str(tmp_path / "whole.json"))
+        monkeypatch.setattr(dataset, "_GEN_CHUNK", chunk)
+        chunked = generate(cfg)
+        save(chunked, str(tmp_path / "chunked.json"))
+        assert chunked == whole
+        assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
     def test_oracle_perfect_at_zero_noise(self):
         cfg = GeneratorConfig(
@@ -654,3 +674,57 @@ def test_load_holds_little_more_than_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_records_view_holds_one_block_of_records():
+    # the view builds its records one block at a time and keeps none: from
+    # 10,000 to 20,000 records per modality the peak of a full iteration grew
+    # by 152 bytes (3.5 MB for one block), where the cached tuple grew 13.6 MB
+    peaks = []
+    for n in (10_000, 20_000):
+        data = generate(GeneratorConfig(n_per_modality=n, seed=42))
+        tracemalloc.start()
+        try:
+            for _ in data.records:
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 << 10
+
+
+def test_generate_holds_the_table_and_one_chunk(monkeypatch):
+    # the table is allocated once and each chunk is drawn into its rows: the
+    # peak was 1.06 times the table plus one chunk's uniforms, where the
+    # per-modality blocks, their concatenation and the last modality's
+    # uniforms peaked at 2.56 times
+    chunk = 1 << 10
+    monkeypatch.setattr(dataset, "_GEN_CHUNK", chunk)
+    cfg = GeneratorConfig(n_per_modality=20_000, seed=42)
+    tracemalloc.start()
+    try:
+        data = generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = sum(column.nbytes for column in data.table.arrays()) + data.modality.nbytes
+    draws = chunk * (11 + cfg.feature_dim) * 8
+    assert peak < 1.2 * (table + draws)
+
+
+def test_generate_builds_no_dense_center_table(tmp_path):
+    # a (40000, 20004) memory center table would take 5.96 GiB for a corpus
+    # of 6 records; generate adds each record's centers by the sign rule
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from msr.dataset import GeneratorConfig, generate
+        data = generate(GeneratorConfig(n_per_modality=2, feature_dim=20004,
+                                        n_memory_classes=40000))
+        assert data.table.features.shape == (6, 20004), data.table.features.shape
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr

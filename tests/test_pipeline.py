@@ -203,8 +203,13 @@ def test_no_record_objects_from_generate_to_outputs(tmp_path, monkeypatch, worke
     execute_run(RunConfig(generator=GEN, seed=13, workers=workers,
                           out_dir=str(tmp_path / "out")), data)
     assert built.value == 0
-    # the records view builds them on demand, one per record
-    assert len(data.records) == built.value == 3 * GEN.n_per_modality
+    # the records view builds them while it is iterated, one per record, and
+    # keeps none, so a second iteration builds them again
+    n = 3 * GEN.n_per_modality
+    records = data.records
+    assert len(records) == n and built.value == 0
+    assert sum(1 for _ in records) == built.value == n
+    assert sum(1 for _ in records) == n and built.value == 2 * n
 
 
 def test_gen_save_load_run_import_no_scipy(tmp_path):

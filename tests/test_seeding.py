@@ -5,9 +5,11 @@ of the call."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from msr import seeding
 from msr.seeding import keyed_uniforms
 
 MASK = 2 ** 64 - 1
@@ -49,6 +51,19 @@ def test_known_answers(seed, purpose, modality, ids, n):
     want_open = [[((reference_bits(seed, purpose, modality, rid, j) >> 12) + 0.5) * 2.0 ** -52
                   for j in range(n)] for rid in ids]
     assert got_open.tolist() == want_open
+
+
+@pytest.mark.parametrize("block", [1, 12, 13, 40])
+def test_known_answers_across_mixing_blocks(monkeypatch, block):
+    # the rows are mixed a block at a time: a block of at least one row, and
+    # a last block that is short
+    monkeypatch.setattr(seeding, "_BLOCK", block)
+    ids = list(range(0, 700, 7))
+    got = keyed_uniforms(9, 1, 2, ids, 13)
+    got_open = keyed_uniforms(9, 1, 2, ids, 13, open_interval=True)
+    bits = [[reference_bits(9, 1, 2, rid, j) for j in range(13)] for rid in ids]
+    assert got.tolist() == [[(b >> 11) * 2.0 ** -53 for b in row] for row in bits]
+    assert got_open.tolist() == [[((b >> 12) + 0.5) * 2.0 ** -52 for b in row] for row in bits]
 
 
 def test_no_runtime_warning_at_the_largest_seed():
