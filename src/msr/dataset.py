@@ -484,10 +484,10 @@ def save(dataset: Dataset, path: str) -> None:
     """Write the dataset as JSON, records in id order: the bytes of
     json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n",
     formatted straight from the table. Floats go through %r, which is
-    float.__repr__ as in json, so every float round-trips exactly."""
+    float.__repr__ as in json, so every float round-trips exactly. Each block
+    of SAVE_BLOCK rows is checked for values json rejects just before it is
+    formatted; on one, no file is left."""
     table = dataset.table
-    if not (np.isfinite(table.features).all() and np.isfinite(table.trust).all()):
-        raise ValueError("Out of range float values are not JSON compliant")
     record = ('{"id":%d,"modality":%s,"features":[' + ",".join(["%r"] * table.features.shape[1])
               + '],"trust":%r,"valid":%s,"relevant":%s,"action":%d,"mem_label":%d}')
     names = [json.dumps(modality) for modality in MODALITIES]
@@ -496,6 +496,8 @@ def save(dataset: Dataset, path: str) -> None:
         fh.write('{"meta":%s,"records":[' % meta)
         for lo in range(0, len(table), SAVE_BLOCK):
             rows = table[lo:lo + SAVE_BLOCK]
+            if not (np.isfinite(rows.features).all() and np.isfinite(rows.trust).all()):
+                raise ValueError("Out of range float values are not JSON compliant")
             flags = (np.where(column, "true", "false").tolist()
                      for column in (rows.valid, rows.relevant))
             fh.write(("," if lo else "") + ",".join(record % row for row in zip(

@@ -12,9 +12,9 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            one-record result bit for bit whatever the chunking.
   phase 2  the merge over the concatenated columns in record-id order applies
            feedback (decision history means, feedback-adjusted utilities).
-           The trace writer formats each record's line from these columns
-           while it writes, one id-ordered block of SAVE_BLOCK dataset rows
-           at a time, so no line outlives its block.
+           The trace writer turns these columns into text a column at a
+           time while it writes, one id-ordered block of SAVE_BLOCK dataset
+           rows at a time, so no line outlives its block.
 
 Alignment plans the first `align.samples` survivors per modality again in
 one batch, as phase 1 does, and rolls them out together, one array step per
@@ -43,7 +43,6 @@ populated.
 from dataclasses import dataclass
 import functools
 import json
-import multiprocessing
 import os
 
 import numpy as np
@@ -322,19 +321,29 @@ def score_records(ctx: ModalityContext, survivors: Columns, workers: int):
     score = functools.partial(score_chunk, ctx)
     if workers <= 1 or len(chunks) < 2:
         return Outcomes.concat(list(map(score, chunks)))
+    import multiprocessing  # only here: a run at one worker does not pay its import
+
     with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
         return Outcomes.concat(pool.map(score, chunks))
 
 
 # Trace lines in the bytes of json.dumps(line, separators=(",", ":")) with
-# keys in this order: floats through %r, which is float.__repr__ as in json,
-# ints through %d, strings and booleans encoded beforehand.
-_DROPPED_LINE = '{"id":%d,"modality":%s,"trust":%r,"kept":false}'
-_KEPT_LINE = ('{"id":%d,"modality":%s,"trust":%r,"kept":true,"semantic":[%r,%r],'
-              '"relevance_mass":%r,"own_in_topk":%d,"retrieved_label":%d,"decision":%d,'
-              '"subtask":%s,"sim_first_action":%d,"action":%d,"confidence":%r,'
-              '"matched":%s,"outcome":%r,"feedback_mean":%r,"adjusted_utility":%r,'
-              '"steps":{"s2":%s,"s3":%s,"s4":%d,"s5":%d,"s6":%d,"s7":%d}}')
+# keys in this order. No line has a template of its own: each field is
+# formatted once per block as a column (floats by repr, which is
+# float.__repr__ as in json, ints by str) and each column fills its own
+# stride of one list of parts, between the fixed texts below, which one
+# "".join turns into the block's text. A line is its head (id, modality,
+# trust) and its tail, from "kept" on. Flags and decisions pick a fixed text.
+_HEADS = np.array([f',"modality":{json.dumps(modality)},"trust":' for modality in MODALITIES],
+                  dtype=object)
+_DROPPED_TAIL = ',"kept":false}\n'
+_DECISIONS = np.array([f',"decision":{d},"subtask":{json.dumps(f"move-{action}")},'
+                       '"sim_first_action":' for d, action in enumerate(ACTIONS)], dtype=object)
+_S5 = np.array([f',"s5":{d},"s6":' for d in range(len(ACTIONS))], dtype=object)
+_MATCHED = np.array([',"matched":false,"outcome":0.0,"feedback_mean":',
+                     ',"matched":true,"outcome":1.0,"feedback_mean":'], dtype=object)
+_STEPS = np.array([f',"steps":{{"s2":{s2},"s3":{s3},"s4":'
+                   for s2 in ("false", "true") for s3 in ("false", "true")], dtype=object)
 
 
 @dataclass
@@ -394,30 +403,49 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                           kept=kept, matched=matched, feedback=feedback, adjusted=adjusted)
 
 
-def trace_lines(res: ModalityResult, ids, trust, rows: slice, first: int) -> np.ndarray:
-    """The trace lines of the modality's records at `rows` of its id order,
-    whose ids and trust are `ids` and `trust`; `first` is the survivor row of
-    the first kept one. One line per record, in the order of `rows`."""
+def _rows(n: int, *fields) -> list:
+    """The parts of n rows, row after row, each the fields in turn: a str is
+    the same on every row, any other field holds one str per row."""
+    k = len(fields)
+    parts = [field if isinstance(field, str) else None for field in fields] * n
+    for j, field in enumerate(fields):
+        if not isinstance(field, str):
+            parts[j::k] = field
+    return parts
+
+
+def _reprs(values: np.ndarray) -> list:
+    """repr of each float of `values`, formatted once per distinct bit
+    pattern, so -0.0 stays -0.0."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)[inverse.ravel()].tolist()
+
+
+def trace_tails(res: ModalityResult, rows: slice, first: int) -> np.ndarray:
+    """The end of the trace line, from "kept" to the newline, of each of the
+    modality's records at `rows` of its id order; `first` is the survivor
+    row of the first kept one."""
     kept = res.kept[rows]
+    tails = np.empty(len(kept), dtype=object)
+    tails.fill(_DROPPED_TAIL)  # np.full would make a new str for every row
     picked = slice(first, first + int(np.count_nonzero(kept)))
     out, matched = res.outcomes[picked], res.matched[picked]
-    name = json.dumps(res.modality)
-    subtask = [json.dumps(f"move-{action}") for action in ACTIONS]
-    label, decision, act = (column.tolist() for column in
-                            (out.retrieved_label, out.decision_id, out.policy_action))
-    hit, s2, s3 = (np.where(column, "true", "false").tolist()
-                   for column in (matched, out.pred_step2, out.pred_step3))
-    columns = zip(ids[kept].tolist(), [name] * len(label), trust[kept].tolist(),
-                  *out.semantic.T.tolist(), out.relevance_mass.tolist(),
-                  out.own_in_topk.tolist(), label, decision, [subtask[d] for d in decision],
-                  out.sim_first_action.tolist(), act, out.confidence.tolist(), hit,
-                  matched.astype(float).tolist(), res.feedback[picked].tolist(),
-                  res.adjusted[picked].tolist(), s2, s3, label, decision, act, act)
-    lines = np.empty(len(kept), dtype=object)
-    lines[kept] = [_KEPT_LINE % row for row in columns]
-    lines[~kept] = [_DROPPED_LINE % (rid, name, value) for rid, value in
-                    zip(ids[~kept].tolist(), trust[~kept].tolist())]
-    return lines
+    semantic = _reprs(out.semantic.ravel())
+    label, act = (list(map(str, column.tolist())) for column in
+                  (out.retrieved_label, out.policy_action))
+    text = "".join(_rows(
+        len(matched), ',"kept":true,"semantic":[', semantic[0::2], ",", semantic[1::2],
+        '],"relevance_mass":', map(repr, out.relevance_mass.tolist()),
+        ',"own_in_topk":', map(str, out.own_in_topk.tolist()), ',"retrieved_label":', label,
+        _DECISIONS[out.decision_id].tolist(), map(str, out.sim_first_action.tolist()),
+        ',"action":', act, ',"confidence":', map(repr, out.confidence.tolist()),
+        _MATCHED[matched.view(np.int8)].tolist(), map(repr, res.feedback[picked].tolist()),
+        ',"adjusted_utility":', map(repr, res.adjusted[picked].tolist()),
+        _STEPS[2 * out.pred_step2 + out.pred_step3].tolist(), label,
+        _S5[out.decision_id].tolist(), act, ',"s7":', act, "}}\n"))
+    tails[kept] = text.splitlines(keepends=True)  # no field's text breaks a line
+    return tails
 
 
 def trace_blocks(dataset: Dataset, results):
@@ -429,18 +457,22 @@ def trace_blocks(dataset: Dataset, results):
     row, first = [0] * len(MODALITIES), [0] * len(MODALITIES)
     for lo in range(0, len(dataset.modality), SAVE_BLOCK):
         owner = dataset.modality[lo:lo + SAVE_BLOCK]
-        ids, trust = dataset.table.ids[lo:lo + SAVE_BLOCK], dataset.table.trust[lo:lo + SAVE_BLOCK]
-        lines = np.empty(len(owner), dtype=object)
+        written = ran[owner]
+        owner = owner[written]
+        tails = np.empty(len(owner), dtype=object)
         for res in results:
             index = res.context.modality_index
             mine = owner == index
             rows = slice(row[index], row[index] + int(np.count_nonzero(mine)))
             if rows.start == rows.stop:  # most blocks of a generated set hold one modality
                 continue
-            lines[mine] = trace_lines(res, ids[mine], trust[mine], rows, first[index])
+            tails[mine] = trace_tails(res, rows, first[index])
             row[index] = rows.stop
             first[index] += int(np.count_nonzero(res.kept[rows]))
-        yield "".join([line + "\n" for line in lines[ran[owner]]])
+        ids = dataset.table.ids[lo:lo + SAVE_BLOCK][written]
+        trust = dataset.table.trust[lo:lo + SAVE_BLOCK][written]
+        yield "".join(_rows(len(owner), '{"id":', map(str, ids.tolist()), _HEADS[owner].tolist(),
+                            map(repr, trust.tolist()), tails.tolist()))
 
 
 def run_alignment(cfg: RunConfig, results) -> float:

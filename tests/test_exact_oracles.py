@@ -6,10 +6,13 @@ each test compares bytes, not tolerances. CI reruns this file with
 
 from dataclasses import replace
 import decimal
+import functools
 import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -426,14 +429,11 @@ def test_trace_lines_are_canonical_json(tmp_path):
         assert json.dumps(json.loads(line), separators=(",", ":"), allow_nan=False) == line
 
 
-def _dict_lines(cfg, res, records):
-    """Trace lines as json.dumps of one dict per record, as the writer made
-    them before it formatted lines from the outcome columns."""
+def _json_lines(res, ids, trust, matched, feedback, adjusted):
+    """Trace lines as json.dumps of one dict per record, keyed by id, for the
+    modality's records of `ids` and `trust`, with these phase-2 columns."""
     out = res.outcomes
     kept = dict(zip(out.record_id.tolist(), range(len(out.record_id))))
-    action = np.asarray([r.action for r in records if r.id in kept])
-    matched = out.policy_action == action
-    feedback = feedback_means(out.decision_id, matched.astype(float))
     columns = {
         "semantic": out.semantic, "relevance_mass": out.relevance_mass,
         "own_in_topk": out.own_in_topk, "retrieved_label": out.retrieved_label,
@@ -441,21 +441,33 @@ def _dict_lines(cfg, res, records):
         "subtask": np.asarray([f"move-{a}" for a in ACTIONS])[out.decision_id],
         "sim_first_action": out.sim_first_action, "action": out.policy_action,
         "confidence": out.confidence, "matched": matched, "outcome": matched.astype(float),
-        "feedback_mean": feedback,
-        "adjusted_utility": out.predicted_outcome + cfg.lambda_feedback * feedback,
+        "feedback_mean": feedback, "adjusted_utility": adjusted,
     }
     values = {name: column.tolist() for name, column in columns.items()}
     lines = {}
-    for r in records:
-        line = {"id": r.id, "modality": res.modality, "trust": r.trust, "kept": r.id in kept}
-        if r.id in kept:
-            i = kept[r.id]
+    for rid, value in zip(ids, trust):
+        line = {"id": rid, "modality": res.modality, "trust": value, "kept": rid in kept}
+        if rid in kept:
+            i = kept[rid]
             line.update({name: column[i] for name, column in values.items()})
             line["steps"] = {"s2": bool(out.pred_step2[i]), "s3": bool(out.pred_step3[i]),
                              "s4": line["retrieved_label"], "s5": line["decision"],
                              "s6": line["action"], "s7": line["action"]}
-        lines[r.id] = json.dumps(line, separators=(",", ":"), allow_nan=False)
+        lines[rid] = json.dumps(line, separators=(",", ":"), allow_nan=False)
     return lines
+
+
+def _dict_lines(cfg, res, records):
+    """Trace lines as json.dumps of one dict per record, as the writer made
+    them before it formatted lines from the outcome columns, with the phase-2
+    columns computed again from the records."""
+    out = res.outcomes
+    kept = set(out.record_id.tolist())
+    action = np.asarray([r.action for r in records if r.id in kept])
+    matched = out.policy_action == action
+    feedback = feedback_means(out.decision_id, matched.astype(float))
+    return _json_lines(res, [r.id for r in records], [r.trust for r in records], matched,
+                       feedback, out.predicted_outcome + cfg.lambda_feedback * feedback)
 
 
 @pytest.mark.parametrize("modality", MODALITIES)
@@ -464,7 +476,7 @@ def test_trace_lines_equal_json_dumps_of_a_dict(tmp_path, modality):
     data = generate(SMALL)
     rows = data.by_modality(modality)
     res = pipeline.run_modality(cfg, SMALL, modality, rows, 1)
-    lines = pipeline.trace_lines(res, rows.ids, rows.trust, slice(0, len(rows)), 0)
+    lines = "".join(pipeline.trace_blocks(data, [res])).splitlines()
     records = [r for r in data.records if r.modality == modality]
     ids = rows.ids.tolist()
     assert ids == [r.id for r in records] and len(lines) == len(ids)
@@ -568,6 +580,61 @@ def column_datasets(draw, elements=FLOATS):
     return Dataset(meta=meta, table=table, modality=owner.astype(np.int8))
 
 
+@st.composite
+def trace_cases(draw):
+    """A dataset of arbitrary columns and a ModalityResult of arbitrary
+    columns for each of a drawn set of its modalities: kept masks that keep
+    none, all or some of its rows, and a semantic column of few values that
+    holds 0.0 and -0.0 together."""
+    data = draw(column_datasets())
+    ints = functools.partial(hnp.arrays, np.int64)
+    results = []
+    for index, modality in enumerate(MODALITIES):
+        mine = data.modality == index
+        if not draw(st.booleans()):
+            continue
+        n = int(np.count_nonzero(mine))
+        kept = draw(st.one_of(st.just(np.zeros(n, bool)), st.just(np.ones(n, bool)),
+                              hnp.arrays(bool, n)))
+        c = int(np.count_nonzero(kept))
+        semantic = st.sampled_from(draw(st.lists(FLOATS, max_size=3)) + [0.0, -0.0])
+        big, moves = st.integers(0, 2 ** 63 - 1), st.integers(0, len(ACTIONS) - 1)
+        floats = hnp.arrays(np.float64, c, elements=FLOATS)
+        flags = hnp.arrays(bool, c)
+        outcomes = pipeline.Outcomes(
+            record_id=data.table.ids[mine][kept],
+            semantic=draw(hnp.arrays(np.float64, (c, 2), elements=semantic)),
+            own_in_topk=draw(ints(c, elements=big)), relevance_mass=draw(floats),
+            pred_step2=draw(flags), pred_step3=draw(flags),
+            retrieved_label=draw(ints(c, elements=big)), readout_cosine=np.zeros(c),
+            refined_attributes=np.zeros((c, 2)), refined_utility=np.zeros(c),
+            decision_id=draw(ints(c, elements=moves)), predicted_outcome=np.zeros(c),
+            sim_first_action=draw(ints(c, elements=big)),
+            policy_action=draw(ints(c, elements=big)), confidence=draw(floats))
+        results.append(pipeline.ModalityResult(
+            modality=modality, confusions={}, outcomes=outcomes,
+            context=SimpleNamespace(modality_index=index), kept=kept, matched=draw(flags),
+            feedback=draw(floats), adjusted=draw(floats)))
+    return data, results
+
+
+@given(case=trace_cases(), block=st.sampled_from([1, 7, pipeline.SAVE_BLOCK]))
+@settings(deadline=None)
+def test_trace_of_arbitrary_columns_equals_the_dict_oracle(case, block):
+    data, results = case
+    expected = {}
+    for res in results:
+        mine = data.modality == MODALITIES.index(res.modality)
+        expected |= _json_lines(res, data.table.ids[mine].tolist(),
+                                data.table.trust[mine].tolist(), res.matched, res.feedback,
+                                res.adjusted)
+    with mock.patch.object(pipeline, "SAVE_BLOCK", block):
+        text = "".join(pipeline.trace_blocks(data, results))
+    assert text.splitlines() == [expected[rid] for rid in data.table.ids.tolist()
+                                 if rid in expected]
+    assert text.endswith("\n") or not text
+
+
 def _saved(dataset):
     """The bytes `save` writes, or the type and text of what it raises."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -616,6 +683,15 @@ def test_non_finite_feature_is_rejected():
     data.table.features[auditory[1], 3] = math.nan
     assert _saved(data) == _dumped(data)
     assert _saved(data)[:2] == (ValueError, "Out of range float values are not JSON compliant")
+
+
+def test_non_finite_value_in_a_later_block_leaves_no_file():
+    # each block is checked just before it is formatted, so the first two
+    # blocks are already in the temporary file when the third fails
+    data = generate(GeneratorConfig(n_per_modality=2, seed=1))
+    data.table.trust[-1] = math.inf
+    with mock.patch("msr.dataset.SAVE_BLOCK", 2):
+        assert _saved(data) == _dumped(data)
 
 
 # msr.special against scipy.special, bit for bit. A RuntimeWarning from either

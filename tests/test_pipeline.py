@@ -235,17 +235,29 @@ def test_gen_save_load_run_import_no_scipy(tmp_path):
     assert (tmp_path / "out" / "trace.jsonl").exists()
 
 
-def test_import_does_not_load_numpy_random(tmp_path):
-    # no stream of a run is a numpy Generator, so importing msr leaves
-    # numpy.random unloaded (about 15 ms of import time)
+def _import_leaves_unloaded(tmp_path, package):
+    """Import msr.pipeline and msr.cli in a fresh interpreter and fail if
+    `package` or any of its submodules was loaded."""
     script = ("import sys, msr.pipeline, msr.cli\n"
-              "assert 'numpy.random' not in sys.modules, "
-              "sorted(m for m in sys.modules if m.startswith('numpy.random'))")
+              f"loaded = sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))\n"
+              "assert not loaded, loaded")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_import_does_not_load_numpy_random(tmp_path):
+    # no stream of a run is a numpy Generator, so importing msr leaves
+    # numpy.random unloaded (about 15 ms of import time)
+    _import_leaves_unloaded(tmp_path, "numpy.random")
+
+
+def test_import_does_not_load_multiprocessing(tmp_path):
+    # only score_records' pool branch needs multiprocessing, so it imports
+    # it there (about 12 ms of import time that a one-worker run skips)
+    _import_leaves_unloaded(tmp_path, "multiprocessing")
 
 
 def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
@@ -268,16 +280,16 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     # blocks of 150 rows: the first holds visual records only, and the write
     # fails in the second, after the first is in the temporary file
     monkeypatch.setattr(pipeline, "SAVE_BLOCK", 150)
-    trace_lines, formatted = pipeline.trace_lines, []
+    trace_tails, formatted = pipeline.trace_tails, []
 
-    def unwritable(res, ids, trust, rows, first):
-        lines = trace_lines(res, ids, trust, rows, first)
+    def unwritable(res, rows, first):
+        tails = trace_tails(res, rows, first)
         formatted.append((res.modality, rows.start))
         if len(formatted) == 2:
-            lines[0] = None
-        return lines
+            tails[0] = None
+        return tails
 
-    monkeypatch.setattr(pipeline, "trace_lines", unwritable)
+    monkeypatch.setattr(pipeline, "trace_tails", unwritable)
     with pytest.raises(TypeError):
         execute_run(second)
     assert formatted == [("visual", 0), ("visual", 150), ("auditory", 0)]
