@@ -66,7 +66,19 @@ def _apply_seed(cfg: RunConfig, seed: int, raw: dict) -> RunConfig:
     return dataclasses.replace(cfg, seed=seed, generator=generator)
 
 
+def check_out_file(path: str) -> None:
+    """Fail unless `save` can write a file at `path`: it is not a directory
+    and its parent is one, so that `gen` fails before it generates anything.
+    Creates nothing."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output file {path} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output file {path}: {parent} is not a directory")
+
+
 def cmd_gen(args) -> int:
+    check_out_file(args.out)
     cfg, raw = _load_config(args.config)
     seed = _resolve_seed(args.seed, raw, cfg)
     cfg = _apply_seed(cfg, seed, raw)

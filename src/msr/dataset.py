@@ -42,12 +42,14 @@ and `ndtr` of `msr.special`, which equal scipy.special's bit for bit.
 
 Storage is by column too. A `Dataset` holds the meta block, one `Columns`
 table of every record in id order, which is the file's order, and each row's
-index into MODALITIES. `save` formats the JSON text straight from the table.
-`load` reads the file in 4 MiB pieces and walks its top-level object with
-json's own scanner: it decodes `meta` whole and the records one at a time,
-and runs every record check over the columns of each block of SAVE_BLOCK
-records, keeping the checked columns and dropping the block's dicts. So it
-holds about one piece of text and one block of dicts besides the columns:
+index into MODALITIES. `save` formats the JSON text straight from the
+table's columns with `numtext`, a block of rows at a time as one uint8
+matrix with a row of text per record. `load` reads the file in 4 MiB pieces
+and walks its top-level object with json's own scanner: it decodes `meta`
+whole and the records one at a time, and runs every record check over the
+columns of each block of SAVE_BLOCK records, keeping the checked columns and
+dropping the block's dicts. So it holds about one piece of text and one
+block of dicts besides the columns:
 a 3 x 10^5 file (86 MB) loads in a fresh process with a peak RSS of 93 MB,
 where a whole `json.load` tree peaked at 340 MB. A fault names the lowest
 bad record and the first check it fails; text the walk cannot read gets
@@ -68,7 +70,7 @@ import os
 
 import numpy as np
 
-from . import mapping, seeding
+from . import mapping, numtext, seeding
 from .errors import ConfigError, ParseError
 from .special import ndtr, ndtri
 
@@ -332,9 +334,9 @@ class Columns(Table):
     mem_label: np.ndarray
 
 
-# rows per step of `save`, `load`, `Dataset.records` and the trace writer,
-# which bounds the Python lists each step builds and, in `Dataset.records`,
-# the ModalRecords alive at once
+# rows per step of `load`, `Dataset.records` and the trace writer, which
+# bounds the Python lists each step builds and, in `Dataset.records`, the
+# ModalRecords alive at once; `save` formats no more rows than this at once
 SAVE_BLOCK = 1 << 12
 # rows per draw of `generate`, which holds the table and one chunk's keyed
 # uniforms. A draw costs about 90 numpy calls of `ndtri` per `_truncated`
@@ -480,32 +482,95 @@ def atomic_open(*paths: str):
         raise
 
 
+# floats per formatting step of `save`: a block of rows holds at most this
+# many, 512 rows at feature_dim 8, and a row wider than that is written in
+# pieces of this many features. A float takes about 200 bytes of numpy
+# temporaries and a row of text about 70 per float, which stay in the heap
+# after `save` where Python objects made later cannot reuse them: a process
+# that generates 3 x 15,000 records, saves them and then iterates
+# `Dataset.records` peaked 0.5 MB higher with 1,024-row blocks than with
+# these, and 5 MB higher with 4,096
+_SAVE_CELLS = 9 << 9
+
+
+def _text_table(texts) -> np.ndarray:
+    """The ASCII texts as the rows of a uint8 matrix, padded with 0."""
+    width = max(map(len, texts))
+    return np.array([list(t.encode("ascii").ljust(width, b"\0")) for t in texts], dtype=np.uint8)
+
+
+_RECORD_HEAD = _text_table([',{"id":'])
+_MODALITY_TEXT = _text_table([f',"modality":"{m}","features":[' for m in MODALITIES])
+_TRUST_TEXT = _text_table(['],"trust":'])
+# by valid * 2 + relevant
+_FLAG_TEXT = _text_table([f',"valid":{v},"relevant":{r},"action":'
+                          for v in ("false", "true") for r in ("false", "true")])
+_MEM_TEXT = _text_table([',"mem_label":'])
+_RECORD_END = _text_table(["}"])
+
+
+def _records_text(rows: Columns, owner, c0: int, c1: int) -> np.ndarray:
+    """The JSON text of `rows`, each preceded by a comma, with only their
+    features c0:c1: a row's fields before them when c0 is 0 and after them
+    when c1 is the last. Built as one uint8 matrix, a row of text per
+    record, whose 0s are dropped; the text's bytes, as uint8."""
+    n, dim = rows.features.shape
+    last = c1 == dim
+    floats = np.column_stack((rows.features[:, c0:c1], rows.trust)) if last else \
+        rows.features[:, c0:c1]
+    floats = numtext.float_text(floats).reshape(n, floats.shape[1], -1)
+    # a comma before each feature but the first
+    floats[:, c0 == 0:c1 - c0, 0] = ord(",")
+    parts = []
+    if c0 == 0:
+        parts += [_RECORD_HEAD, numtext.int_text(rows.ids), np.take(_MODALITY_TEXT, owner, axis=0)]
+    parts.append(floats[:, :c1 - c0])
+    if last:
+        labels = numtext.int_text(np.column_stack((rows.action, rows.mem_label))).reshape(n, 2, -1)
+        parts += [_TRUST_TEXT, floats[:, -1],
+                  np.take(_FLAG_TEXT, rows.valid * 2 + rows.relevant, axis=0), labels[:, 0],
+                  _MEM_TEXT, labels[:, 1], _RECORD_END]
+    widths = [part[0].size for part in parts]
+    text = np.empty((n, sum(widths)), dtype=np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        text[:, at:at + width].reshape(-1, *part.shape[1:])[...] = part
+        at += width
+    text = text.reshape(-1)
+    return text[text != 0]
+
+
 def save(dataset: Dataset, path: str) -> None:
     """Write the dataset as JSON, records in id order: the bytes of
-    json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n",
-    formatted straight from the table. Floats go through %r, which is
-    float.__repr__ as in json, so every float round-trips exactly. Each block
-    of SAVE_BLOCK rows is checked for values json rejects just before it is
-    formatted; on one, no file is left."""
+    json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n".
+    `meta` goes through json.dumps; the records are formatted straight
+    from the table by `numtext`, whose floats are float.__repr__'s text as
+    in json, so every float round-trips exactly. Each block of rows, or
+    piece of a row, of at most _SAVE_CELLS floats is checked for values
+    json rejects just before it is formatted; on one, no file is left."""
     table = dataset.table
-    record = ('{"id":%d,"modality":%s,"features":[' + ",".join(["%r"] * table.features.shape[1])
-              + '],"trust":%r,"valid":%s,"relevant":%s,"action":%d,"mem_label":%d}')
-    names = [json.dumps(modality) for modality in MODALITIES]
-    meta = json.dumps(dataset.meta, separators=(",", ":"), allow_nan=False)
+    dim = table.features.shape[1]
+    step = max(1, min(SAVE_BLOCK, _SAVE_CELLS // (dim + 1)))
     with atomic_open(path) as (fh,):
-        fh.write('{"meta":%s,"records":[' % meta)
-        for lo in range(0, len(table), SAVE_BLOCK):
-            rows = table[lo:lo + SAVE_BLOCK]
-            if not (np.isfinite(rows.features).all() and np.isfinite(rows.trust).all()):
-                raise ValueError("Out of range float values are not JSON compliant")
-            flags = (np.where(column, "true", "false").tolist()
-                     for column in (rows.valid, rows.relevant))
-            fh.write(("," if lo else "") + ",".join(record % row for row in zip(
-                rows.ids.tolist(), map(names.__getitem__,
-                                       dataset.modality[lo:lo + SAVE_BLOCK].tolist()),
-                *rows.features.T.tolist(), rows.trust.tolist(), *flags,
-                rows.action.tolist(), rows.mem_label.tolist())))
-        fh.write("]}\n")
+        # every byte goes to the binary file under the text one, so nothing
+        # waits in the text layer
+        out = fh.buffer
+        out.write(b'{"meta":')
+        # not held while the records are written: its layout lists every
+        # feature index
+        out.write(json.dumps(dataset.meta, separators=(",", ":"), allow_nan=False).encode("utf-8"))
+        out.write(b',"records":[')
+        for lo in range(0, len(table), step):
+            rows = table[lo:lo + step]
+            for c0 in range(0, dim, _SAVE_CELLS):
+                c1 = min(c0 + _SAVE_CELLS, dim)
+                if not (np.isfinite(rows.features[:, c0:c1]).all()
+                        and (c1 < dim or np.isfinite(rows.trust).all())):
+                    raise ValueError("Out of range float values are not JSON compliant")
+                text = _records_text(rows, dataset.modality[lo:lo + step], c0, c1)
+                # no comma before the first record
+                out.write(text[1:] if lo == 0 and c0 == 0 else text)
+        out.write(b"]}\n")
 
 
 def load(path: str) -> Dataset:

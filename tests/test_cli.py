@@ -46,6 +46,26 @@ class TestGen:
         assert run_cli("gen", "--n", "2", "--out", str(target)) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("case", ["directory", "missing", "file"])
+    def test_out_that_cannot_be_a_file_fails_before_generating(self, tmp_path, capsys,
+                                                               monkeypatch, case):
+        from msr import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("records generated for a file that cannot be written")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        (tmp_path / "taken").write_text("a file\n")
+        (tmp_path / "d").mkdir()
+        out, parent = {"directory": (tmp_path / "d", None),
+                       "missing": (tmp_path / "nope" / "data.json", tmp_path / "nope"),
+                       "file": (tmp_path / "taken" / "data.json", tmp_path / "taken")}[case]
+        assert run_cli("gen", "--n", "100000", "--out", str(out)) == 1
+        expected = (f"error: output file {out} is a directory\n" if parent is None
+                    else f"error: output file {out}: {parent} is not a directory\n")
+        assert capsys.readouterr().err == expected
+        assert sorted(os.listdir(tmp_path)) == ["d", "taken"] and not os.listdir(tmp_path / "d")
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         monkeypatch.setenv("MSR_SEED", "123")

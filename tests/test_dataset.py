@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -674,6 +675,29 @@ def test_load_holds_little_more_than_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_save_holds_one_block_of_text(tmp_path):
+    # `save` formats at most _SAVE_CELLS floats at a time: from 10,000 to
+    # 20,000 records per modality its peak grew by 11 KB (of 1.29 MB), and a
+    # row of 20,004 features, written in pieces, peaked at 1.14 MB. The
+    # meta blocks are left out: json.dumps holds a str for each feature
+    # index that the layout lists, 1.2 MB at this width
+    path = str(tmp_path / "data.json")
+    peaks = []
+    for cfg in (GeneratorConfig(n_per_modality=10_000, seed=42),
+                GeneratorConfig(n_per_modality=20_000, seed=42),
+                GeneratorConfig(n_per_modality=2, feature_dim=20_004, seed=42)):
+        data = dataclasses.replace(generate(cfg), meta={})
+        save(data, path)  # the formatter's tables are built once, on first use
+        tracemalloc.start()
+        try:
+            save(data, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 << 10
+    assert peaks[2] < peaks[0] + (64 << 10)
 
 
 def test_records_view_holds_one_block_of_records():

@@ -1,7 +1,8 @@
 """Bit-for-bit oracles for the array fast paths of phase 1, alignment, the
-memory store, the trace writer and the dataset writer, and for msr.special
-against scipy.special and libm. Each fast path claims exact equality with a slower reference, so
-each test compares bytes, not tolerances. CI reruns this file with
+memory store, the trace writer and the dataset writer, for msr.numtext
+against repr and str, and for msr.special against scipy.special and libm.
+Each fast path claims exact equality with a slower reference, so each test
+compares bytes, not tolerances. CI reruns this file with
 `--hypothesis-profile=ci` (tests/conftest.py) for a longer search."""
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import special as scipy_special
 
-from msr import pipeline, seeding, special
+from msr import numtext, pipeline, seeding, special
 from msr.config import GridSpec, RunConfig
 from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, load, save
 from msr.decision import feedback_means
@@ -692,6 +693,73 @@ def test_non_finite_value_in_a_later_block_leaves_no_file():
     data.table.trust[-1] = math.inf
     with mock.patch("msr.dataset.SAVE_BLOCK", 2):
         assert _saved(data) == _dumped(data)
+
+
+@given(column_datasets(elements=st.one_of(FLOATS, st.sampled_from([math.nan, math.inf]))),
+       st.sampled_from([1, 2, 3, 7]))
+@settings(deadline=None)
+def test_saved_bytes_in_pieces_equal_json_dumps(dataset, cells):
+    # blocks of few cells: one row a block, and rows wider than a block in
+    # pieces of `cells` features, each checked before it is formatted
+    with mock.patch("msr.dataset._SAVE_CELLS", cells):
+        assert _saved(dataset) == _dumped(dataset)
+
+
+# numtext against repr and str: each row's nonzero bytes are the text
+def _texts(matrix, width):
+    assert matrix.dtype == np.uint8 and matrix.shape[1] == width
+    assert not matrix[:, :3].any()  # free for a caller's separator
+    ends = np.full((len(matrix), 1), ord("\n"), dtype=np.uint8)
+    flat = np.concatenate((matrix, ends), axis=1).reshape(-1)
+    return flat[flat != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _float_texts(values):
+    return _texts(numtext.float_text(values), numtext.FLOAT_WIDTH)
+
+
+def _finite(bits):
+    """The finite float64s among uint64 bit patterns."""
+    values = np.asarray(bits, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+@given(hnp.arrays(np.uint64, st.integers(0, 64), elements=st.integers(0, 2 ** 64 - 1)))
+def test_float_text_is_repr_for_any_bit_pattern(bits):
+    values = _finite(bits)
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_text_is_repr_for_a_million_bit_patterns():
+    bits = np.random.default_rng(20251).integers(0, 2 ** 64, 1_000_000, dtype=np.uint64)
+    values = _finite(bits)
+    assert len(values) > 990_000
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_text_is_repr_at_the_edges():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    # positional text from 1e-4 up to below 1e16; shortest digits of one
+    # digit at 1e-5 and 1e17
+    around = [_neighbours(center, np.arange(-3, 4)) for center in (1e-5, 1e-4, 1e16, 1e17)]
+    values = np.concatenate([powers, -powers, *around, [0.0, -0.0, 5e-324, -5e-324,
+                                                        1.7976931348623157e308, 0.1, 123.0]])
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+    assert _float_texts(np.zeros(0)) == []
+
+
+def test_int_text_is_str():
+    unsigned = np.array([0, 1, 9, 10, 99, 10 ** 19, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    signed = np.array([0, -1, -10, 2 ** 63 - 1, -2 ** 63, -(10 ** 18)], dtype=np.int64)
+    for values in (unsigned, signed):
+        assert _texts(numtext.int_text(values), numtext.INT_WIDTH) == \
+            list(map(str, values.tolist()))
+
+
+@given(st.one_of(hnp.arrays(np.uint64, st.integers(0, 32)),
+                 hnp.arrays(np.int64, st.integers(0, 32))))
+def test_int_text_is_str_for_any_integers(values):
+    assert _texts(numtext.int_text(values), numtext.INT_WIDTH) == list(map(str, values.tolist()))
 
 
 # msr.special against scipy.special, bit for bit. A RuntimeWarning from either
