@@ -1,6 +1,7 @@
-"""Numbers as JSON text, a whole array at a time: each float64 as `repr`
-writes it and each integer as `str` does, by numpy's integer arithmetic
-alone, so the text does not depend on the CPU.
+"""Numbers as JSON text and back, a whole array at a time: each float64 as
+`repr` writes it and each integer as `str` does, and each such text read
+back as `float` and `int` read it, by numpy's integer arithmetic alone, so
+neither direction depends on the CPU.
 
 A float's digits are Schubfach's (Giulietti, "The Schubfach way to render
 doubles", 2020): the shortest decimal that reads back as the same float,
@@ -18,6 +19,16 @@ point, zeros, exponent mark), taken from a table indexed by the layout, over
 the row's digits, masked by a second table of the same index. A float's
 digits appear twice, before and after the point, and each copy's mask shows
 its part, so the point needs no shift of the digits.
+
+The reader takes each text right-aligned in a row of NUMBER_WIDTH bytes,
+whatever bytes come before it, and finds its sign, point and exponent as
+bit masks of the row's columns. It reads eight digits from each uint64
+word of a row at once (SWAR) and turns a decimal w * 10**q with w below
+10**19 into the nearest float64, ties to even, by Eisel-Lemire: w times a
+128-bit truncated power of five, rounded from the product's top bits
+(Lemire, "Number Parsing at a Gigabyte per Second", 2021). For w below
+2**64 that product always decides the rounding, so no slower fallback is
+needed (Mushtak and Lemire, "Fast Number Parsing Without Fallback", 2023).
 """
 
 import functools
@@ -289,3 +300,207 @@ def int_text(values) -> np.ndarray:
     n = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
     return _text(_int_layouts(), negative * 20 + n - 1,
                  ((slice(1, 6), _digit_words(magnitude)),))
+
+
+# a number's text as `read_numbers` takes it: right-aligned in a row of
+# this many bytes, which holds every text `repr` writes, sign included
+NUMBER_WIDTH = 24
+# what `read_numbers` made of a text: a float it read, an integer it read,
+# or neither (0), for text it leaves to `float` or rejects
+FLOAT, INTEGER = 1, 2
+# the decimal exponents that the powers of five cover
+_Q_LO, _Q_HI = -342, 308
+# gathers the low bit of each byte of a word, byte j to bit j, into its top byte
+_GATHER = _U(0x0102040810204080)
+# a row's columns as the bits of a uint32, the first the lowest
+_B = np.uint32
+_TOP = 1 << NUMBER_WIDTH
+
+
+@functools.cache
+def _powers_of_five() -> tuple:
+    """High and low words of the 128 bits, top bit set, of 5**q for each q
+    in [_Q_LO, _Q_HI]: truncated for q >= 0, and for q < 0 the reciprocal
+    2**b / 5**-q rounded up, then truncated."""
+    hi, lo = [], []
+    for q in range(_Q_LO, _Q_HI + 1):
+        p = 5 ** abs(q)
+        z = p.bit_length()
+        if q < 0:
+            p = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p + 1
+            z = p.bit_length()
+        p = p << (128 - z) if z < 128 else p >> (z - 128)
+        hi.append(p >> 64)
+        lo.append(p & ((1 << 64) - 1))
+    return np.array(hi, dtype=np.uint64), np.array(lo, dtype=np.uint64)
+
+
+@functools.cache
+def _tails() -> np.ndarray:
+    """(NUMBER_WIDTH + 1, 3) uint64: row n masks a row's last n bytes."""
+    masks = np.zeros((NUMBER_WIDTH + 1, NUMBER_WIDTH), dtype=np.uint8)
+    for n in range(1, NUMBER_WIDTH + 1):
+        masks[n, NUMBER_WIDTH - n:] = 0xFF
+    return masks.view(np.uint64)
+
+
+def _bits(mask) -> np.ndarray:
+    """(n,) uint32 with bit c set where mask[:, c] is, for an (n, 24) bool
+    array: the top byte of each of its words times _GATHER."""
+    packed = np.zeros((len(mask), 4), dtype=np.uint8)
+    packed[:, :3] = (mask.view(np.uint64) * _GATHER).view(np.uint8)[:, 7::8]
+    return packed.view(np.uint32).reshape(-1)
+
+
+def _moved(words, shift):
+    """Each row of (n, 3) uint64 words, 24 bytes, moved `shift` bits, a
+    multiple of 8 below 64, towards its last byte; bytes moved past it go."""
+    low = _U(64) - shift
+    return np.column_stack((words[:, 0] << shift, (words[:, 1] << shift) | (words[:, 0] >> low),
+                            (words[:, 2] << shift) | (words[:, 1] >> low)))
+
+
+def _eight_digits(words):
+    """The value of each word's eight digits 0-9, one a byte, the first
+    byte the most significant (Lemire's SWAR); overwrites words."""
+    high = words >> _U(8)
+    words *= _U(10)
+    words += high
+    high = words >> _U(16)
+    high &= _U(0x000000FF000000FF)
+    high *= _U(1 + (10000 << 32))
+    words &= _U(0x000000FF000000FF)
+    words *= _U(100 + (1000000 << 32))
+    words += high
+    words >>= _U(32)
+    return words
+
+
+def _decimal_bits(w, q):
+    """The bits of the float64 nearest w * 10**q, ties to even, for uint64
+    w below 10**19 and int64 q (Eisel-Lemire)."""
+    zero = (w == 0) | (q < _Q_LO)
+    huge = q > _Q_HI
+    q = np.clip(q, _Q_LO, _Q_HI)
+    # the bit length of w: a float's exponent, less one where rounding
+    # carried it to the next power of two
+    length = np.frexp(w.astype(np.float64))[1].astype(np.uint64)
+    length -= (w >> (length - _U(1))) == 0
+    lz = _U(64) - length
+    w = w << lz
+    hi5, lo5 = _powers_of_five()
+    high, low = _product(w, np.take(hi5, q - _Q_LO))
+    # where the 9 bits below the 55 kept are all ones, the carry of w times
+    # the power's low word decides them
+    rows = np.flatnonzero((high & _U(0x1FF)) == _U(0x1FF))
+    if rows.size:
+        carry, _ = _product(w[rows], np.take(lo5, q[rows] - _Q_LO))
+        low_rows = low[rows] + carry
+        high[rows] += low_rows < carry
+        low[rows] = low_rows
+    upper = high >> _U(63)
+    mantissa = high >> (upper + _U(9))
+    power2 = ((217_706 * q) >> 16) + (63 + 1023) + (upper.view(np.int64) - lz.view(np.int64))
+    # subnormal: shift to the least exponent and round half up; a carry to
+    # 2**52 makes it the least normal
+    subnormal = np.flatnonzero(power2 <= 0)
+    sub = mantissa[subnormal] >> np.minimum(1 - power2[subnormal], 64).astype(np.uint64)
+    sub = (sub + (sub & _U(1))) >> _U(1)
+    # normal: round half up, but to even where the bits dropped were exactly
+    # a half, which needs a product of one word: 5**q for q in [-4, 23]
+    rows = np.flatnonzero(low <= _U(1))
+    near = mantissa[rows]
+    half = ((q[rows] >= -4) & (q[rows] <= 23) & ((near & _U(3)) == _U(1))
+            & ((near << (upper[rows] + _U(9))) == high[rows]))
+    mantissa[rows[half]] &= ~_U(1)
+    mantissa = (mantissa + (mantissa & _U(1))) >> _U(1)
+    carried = mantissa >> _U(53)
+    mantissa >>= carried
+    power2 += carried.view(np.int64)
+    bits = (np.clip(power2, 0, 0x7FF).astype(np.uint64) << _U(52)) | (mantissa & _U(_C_MIN - 1))
+    bits[subnormal] = sub
+    bits[(power2 >= 0x7FF) | huge] = _U(0x7FF << 52)
+    bits[zero] = 0
+    return bits
+
+
+def read_numbers(rows, lengths) -> tuple:
+    """(floats, integers, form) for JSON numbers given as text: row i of
+    the (n, NUMBER_WIDTH) uint8 array `rows` ends in the lengths[i] bytes
+    of a text, and its bytes before are ignored. form[i] is FLOAT where the
+    text has a point or an exponent mark `e`, at most 19 digits from its
+    first nonzero one and at most 6 characters after the mark, with
+    floats[i] = float(text); INTEGER where it is a nonnegative integer of
+    at most 19 digits, with integers[i] = int(text); and 0 for anything
+    else, JSON number or not, where floats[i] and integers[i] mean
+    nothing."""
+    n = len(rows)
+    rows = np.ascontiguousarray(rows, dtype=np.uint8).reshape(n, NUMBER_WIDTH)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    start = NUMBER_WIDTH - np.clip(lengths, 1, NUMBER_WIDTH)
+    digits = rows - np.uint8(ord("0"))
+    nondigit = digits > 9
+    # a bit per column, of the text's columns only
+    first = _B(1) << start.astype(_B)
+    text = _B(_TOP) - first
+    other = _bits(nondigit) & text
+    point = _bits(rows == ord(".")) & text
+    mark = _bits(rows == ord("e")) & text
+    flat = rows.reshape(-1)
+    row_at = np.arange(0, n * NUMBER_WIDTH, NUMBER_WIDTH)
+    negative = flat[row_at + start] == ord("-")
+    lead_at = start + negative
+    lead = first << negative.astype(_B)
+    after = mark << _B(1)
+    # what is neither a digit, the point nor the mark must be a sign
+    sign = other & ~(point | mark)
+    bad = ((point & (point - _B(1))) | (mark & (mark - _B(1)))
+           # a sign only first, as "-", and right after the mark
+           | (sign & ~(first | after)) | (sign & first & (negative.astype(_B) - _B(1)))
+           # a digit first and last, on both sides of the point, before the
+           # mark and after its sign; the point before the mark
+           | (other & (lead | _B(_TOP >> 1))) | (point & ((other << _B(1)) | (other >> _B(1))))
+           | (mark & (other << _B(1))) | (((sign & after) << _B(1)) & other)
+           | (point & ~(mark - _B(1))))
+    ok = ((bad == 0) & (lengths >= 1) & (lengths <= NUMBER_WIDTH)
+          # no zero before another digit
+          & ((flat[row_at + lead_at] != ord("0")) | (((lead << _B(1)) & text & ~other) == 0)))
+    # columns of the mark (NUMBER_WIDTH when there is none) and the point
+    # (the mark's when there is none)
+    mark_at = np.minimum(np.bitwise_count(mark - _B(1)), NUMBER_WIDTH).astype(np.int64)
+    point_at = np.minimum(np.bitwise_count(point - _B(1)), mark_at).astype(np.int64)
+    has_point = point != 0
+    fraction = mark_at - point_at - has_point
+    # the digits alone, as 0-9, others 0
+    digits &= nondigit.view(np.uint8) - np.uint8(1)
+    words = digits.view(np.uint64)
+    exponent = np.zeros(n, dtype=np.int64)
+    marked = np.flatnonzero(mark)
+    if marked.size:
+        # the exponent: a sign or not, then digits, at most 6 characters
+        # after the mark; then the significand moved right over them
+        at = mark_at[marked]
+        chars = NUMBER_WIDTH - 1 - at
+        signed = (sign[marked] & after[marked]) != 0
+        follows = flat[row_at[marked] + np.minimum(at + 1, NUMBER_WIDTH - 1)]
+        ok[marked] &= (chars <= 6) & (~signed | (follows == ord("+")) | (follows == ord("-")))
+        value = _eight_digits(words[marked, 2] & _tails()[np.minimum(chars - signed, 8), 2])
+        value = value.astype(np.int64)
+        exponent[marked] = np.where(follows == ord("-"), -value, value)
+        words[marked] = _moved(words[marked], (np.minimum(chars + 1, 7) << 3).astype(np.uint64))
+    # the significand's digits side by side, right-aligned: those before
+    # the point moved one column right, over it
+    tails = _tails()
+    words &= np.take(tails, mark_at - start, axis=0)
+    after_point = words & np.take(tails, fraction, axis=0)
+    words ^= after_point
+    after_point |= _moved(words, has_point.astype(np.uint64) << _U(3))
+    value = _eight_digits(after_point)
+    w = value[:, 0] * _U(10 ** 16) + value[:, 1] * _U(10 ** 8) + value[:, 2]
+    # at most 19 digits from the first nonzero one: below 10**19
+    ok &= value[:, 0] < _U(1000)
+    floats = _decimal_bits(w, exponent - fraction)
+    floats |= negative.astype(np.uint64) << _U(63)
+    integral = (point | mark) == 0
+    form = np.where(ok, np.where(integral, np.where(negative, 0, INTEGER), FLOAT), 0).astype(np.int8)
+    return floats.view(np.float64), w, form

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -343,10 +344,17 @@ def _write_config(tmp_path, mapping):
     return path
 
 
-def _bad_file(tmp_path, name):
+def _saved_layout(payload) -> str:
+    """The payload's text in the bytes `save` writes, which `load` reads
+    first in numpy, and hands to the walk only when a byte or a record
+    check fails there."""
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _bad_file(tmp_path, name, dumps=json.dumps):
     path = tmp_path / "bad.json"
     payload = _payload(generate(GeneratorConfig(n_per_modality=2, seed=3)))
-    path.write_text(json.dumps(_edited(payload, EXACT_MESSAGES[name][0])))
+    path.write_text(dumps(_edited(payload, EXACT_MESSAGES[name][0])))
     return path
 
 
@@ -443,6 +451,20 @@ class TestLoadValidation:
         err = capsys.readouterr().err
         assert err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("name", sorted(EXACT_MESSAGES))
+    def test_exact_load_messages_in_the_saved_layout(self, tmp_path, name):
+        path = _bad_file(tmp_path, name, _saved_layout)
+        with pytest.raises(ParseError) as info:
+            load(str(path))
+        assert str(info.value) == f"{path}: {EXACT_MESSAGES[name][1]}"
+
+    @pytest.mark.parametrize("name", ["feature-huge-int", "trust-huge-int", "id-2**64"])
+    def test_oversized_integers_in_the_saved_layout_end_in_an_error_line(self, tmp_path, capsys,
+                                                                          name):
+        path = _bad_file(tmp_path, name, _saved_layout)
+        assert main(["run", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {EXACT_MESSAGES[name][1]}\n"
+
     def test_largest_id_loads_and_runs(self, tmp_path, capsys):
         payload = _payload(generate(GeneratorConfig(n_per_modality=2, seed=3)))
         payload["records"][5]["id"] = 2 ** 64 - 1
@@ -477,12 +499,12 @@ def block(request, monkeypatch):
     return request.param
 
 
-def _two_block_file(tmp_path, block, edits=()):
+def _two_block_file(tmp_path, block, edits=(), dumps=json.dumps):
     """A generated dataset with at least block + 1 records, and the path of
     its file with `edits` (as in EXACT_MESSAGES) made."""
     source = generate(GeneratorConfig(n_per_modality=block // 3 + 1, seed=3))
     path = tmp_path / "data.json"
-    path.write_text(json.dumps(_edited(_payload(source), edits)))
+    path.write_text(dumps(_edited(_payload(source), edits)))
     return source, path
 
 
@@ -517,6 +539,30 @@ class TestBlocks:
                                                     (block - 1, "mem_label", 9)])
         assert _load_message(path) == f"{path}: record {block - 1}: mem_label 9 outside [0, 4)"
 
+    # the same cases in the bytes `save` writes: each fault sends the file
+    # from the numpy reader to the walk, which names it
+
+    @pytest.mark.parametrize("name", sorted(EXACT_MESSAGES))
+    def test_exact_load_messages_in_the_saved_layout(self, tmp_path, block, name):
+        path = _bad_file(tmp_path, name, _saved_layout)
+        assert _load_message(path) == f"{path}: {EXACT_MESSAGES[name][1]}"
+
+    def test_valid_file_in_the_saved_layout_loads_equal(self, tmp_path, block):
+        source, path = _two_block_file(tmp_path, block, dumps=_saved_layout)
+        save(source, str(tmp_path / "saved.json"))
+        assert path.read_bytes() == (tmp_path / "saved.json").read_bytes()
+        assert load(str(path)) == source
+
+    def test_faults_in_the_saved_layout_name_the_lower_record(self, tmp_path, block):
+        for edits, message in (([(block, "trust", 1.3)],
+                                f"record {block}: trust 1.3 outside [0, 1]"),
+                               ([(block, "id", block - 1)], f"record {block}: id {block - 1} "
+                                "breaks the strictly-increasing-from-0 order"),
+                               ([(block, "id", "x"), (block - 1, "mem_label", 9)],
+                                f"record {block - 1}: mem_label 9 outside [0, 4)")):
+            _, path = _two_block_file(tmp_path, block, edits, _saved_layout)
+            assert _load_message(path) == f"{path}: {message}"
+
 
 def _json_message(path) -> str:
     """json.loads' own error for the file's text, as `load` reports it."""
@@ -528,11 +574,14 @@ def _json_message(path) -> str:
 
 
 @pytest.fixture(scope="module")
-def large_text():
-    """A generated dataset and its file's text, which runs past the first
-    piece that `load` reads."""
+def large_text(tmp_path_factory):
+    """A generated dataset and its file's text as `save` writes it, which
+    runs past the first piece that `load` reads."""
     source = generate(GeneratorConfig(n_per_modality=6_000, seed=7))
-    text = json.dumps(_payload(source), separators=(",", ":"))
+    path = tmp_path_factory.mktemp("large") / "data.json"
+    save(source, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == _saved_layout(_payload(source))
     assert len(text) > dataset._PIECE
     return source, text
 
@@ -662,12 +711,107 @@ class TestJsonOutcomes:
         assert _load_message(path) == f"{path}: {EXACT_MESSAGES['feature-huge-int'][1]}"
 
 
+def _walk_calls(monkeypatch) -> list:
+    """The paths `dataset._walk` is called with, from now on."""
+    calls = []
+    walk = dataset._walk
+
+    def counted(path, cfg=None):
+        calls.append(path)
+        return walk(path, cfg)
+    monkeypatch.setattr(dataset, "_walk", counted)
+    return calls
+
+
+def test_saved_file_loads_without_the_walk(tmp_path, monkeypatch):
+    # a file `save` wrote is read in numpy alone, so a fault that sent it to
+    # the walk would show here and not only as a slower load; the same
+    # dataset with whitespace between its tokens goes through the walk
+    source = generate(GeneratorConfig(n_per_modality=3_000, seed=11))
+    path = tmp_path / "data.json"
+    save(source, str(path))
+
+    def refuse(path, cfg=None):
+        raise AssertionError("walked a file in the saved layout")
+    monkeypatch.setattr(dataset, "_walk", refuse)
+    fast = load(str(path))
+    assert fast == source
+    monkeypatch.undo()
+    calls = _walk_calls(monkeypatch)
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps(_payload(source), indent=1))
+    assert load(str(spaced)) == fast
+    assert calls == [str(spaced)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fast.table.arrays(),
+                                                          load(str(spaced)).table.arrays()))
+
+
+def test_saved_bytes_from_a_pipe_load(tmp_path):
+    # a pipe is read once, by the walk: a second open would wait for a
+    # writer, and the text read before it would be gone
+    source = generate(GeneratorConfig(n_per_modality=20, seed=3))
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    result = {}
+
+    def read():
+        try:
+            result["data"] = load(str(pipe))
+        except ParseError as exc:
+            result["error"] = exc
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    with open(pipe, "wb") as fh:
+        fh.write(_saved_layout(_payload(source)).encode())
+    reader.join(timeout=30)
+    if reader.is_alive():
+        with open(pipe, "wb"):
+            pass
+        reader.join(timeout=30)
+        pytest.fail("load opened the pipe twice")
+    assert result == {"data": source}
+
+
+def test_integer_minus_zero_feature_loads_as_positive_zero(tmp_path, monkeypatch):
+    # json reads -0 as the integer 0, which the walk stores as 0.0; -0.0 is a
+    # float, stored as -0.0; both in the saved layout and with whitespace
+    source = generate(GeneratorConfig(n_per_modality=2, seed=3))
+    payload = _payload(source)
+    for token, negative in (("-0", False), ("-0.0", True)):
+        for dumps in (_saved_layout, json.dumps):
+            payload["records"][4]["features"][6] = 123.25
+            text = dumps(payload)
+            assert text.count("123.25") == 1
+            path = tmp_path / "data.json"
+            path.write_text(text.replace("123.25", token))
+            calls = _walk_calls(monkeypatch)
+            value = load(str(path)).table.features[4, 6]
+            monkeypatch.undo()
+            assert value == 0.0 and bool(np.signbit(value)) == negative
+            assert calls == ([] if dumps is _saved_layout else [str(path)])
+
+
 def test_load_holds_little_more_than_the_file(tmp_path):
     # the whole-file json.load tree peaked at 3.44 times the file's size; the
-    # walk holds a piece of text, one block of record dicts and the columns,
-    # which peaked at 1.44 times
+    # numpy reader of a file `save` wrote holds the piece buffer, one step's
+    # arrays and the columns, which peaked at 1.34 times
     path = tmp_path / "data.json"
     save(generate(GeneratorConfig(n_per_modality=10_000, seed=42)), str(path))
+    tracemalloc.start()
+    try:
+        load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_walk_holds_little_more_than_the_file(tmp_path):
+    # the file above with a space after every comma is walked, which holds
+    # a piece of text, one block of record dicts and the columns: 1.44 times
+    path = tmp_path / "data.json"
+    save(generate(GeneratorConfig(n_per_modality=10_000, seed=42)), str(path))
+    path.write_bytes(path.read_bytes().replace(b",", b", "))
     tracemalloc.start()
     try:
         load(str(path))

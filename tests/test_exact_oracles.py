@@ -1,6 +1,7 @@
 """Bit-for-bit oracles for the array fast paths of phase 1, alignment, the
 memory store, the trace writer and the dataset writer, for msr.numtext
-against repr and str, and for msr.special against scipy.special and libm.
+against repr and str and its reader against float and int, and for
+msr.special against scipy.special and libm.
 Each fast path claims exact equality with a slower reference, so each test
 compares bytes, not tolerances. CI reruns this file with
 `--hypothesis-profile=ci` (tests/conftest.py) for a longer search."""
@@ -760,6 +761,126 @@ def test_int_text_is_str():
                  hnp.arrays(np.int64, st.integers(0, 32))))
 def test_int_text_is_str_for_any_integers(values):
     assert _texts(numtext.int_text(values), numtext.INT_WIDTH) == list(map(str, values.tolist()))
+
+
+# numtext.read_numbers against float() and int(): each text right-aligned in
+# its row after arbitrary bytes, which the reader must ignore
+
+def _read(texts, fill=b"7", form=None):
+    """read_numbers of the texts, each after `fill` bytes in its row; with
+    `form`, every text must be read as that form."""
+    width = numtext.NUMBER_WIDTH
+    rows = np.frombuffer(b"".join(t.encode().rjust(width, fill)[-width:] for t in texts),
+                         dtype=np.uint8).reshape(len(texts), width)
+    floats, integers, forms = numtext.read_numbers(rows, [len(t) for t in texts])
+    if form is not None:
+        assert forms.tolist() == [form] * len(texts), texts
+    return floats, integers, forms
+
+
+def _reads_as_float(texts, fill=b"7"):
+    floats, _, _ = _read(texts, fill, numtext.FLOAT)
+    _same_bits(floats, np.array([float(t) for t in texts]))
+
+
+@given(hnp.arrays(np.uint64, st.integers(1, 64), elements=st.integers(0, 2 ** 64 - 1)),
+       st.binary(min_size=1, max_size=1))
+def test_read_numbers_is_float_of_repr_for_any_bit_pattern(bits, fill):
+    values = _finite(bits)
+    if len(values):
+        _reads_as_float(list(map(repr, values.tolist())), fill)
+
+
+def test_read_numbers_is_float_of_repr_for_a_million_bit_patterns():
+    bits = np.random.default_rng(20261).integers(0, 2 ** 64, 1_000_000, dtype=np.uint64)
+    values = _finite(bits)
+    floats, _, forms = _read(list(map(repr, values.tolist())))
+    assert (forms == numtext.FLOAT).all()
+    _same_bits(floats, values)
+
+
+# significands of up to 19 digits, which `repr` never writes past 17, in each
+# form JSON allows: "d.ddde-x", "dddde+x", "ddd.ddd" and "0.000ddd"
+SIGNIFICANDS = st.integers(1, 10 ** 19 - 1)
+
+
+@st.composite
+def decimal_texts(draw):
+    digits = str(draw(SIGNIFICANDS))
+    sign = draw(st.sampled_from(["", "-"]))
+    exponent = draw(st.integers(-345, 310))
+    form = draw(st.integers(0, 3))
+    if form == 0:
+        text = f"{digits[0]}.{digits[1:] or '0'}e{exponent:+d}"
+    elif form == 1:
+        text = f"{digits}e{exponent}"
+    elif form == 2:
+        point = draw(st.integers(1, max(1, len(digits) - 1)))
+        text = f"{digits[:point]}.{digits[point:] or '0'}"
+    else:
+        text = "0." + "0" * draw(st.integers(0, 21 - len(digits))) + digits
+    return sign + text
+
+
+@given(st.lists(decimal_texts(), min_size=1, max_size=32), st.binary(min_size=1, max_size=1))
+def test_read_numbers_is_float_of_decimal_text(texts, fill):
+    texts = [t for t in texts if len(t) <= numtext.NUMBER_WIDTH]
+    if texts:
+        _reads_as_float(texts, fill)
+
+
+@st.composite
+def halfway_texts(draw):
+    """An integer exactly halfway between two floats of the same binade,
+    with at most 19 digits, as a float's text."""
+    shift = draw(st.integers(1, 10))
+    odd = 2 * draw(st.integers(2 ** 52, 2 ** 53 - 1)) + 1
+    digits = str(odd << (shift - 1))
+    forms = [f"{digits}e0", f"{digits[:-1]}.{digits[-1]}e1"]
+    return draw(st.sampled_from(forms + [f"{digits}.0"] * (len(digits) < 19)))
+
+
+@given(st.lists(halfway_texts(), min_size=1, max_size=32))
+def test_read_numbers_rounds_halfway_to_even(texts):
+    _reads_as_float(texts)
+
+
+def test_read_numbers_at_the_edges():
+    texts = ["5e-324", "4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+             "2.225073858507201e-308", "2.2250738585072011e-308", "2.2250738585072014e-308",
+             "1.7976931348623157e+308", "1.7976931348623158e+308", "1.7976931348623159e+308",
+             "1e-400", "-1e-400", "1e400", "-1e400", "0.0", "-0.0", "0e5", "0.00e-99999",
+             "9007199254740993.0", "9007199254740995.0", "1e23", "8.98846567431158e307",
+             "0.00012345678901234567", "-0.0001234567890123456", "1.0e-5", "123456789012345678.9",
+             "9999999999999999999e-20", "1e+00005", "7.3177701707893310e+15"]
+    _reads_as_float(texts)
+    _reads_as_float(texts, b"-")
+    floats, _, _ = _read(["-0.0", "0.0", "1e-400", "-1e-400"])
+    assert np.signbit(floats).tolist() == [True, False, False, True]
+
+
+def test_read_numbers_reads_integers_as_int():
+    texts = ["0", "7", "10", "1234567890123456789", "9999999999999999999", "18446744073709"]
+    _, integers, _ = _read(texts, form=numtext.INTEGER)
+    assert integers.tolist() == [int(t) for t in texts]
+
+
+@given(st.lists(st.integers(0, 10 ** 19 - 1), min_size=1, max_size=32),
+       st.binary(min_size=1, max_size=1))
+def test_read_numbers_is_int_of_any_integer_text(values, fill):
+    _, integers, _ = _read(list(map(str, values)), fill, numtext.INTEGER)
+    assert integers.tolist() == values
+
+
+def test_read_numbers_leaves_other_text():
+    # integers that are negative or too long, more than 19 digits, an
+    # uppercase mark, a long exponent, and text that is not a JSON number
+    others = ["-0", "-1", "10000000000000000000", "1234567890123456789.0",
+              "0.12345678901234567890", "1E5", "1e0000001", "01", "00.5", "-01.5", "1.", ".5",
+              "-.5", "1e", "1e+", "1.5e5.5", "1e5.5", "--1", "+1", "1+1", "1e+-5", "1ee5",
+              "1.2.3", "-", "e5", "1x", "0x1", "1 ", " 1", "", "1" * 25]
+    _, _, forms = _read(others)
+    assert forms.tolist() == [0] * len(others)
 
 
 # msr.special against scipy.special, bit for bit. A RuntimeWarning from either
