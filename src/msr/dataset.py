@@ -342,9 +342,9 @@ class Columns(Table):
     mem_label: np.ndarray
 
 
-# rows per step of `load`, `Dataset.records` and the trace writer, which
-# bounds the Python lists each step builds and, in `Dataset.records`, the
-# ModalRecords alive at once; `save` formats no more rows than this at once
+# rows per step of `load` and `Dataset.records`, which bounds the Python
+# lists each step builds and the ModalRecords alive at once, and per block of
+# the trace writer; `save` formats no more rows than this at once
 SAVE_BLOCK = 1 << 12
 # rows per draw of `generate`, which holds the table and one chunk's keyed
 # uniforms. A draw costs about 90 numpy calls of `ndtri` per `_truncated`
@@ -501,20 +501,14 @@ def atomic_open(*paths: str):
 _SAVE_CELLS = 9 << 9
 
 
-def _text_table(texts) -> np.ndarray:
-    """The ASCII texts as the rows of a uint8 matrix, padded with 0."""
-    width = max(map(len, texts))
-    return np.array([list(t.encode("ascii").ljust(width, b"\0")) for t in texts], dtype=np.uint8)
-
-
-_RECORD_HEAD = _text_table([',{"id":'])
-_MODALITY_TEXT = _text_table([f',"modality":"{m}","features":[' for m in MODALITIES])
-_TRUST_TEXT = _text_table(['],"trust":'])
+_RECORD_HEAD = numtext.text_table([',{"id":'])
+_MODALITY_TEXT = numtext.text_table([f',"modality":"{m}","features":[' for m in MODALITIES])
+_TRUST_TEXT = numtext.text_table(['],"trust":'])
 # by valid * 2 + relevant
-_FLAG_TEXT = _text_table([f',"valid":{v},"relevant":{r},"action":'
-                          for v in ("false", "true") for r in ("false", "true")])
-_MEM_TEXT = _text_table([',"mem_label":'])
-_RECORD_END = _text_table(["}"])
+_FLAG_TEXT = numtext.text_table([f',"valid":{v},"relevant":{r},"action":'
+                                  for v in ("false", "true") for r in ("false", "true")])
+_MEM_TEXT = numtext.text_table([',"mem_label":'])
+_RECORD_END = numtext.text_table(["}"])
 # the file's text around meta and the records
 _SAVED_HEAD, _SAVED_RECORDS, _SAVED_END = b'{"meta":', b',"records":[', b"]}\n"
 
@@ -544,13 +538,7 @@ def _records_text(rows: Columns, owner, c0: int, c1: int) -> np.ndarray:
         parts += [_TRUST_TEXT, floats[:, -1],
                   np.take(_FLAG_TEXT, rows.valid * 2 + rows.relevant, axis=0), labels[:, 0],
                   _MEM_TEXT, labels[:, 1], _RECORD_END]
-    widths = [part[0].size for part in parts]
-    text = np.empty((n, sum(widths)), dtype=np.uint8)
-    at = 0
-    for part, width in zip(parts, widths):
-        text[:, at:at + width].reshape(-1, *part.shape[1:])[...] = part
-        at += width
-    text = text.reshape(-1)
+    text = numtext.joined(n, parts).reshape(-1)
     return text[text != 0]
 
 
@@ -567,13 +555,10 @@ def save(dataset: Dataset, path: str) -> None:
     step = max(1, min(SAVE_BLOCK, _SAVE_CELLS // (dim + 1)))
     with atomic_open(path) as (fh,):
         # every byte goes to the binary file under the text one, so nothing
-        # waits in the text layer
+        # waits in the text layer; meta's text is not held while the records
+        # are written, as its layout lists every feature index
         out = fh.buffer
-        out.write(_SAVED_HEAD)
-        # not held while the records are written: its layout lists every
-        # feature index
-        out.write(_meta_text(dataset.meta))
-        out.write(_SAVED_RECORDS)
+        out.writelines((_SAVED_HEAD, _meta_text(dataset.meta), _SAVED_RECORDS))
         for lo in range(0, len(table), step):
             rows = table[lo:lo + step]
             for c0 in range(0, dim, _SAVE_CELLS):
@@ -1091,7 +1076,8 @@ def _record_texts(dim: int) -> tuple:
     sizes[v] their lengths."""
     modality, flags = np.divmod(np.arange(len(MODALITIES) * len(_FLAG_TEXT)), len(_FLAG_TEXT))
     fixed = np.zeros_like(modality)
-    rows = [_RECORD_HEAD[fixed], _MODALITY_TEXT[modality], *[_text_table([","])[fixed]] * (dim - 1),
+    comma = numtext.text_table([","])[fixed]
+    rows = [_RECORD_HEAD[fixed], _MODALITY_TEXT[modality], *[comma] * (dim - 1),
             _TRUST_TEXT[fixed], _FLAG_TEXT[flags], _MEM_TEXT[fixed], _RECORD_END[fixed]]
     return (np.concatenate(rows, axis=1),
             np.column_stack([np.count_nonzero(row, axis=1) for row in rows]))

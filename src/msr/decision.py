@@ -164,7 +164,7 @@ def feedback_means(decision_ids, outcomes) -> np.ndarray:
     ids = np.asarray(decision_ids)
     values = np.asarray(outcomes, dtype=float)
     means = np.zeros(len(values))
-    for decision_id in np.unique(ids):
+    for decision_id in np.unique(ids, return_counts=True)[0]:  # without counts it imports numpy.ma
         rows = np.flatnonzero(ids == decision_id)
         totals = np.cumsum(np.concatenate(([0.0], values[rows[:-1]])))
         means[rows] = totals / np.maximum(np.arange(len(rows)), 1)

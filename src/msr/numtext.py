@@ -302,6 +302,20 @@ def int_text(values) -> np.ndarray:
                  ((slice(1, 6), _digit_words(magnitude)),))
 
 
+def text_table(texts) -> np.ndarray:
+    """The ASCII texts as the rows of a uint8 matrix, padded with 0."""
+    return np.array([t.encode("ascii") for t in texts])[:, None].view(np.uint8)
+
+
+def joined(n: int, parts) -> np.ndarray:
+    """(n, width) uint8 rows of text: the parts side by side, each (n, ...) or a shared (1, w)."""
+    ends = np.cumsum([0] + [part[0].size for part in parts])
+    text = np.empty((n, ends[-1]), dtype=np.uint8)
+    for part, at, end in zip(parts, ends, ends[1:]):
+        text[:, at:end].reshape(-1, *part.shape[1:])[...] = part
+    return text
+
+
 # a number's text as `read_numbers` takes it: right-aligned in a row of
 # this many bytes, which holds every text `repr` writes, sign included
 NUMBER_WIDTH = 24
@@ -431,9 +445,9 @@ def read_numbers(rows, lengths) -> tuple:
     text has a point or an exponent mark `e`, at most 19 digits from its
     first nonzero one and at most 6 characters after the mark, with
     floats[i] = float(text); INTEGER where it is a nonnegative integer of
-    at most 19 digits, with integers[i] = int(text); and 0 for anything
-    else, JSON number or not, where floats[i] and integers[i] mean
-    nothing."""
+    at most 19 digits, with integers[i] = int(text) and floats[i] 0; and
+    0 for anything else, JSON number or not, where floats[i] and
+    integers[i] mean nothing."""
     n = len(rows)
     rows = np.ascontiguousarray(rows, dtype=np.uint8).reshape(n, NUMBER_WIDTH)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -499,8 +513,10 @@ def read_numbers(rows, lengths) -> tuple:
     w = value[:, 0] * _U(10 ** 16) + value[:, 1] * _U(10 ** 8) + value[:, 2]
     # at most 19 digits from the first nonzero one: below 10**19
     ok &= value[:, 0] < _U(1000)
-    floats = _decimal_bits(w, exponent - fraction)
-    floats |= negative.astype(np.uint64) << _U(63)
+    # float bits only for a text with a point or a mark: no integer's is read
     integral = (point | mark) == 0
+    floats, decimal = np.zeros(n, dtype=np.uint64), np.flatnonzero(~integral)
+    floats[decimal] = (_decimal_bits(w[decimal], exponent[decimal] - fraction[decimal])
+                       | (negative[decimal].astype(np.uint64) << _U(63)))
     form = np.where(ok, np.where(integral, np.where(negative, 0, INTEGER), FLOAT), 0).astype(np.int8)
     return floats.view(np.float64), w, form

@@ -12,9 +12,9 @@ Scoring is strictly two-phase so results cannot depend on worker layout:
            one-record result bit for bit whatever the chunking.
   phase 2  the merge over the concatenated columns in record-id order applies
            feedback (decision history means, feedback-adjusted utilities).
-           The trace writer turns these columns into text a column at a
-           time while it writes, one id-ordered block of SAVE_BLOCK dataset
-           rows at a time, so no line outlives its block.
+           The trace writer lays these columns out as bytes by `numtext`
+           while it writes, in id-ordered steps of about _TRACE_CELLS
+           floats, so no line outlives its step.
 
 Alignment plans the first `align.samples` survivors per modality again in
 one batch, as phase 1 does, and rolls them out together, one array step per
@@ -47,7 +47,7 @@ import os
 
 import numpy as np
 
-from . import seeding
+from . import numtext, seeding
 from .attention import refine_scenario, relevance_scores, top_k_indices
 from .config import RunConfig, check_actions, chunk_records
 from .dataset import (
@@ -327,23 +327,25 @@ def score_records(ctx: ModalityContext, survivors: Columns, workers: int):
         return Outcomes.concat(pool.map(score, chunks))
 
 
-# Trace lines in the bytes of json.dumps(line, separators=(",", ":")) with
-# keys in this order. No line has a template of its own: each field is
-# formatted once per block as a column (floats by repr, which is
-# float.__repr__ as in json, ints by str) and each column fills its own
-# stride of one list of parts, between the fixed texts below, which one
-# "".join turns into the block's text. A line is its head (id, modality,
-# trust) and its tail, from "kept" on. Flags and decisions pick a fixed text.
-_HEADS = np.array([f',"modality":{json.dumps(modality)},"trust":' for modality in MODALITIES],
-                  dtype=object)
-_DROPPED_TAIL = ',"kept":false}\n'
-_DECISIONS = np.array([f',"decision":{d},"subtask":{json.dumps(f"move-{action}")},'
-                       '"sim_first_action":' for d, action in enumerate(ACTIONS)], dtype=object)
-_S5 = np.array([f',"s5":{d},"s6":' for d in range(len(ACTIONS))], dtype=object)
-_MATCHED = np.array([',"matched":false,"outcome":0.0,"feedback_mean":',
-                     ',"matched":true,"outcome":1.0,"feedback_mean":'], dtype=object)
-_STEPS = np.array([f',"steps":{{"s2":{s2},"s3":{s3},"s4":'
-                   for s2 in ("false", "true") for s3 in ("false", "true")], dtype=object)
+# Trace lines in the bytes of json.dumps(line, separators=(",", ":")), keys in
+# this order: numbers by `numtext` between these fixed texts, which np.take
+# picks for a flag or the decision. A line is its head, to "kept", and a tail.
+_ID = numtext.text_table(['{"id":'])
+_HEADS = numtext.text_table([f',"modality":{json.dumps(m)},"trust":' for m in MODALITIES])
+_KEPT = numtext.text_table([',"kept":false}\n', ',"kept":true,"semantic":['])
+_DECISIONS = numtext.text_table([f',"decision":{d},"subtask":{json.dumps(f"move-{action}")},'
+                                 '"sim_first_action":' for d, action in enumerate(ACTIONS)])
+_S5 = numtext.text_table([f',"s5":{d},"s6":' for d in range(len(ACTIONS))])
+_MATCHED = numtext.text_table([',"matched":false,"outcome":0.0,"feedback_mean":',
+                               ',"matched":true,"outcome":1.0,"feedback_mean":'])
+_STEPS = numtext.text_table([f',"steps":{{"s2":{s2},"s3":{s3},"s4":'
+                             for s2 in ("false", "true") for s3 in ("false", "true")])
+_MASS, _OWN, _LABEL, _ACTION, _CONFIDENCE, _ADJUSTED, _S7, _END = map(numtext.text_table, (
+    ['],"relevance_mass":'], [',"own_in_topk":'], [',"retrieved_label":'], [',"action":'],
+    [',"confidence":'], [',"adjusted_utility":'], [',"s7":'], ["}}\n"]))
+# floats per step of the writer, in one `float_text` (about 270 bytes of temporaries a float);
+# at the default experiment the writer then peaks at 3.7 MB (tracemalloc), 5.4 MB at 8,192
+_TRACE_CELLS = 6 << 10
 
 
 @dataclass
@@ -403,76 +405,72 @@ def run_modality(cfg: RunConfig, gen_cfg: GeneratorConfig, modality: str,
                           kept=kept, matched=matched, feedback=feedback, adjusted=adjusted)
 
 
-def _rows(n: int, *fields) -> list:
-    """The parts of n rows, row after row, each the fields in turn: a str is
-    the same on every row, any other field holds one str per row."""
-    k = len(fields)
-    parts = [field if isinstance(field, str) else None for field in fields] * n
-    for j, field in enumerate(fields):
-        if not isinstance(field, str):
-            parts[j::k] = field
-    return parts
-
-
-def _reprs(values: np.ndarray) -> list:
-    """repr of each float of `values`, formatted once per distinct bit
-    pattern, so -0.0 stays -0.0."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, bits.view(np.float64).tolist())),
-                    dtype=object)[inverse.ravel()].tolist()
-
-
-def trace_tails(res: ModalityResult, rows: slice, first: int) -> np.ndarray:
-    """The end of the trace line, from "kept" to the newline, of each of the
-    modality's records at `rows` of its id order; `first` is the survivor
-    row of the first kept one."""
-    kept = res.kept[rows]
-    tails = np.empty(len(kept), dtype=object)
-    tails.fill(_DROPPED_TAIL)  # np.full would make a new str for every row
-    picked = slice(first, first + int(np.count_nonzero(kept)))
-    out, matched = res.outcomes[picked], res.matched[picked]
-    semantic = _reprs(out.semantic.ravel())
-    label, act = (list(map(str, column.tolist())) for column in
-                  (out.retrieved_label, out.policy_action))
-    text = "".join(_rows(
-        len(matched), ',"kept":true,"semantic":[', semantic[0::2], ",", semantic[1::2],
-        '],"relevance_mass":', map(repr, out.relevance_mass.tolist()),
-        ',"own_in_topk":', map(str, out.own_in_topk.tolist()), ',"retrieved_label":', label,
-        _DECISIONS[out.decision_id].tolist(), map(str, out.sim_first_action.tolist()),
-        ',"action":', act, ',"confidence":', map(repr, out.confidence.tolist()),
-        _MATCHED[matched.view(np.int8)].tolist(), map(repr, res.feedback[picked].tolist()),
-        ',"adjusted_utility":', map(repr, res.adjusted[picked].tolist()),
-        _STEPS[2 * out.pred_step2 + out.pred_step3].tolist(), label,
-        _S5[out.decision_id].tolist(), act, ',"s7":', act, "}}\n"))
-    tails[kept] = text.splitlines(keepends=True)  # no field's text breaks a line
-    return tails
+def _step_text(ran: dict, first: list, owner, kept, ids, trust) -> np.ndarray:
+    """The trace lines of records `ids`, with these owners, kept flags and
+    trust, as uint8 text; a kept line's values are those of the next survivor
+    of its modality's result in `ran`, from `first` on, which this advances."""
+    rows = np.flatnonzero(kept)
+    n, c = len(owner), len(rows)
+    # one float_text: each line's trust, then six a kept line; ints: four texts, three table rows
+    floats = np.concatenate((trust, np.empty(6 * c)))
+    values, ints = floats[n:].reshape(c, 6), np.empty((c, 7), dtype=np.int64)
+    for index, res in ran.items():
+        mine = owner[rows] == index
+        picked = slice(first[index], first[index] + int(np.count_nonzero(mine)))
+        if picked.start == picked.stop:  # most steps of a generated set hold one modality
+            continue
+        first[index], out = picked.stop, res.outcomes[picked]
+        values[mine] = np.column_stack((out.semantic, out.relevance_mass, out.confidence,
+                                        res.feedback[picked], res.adjusted[picked]))
+        ints[mine] = np.column_stack((out.own_in_topk, out.retrieved_label, out.sim_first_action,
+                                      out.policy_action, out.decision_id, res.matched[picked],
+                                      2 * out.pred_step2 + out.pred_step3))
+    text = numtext.float_text(floats)
+    head = numtext.joined(n, [_ID, numtext.int_text(ids), np.take(_HEADS, owner, axis=0),
+                              text[:n], np.take(_KEPT, kept.view(np.int8), axis=0)])
+    if not c:
+        return head[head != 0]
+    text = text[n:].reshape(c, 6, -1)
+    text[:, 1, 0] = ord(",")  # a float's first slots are free for a separator
+    own, label, first_action, act = numtext.int_text(ints[:, :4]).reshape(c, 4, -1).swapaxes(0, 1)
+    decision, matched, steps, s5 = (np.take(table, ints[:, j], axis=0) for table, j in
+                                    ((_DECISIONS, 4), (_MATCHED, 5), (_STEPS, 6), (_S5, 4)))
+    parts = [text[:, :2], _MASS, text[:, 2], _OWN, own, _LABEL, label, decision, first_action,
+             _ACTION, act, _CONFIDENCE, text[:, 3], matched, text[:, 4], _ADJUSTED, text[:, 5],
+             steps, label, s5, act, _S7, act, _END]
+    # each tail as whole head-wide rows after its head: dropping 0s keeps the order
+    width, tail = head.shape[1], sum(part[0].size for part in parts)
+    below = -(-tail // width)
+    tails = numtext.joined(c, parts + [np.zeros((1, below * width - tail), dtype=np.uint8)])
+    lines = np.insert(head, np.repeat(rows + 1, below), tails.reshape(-1, width), axis=0)
+    return lines[lines != 0]
 
 
 def trace_blocks(dataset: Dataset, results):
-    """The text of trace.jsonl, one block of SAVE_BLOCK dataset rows at a
-    time: each record of a modality that ran, in id order. A running row and
-    survivor offset per modality say where its share of a block starts."""
-    ran = np.zeros(len(MODALITIES), dtype=bool)
-    ran[[res.context.modality_index for res in results]] = True
+    """The bytes of trace.jsonl as uint8 arrays, a line per record of each
+    modality that ran, in id order: SAVE_BLOCK dataset rows at a time, in
+    steps of about _TRACE_CELLS floats. A running row and survivor offset
+    per modality say where its share of a step starts."""
+    ran = {res.context.modality_index: res for res in results}
     row, first = [0] * len(MODALITIES), [0] * len(MODALITIES)
     for lo in range(0, len(dataset.modality), SAVE_BLOCK):
         owner = dataset.modality[lo:lo + SAVE_BLOCK]
-        written = ran[owner]
+        written = np.isin(owner, list(ran))
         owner = owner[written]
-        tails = np.empty(len(owner), dtype=object)
-        for res in results:
-            index = res.context.modality_index
+        kept = np.zeros(len(owner), dtype=bool)
+        for index, res in ran.items():
             mine = owner == index
             rows = slice(row[index], row[index] + int(np.count_nonzero(mine)))
-            if rows.start == rows.stop:  # most blocks of a generated set hold one modality
-                continue
-            tails[mine] = trace_tails(res, rows, first[index])
+            kept[mine] = res.kept[rows]
             row[index] = rows.stop
-            first[index] += int(np.count_nonzero(res.kept[rows]))
         ids = dataset.table.ids[lo:lo + SAVE_BLOCK][written]
         trust = dataset.table.trust[lo:lo + SAVE_BLOCK][written]
-        yield "".join(_rows(len(owner), '{"id":', map(str, ids.tolist()), _HEADS[owner].tolist(),
-                            map(repr, trust.tolist()), tails.tolist()))
+        # steps of about equal floats, at most _TRACE_CELLS + 6; none for no line
+        floats = np.cumsum(1 + 6 * kept)
+        step = (floats - 1) * -(-floats[-1:] // _TRACE_CELLS) // floats[-1:]
+        cuts = np.flatnonzero(np.diff(step, prepend=-1, append=step[-1:] + 1)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            yield _step_text(ran, first, owner[a:b], kept[a:b], ids[a:b], trust[a:b])
 
 
 def run_alignment(cfg: RunConfig, results) -> float:
@@ -577,8 +575,8 @@ def execute_run(cfg: RunConfig, dataset: Dataset | None = None,
         for fh, text in zip(csv_files, rep.csv.values()):
             fh.write(text)
         md_file.write(rep.markdown)
-        for text in trace_blocks(dataset, results):
-            trace_file.write(text)
+        # every byte goes to the binary file under the text one, as in `save`
+        trace_file.buffer.writelines(trace_blocks(dataset, results))
         json.dump(summary, summary_file, indent=2, allow_nan=False)
         summary_file.write("\n")
 

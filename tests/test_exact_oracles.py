@@ -478,7 +478,7 @@ def test_trace_lines_equal_json_dumps_of_a_dict(tmp_path, modality):
     data = generate(SMALL)
     rows = data.by_modality(modality)
     res = pipeline.run_modality(cfg, SMALL, modality, rows, 1)
-    lines = "".join(pipeline.trace_blocks(data, [res])).splitlines()
+    lines = b"".join(pipeline.trace_blocks(data, [res])).decode("utf-8").splitlines()
     records = [r for r in data.records if r.modality == modality]
     ids = rows.ids.tolist()
     assert ids == [r.id for r in records] and len(lines) == len(ids)
@@ -620,9 +620,11 @@ def trace_cases(draw):
     return data, results
 
 
-@given(case=trace_cases(), block=st.sampled_from([1, 7, pipeline.SAVE_BLOCK]))
+# steps of the writer of few floats: one line a step, or a few lines
+@given(case=trace_cases(), block=st.sampled_from([1, 7, pipeline.SAVE_BLOCK]),
+       cells=st.sampled_from([1, 9, pipeline._TRACE_CELLS]))
 @settings(deadline=None)
-def test_trace_of_arbitrary_columns_equals_the_dict_oracle(case, block):
+def test_trace_of_arbitrary_columns_equals_the_dict_oracle(case, block, cells):
     data, results = case
     expected = {}
     for res in results:
@@ -630,8 +632,9 @@ def test_trace_of_arbitrary_columns_equals_the_dict_oracle(case, block):
         expected |= _json_lines(res, data.table.ids[mine].tolist(),
                                 data.table.trust[mine].tolist(), res.matched, res.feedback,
                                 res.adjusted)
-    with mock.patch.object(pipeline, "SAVE_BLOCK", block):
-        text = "".join(pipeline.trace_blocks(data, results))
+    with mock.patch.object(pipeline, "SAVE_BLOCK", block), \
+            mock.patch.object(pipeline, "_TRACE_CELLS", cells):
+        text = b"".join(pipeline.trace_blocks(data, results)).decode("utf-8")
     assert text.splitlines() == [expected[rid] for rid in data.table.ids.tolist()
                                  if rid in expected]
     assert text.endswith("\n") or not text

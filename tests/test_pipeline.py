@@ -260,6 +260,28 @@ def test_import_does_not_load_multiprocessing(tmp_path):
     _import_leaves_unloaded(tmp_path, "multiprocessing")
 
 
+def test_run_does_not_load_numpy_ma(tmp_path):
+    # np.unique without return_counts imports numpy.ma (numpy 2.4), 8-20 ms
+    # and about 0.5 MB of a fresh `msr run`
+    script = textwrap.dedent(f"""
+        import sys
+        import msr.cli
+        from msr.config import RunConfig
+        from msr.dataset import GeneratorConfig
+        from msr.pipeline import execute_run
+        gen = GeneratorConfig(n_per_modality=20, seed=4)
+        execute_run(RunConfig(generator=gen, seed=4, out_dir={str(tmp_path / "out")!r}))
+        loaded = sorted(m for m in sys.modules if (m + ".").startswith("numpy.ma."))
+        assert not loaded, loaded
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "trace.jsonl").exists()
+
+
 def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     from msr import pipeline
 
@@ -278,18 +300,21 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     differs = outputs(tmp_path / "second")
     assert all(before[name] != differs[name] for name in before)
     # blocks of 150 rows: the first holds visual records only, and the write
-    # fails in the second, after the first is in the temporary file
+    # fails in the second, after the first is in the temporary file; each
+    # modality's share of a block is noted with its first row in id order
     monkeypatch.setattr(pipeline, "SAVE_BLOCK", 150)
-    trace_tails, formatted = pipeline.trace_tails, []
+    trace_blocks, formatted = pipeline.trace_blocks, []
 
-    def unwritable(res, rows, first):
-        tails = trace_tails(res, rows, first)
-        formatted.append((res.modality, rows.start))
-        if len(formatted) == 2:
-            tails[0] = None
-        return tails
+    def unwritable(dataset, results):
+        rows = dict.fromkeys(MODALITIES, 0)
+        for block, text in enumerate(trace_blocks(dataset, results)):
+            owners = [json.loads(line)["modality"] for line in bytes(text).splitlines()]
+            for modality in dict.fromkeys(owners):
+                formatted.append((modality, rows[modality]))
+                rows[modality] += owners.count(modality)
+            yield None if block == 1 else text
 
-    monkeypatch.setattr(pipeline, "trace_tails", unwritable)
+    monkeypatch.setattr(pipeline, "trace_blocks", unwritable)
     with pytest.raises(TypeError):
         execute_run(second)
     assert formatted == [("visual", 0), ("visual", 150), ("auditory", 0)]
@@ -315,6 +340,28 @@ def test_run_memory_grows_slower_than_its_trace(tmp_path):
         grown.append((peak, os.path.getsize(res.trace_path)))
     (peak_a, trace_a), (peak_b, trace_b) = grown
     assert peak_b - peak_a < trace_b - trace_a
+
+
+def test_trace_writer_holds_one_step_of_text():
+    # the writer formats about _TRACE_CELLS floats a step and keeps nothing
+    # from one step to the next, so its peak does not grow with the records
+    from msr import pipeline
+
+    peaks = []
+    for n in (10_000, 20_000):
+        gen = GeneratorConfig(n_per_modality=n, seed=42)
+        data = generate(gen)
+        cfg = RunConfig(generator=gen, seed=42)
+        results = [pipeline.run_modality(cfg, gen, m, data.by_modality(m), 1)
+                   for m in MODALITIES]
+        tracemalloc.start()
+        try:
+            for _ in pipeline.trace_blocks(data, results):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 << 10
 
 
 class TestExecuteRun:
