@@ -8,7 +8,8 @@ The memory readout is the same softmax and top-k over cosine scores.
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError
+from . import mapping
+from .errors import EmptyInputError, ShapeError
 
 
 def relevance_scores(utilities) -> np.ndarray:
@@ -28,8 +29,7 @@ def top_k_indices(scores, k: int) -> np.ndarray:
     """Positions of the k highest scores along the last axis, best first;
     equal scores keep ascending position (a stable sort). A stack (N, m)
     gives (N, min(k, m))."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    mapping.check("k", k, int, ">= 1")
     r = np.asarray(scores, dtype=float)
     return np.argsort(-r, axis=-1, kind="stable")[..., :k]
 
@@ -50,8 +50,7 @@ def top_k_by_relevance(scores, scenarios, k: int) -> list:
 def refine_scenario(attributes, memory_readout, beta: float) -> np.ndarray:
     """Blend scenario attributes toward the memory readout:
     (1 - beta) * attributes + beta * readout."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
+    mapping.check("beta", beta, float, "[0, 1]")
     a = np.asarray(attributes, dtype=float)
     m = np.asarray(memory_readout, dtype=float)
     if a.shape != m.shape:

@@ -7,6 +7,7 @@ values when it is built, from a document, in Python or by
 value at fault by its dotted key in the document (`grid.horizon`)."""
 
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 from . import mapping
 from .dataset import MODALITIES, GeneratorConfig
@@ -28,22 +29,22 @@ class GridSpec:
     goal cell is placed per record, goal_distance cells from the start in the
     direction named by the winning decision."""
 
-    width: int = 5
-    height: int = 5
+    width: mapping.Count = 5
+    height: mapping.Count = 5
     start: tuple[int, int] = (2, 2)
-    goal_distance: int = 2
+    goal_distance: mapping.Count = 2
     step_reward: float = -1.0
     goal_reward: float = 10.0
     slip_prob: float = 0.0
-    horizon: int = 4
+    horizon: mapping.Count = 4
     real_step_reward: float = -1.2
 
     def __post_init__(self):
-        for name in ("goal_distance", "width", "height", "horizon"):
-            mapping.check_count(f"grid.{name}", getattr(self, name), 1)
+        mapping.check_fields(self, "grid")
         cells = self.width * self.height * max(4, self.horizon + 1)  # a chunk row's solver tables
-        mapping.check_count(f"grid.width * grid.height * max(4, grid.horizon + 1) * "
-                            f"{chunk_records(self)} chunk rows", cells * chunk_records(self), 0)
+        mapping.check(f"grid.width * grid.height * max(4, grid.horizon + 1) * "
+                      f"{chunk_records(self)} chunk rows", cells * chunk_records(self), int,
+                      "< 2**60")
         if self.horizon < self.goal_distance:
             raise ConfigError(f"grid.horizon {self.horizon} shorter than grid.goal_distance "
                               f"{self.goal_distance}")
@@ -69,20 +70,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AlignConfig:
-    steps: int = 300
-    learning_rate: float = 0.05
-    lambda_task: float = 0.1
-    samples: int = 128  # trajectories rolled out per domain
+    steps: Annotated[int, ">= 1"] = 300
+    learning_rate: Annotated[float, "> 0"] = 0.05
+    lambda_task: Annotated[float, ">= 0"] = 0.1
+    samples: Annotated[int, ">= 1"] = 128  # trajectories rolled out per domain
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"align.steps must be >= 1, got {self.steps}")
-        if self.samples < 1:
-            raise ConfigError(f"align.samples must be >= 1, got {self.samples}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("align.learning_rate must be > 0")
-        if self.lambda_task < 0.0:
-            raise ConfigError("align.lambda_task must be >= 0")
+        mapping.check_fields(self, "align")
 
 
 def check_actions(generator: GeneratorConfig) -> None:
@@ -97,68 +91,40 @@ def check_actions(generator: GeneratorConfig) -> None:
 class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     dataset_path: str | None = None
-    tau: float = 0.5
+    tau: Annotated[float, "[0, 1]"] = 0.5
     weights: ModalityWeights = field(
         default_factory=lambda: ModalityWeights(0.6, 0.2, 0.2)
     )
     # one value per relevance dimension; zeros at run time when absent
     internal_state: tuple[float, float] | None = None
     instruction: tuple[float, float] | None = None
-    m_count: int = 16
-    k: int = 4
-    noise_width: float = 0.1
-    rel_threshold: float = 0.5
-    beta: float = 0.3
-    sparse_readout_top_n: int = 8
-    sparse_readout_threshold: int = 64
+    m_count: mapping.Count = 16
+    k: Annotated[int, ">= 1"] = 4
+    noise_width: Annotated[float, ">= 0"] = 0.1
+    rel_threshold: Annotated[float, "(0, 1)"] = 0.5
+    beta: Annotated[float, "[0, 1]"] = 0.3
+    sparse_readout_top_n: Annotated[int, ">= 1"] = 8
+    sparse_readout_threshold: Annotated[int, ">= 0"] = 64
     context_weights: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    lambda_feedback: float = 0.4
-    gamma: float = 0.95
-    alpha: float = 0.5
+    lambda_feedback: Annotated[float, ">= 0"] = 0.4
+    gamma: Annotated[float, "[0, 1]"] = 0.95
+    alpha: Annotated[float, ">= 0"] = 0.5
     grid: GridSpec = field(default_factory=GridSpec)
     randomization: RandomizationConfig = field(default_factory=RandomizationConfig)
     align: AlignConfig = field(default_factory=AlignConfig)
     seed: int = 42
-    workers: int = 1
+    workers: Annotated[int, ">= 1"] = 1
     modalities: tuple[str, ...] = MODALITIES
     out_dir: str = "msr_out"
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
+        mapping.check_fields(self, "")
+        if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        for name in ("internal_state", "instruction"):
-            value = getattr(self, name)
-            if value is not None and len(value) != 2:
-                raise ConfigError(f"{name} must hold 2 values, got {len(value)}")
         check_actions(self.generator)
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
-        mapping.check_count("m_count", self.m_count, 1)
         rows = chunk_records(self.grid)  # a chunk's pool of 2 * m_count two-value scenarios
-        mapping.check_count(f"m_count * 4 * {rows} chunk rows", self.m_count * 4 * rows, 0)
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.sparse_readout_threshold < 0:
-            raise ConfigError(f"sparse_readout_threshold must be >= 0, "
-                              f"got {self.sparse_readout_threshold}")
-        if self.sparse_readout_top_n < 1:
-            raise ConfigError(f"sparse_readout_top_n must be >= 1, "
-                              f"got {self.sparse_readout_top_n}")
-        if self.noise_width < 0.0:
-            raise ConfigError(f"noise_width must be >= 0, got {self.noise_width}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 < self.rel_threshold < 1.0:
-            raise ConfigError(f"rel_threshold must be in (0, 1), got {self.rel_threshold}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.alpha < 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        mapping.check(f"m_count * 4 * {rows} chunk rows", self.m_count * 4 * rows, int, "< 2**60")
         ContextWeights(self.context_weights)  # rejects negative or all-zero weights
-        if self.lambda_feedback < 0.0:
-            raise ConfigError(f"lambda_feedback must be >= 0, got {self.lambda_feedback}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         bad = [m for m in self.modalities if m not in MODALITIES]
         if bad:
             raise ConfigError(f"unknown modalities {bad}")

@@ -74,6 +74,7 @@ from operator import itemgetter, le, ne
 import os
 import re
 import stat
+from typing import Annotated
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,28 +105,24 @@ def _default_noise():
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    n_per_modality: int = 10_000
-    feature_dim: int = 8
-    n_actions: int = 4
-    n_memory_classes: int = 4
+    n_per_modality: mapping.Count = 10_000
+    feature_dim: Annotated[int, "< 2**60"] = 8  # at least the layout, checked below
+    n_actions: Annotated[int, ">= 2"] = 4
+    n_memory_classes: Annotated[int, ">= 2", "< 2**60"] = 4
     label_noise: dict[str, float] = field(default_factory=_default_noise)
     trust_distribution: tuple[float, float] = (0.5, 0.1)
-    cluster_separation: float = 2.0
+    cluster_separation: Annotated[float, "> 0"] = 2.0
     seed: int = 42
 
     def __post_init__(self):
-        mapping.check_count("generator.n_per_modality", self.n_per_modality, 1)
-        if self.n_actions < 2:
-            raise ConfigError(f"generator.n_actions must be >= 2, got {self.n_actions}")
-        mapping.check_count("generator.n_memory_classes", self.n_memory_classes, 2)
+        mapping.check_fields(self, "generator")
         needed = 2 + (self.n_actions + 1) // 2 + (self.n_memory_classes + 1) // 2
         if self.feature_dim < needed:
             raise ConfigError(f"generator.feature_dim {self.feature_dim} too small; "
                               f"layout needs {needed}")
-        mapping.check_count("generator.feature_dim", self.feature_dim, needed)
         # the largest tables: three modalities' draws and features
-        mapping.check_count("3 * generator.n_per_modality * (generator.feature_dim + 11)",
-                            3 * self.n_per_modality * (self.feature_dim + 11), 0)
+        mapping.check("3 * generator.n_per_modality * (generator.feature_dim + 11)",
+                      3 * self.n_per_modality * (self.feature_dim + 11), int, "< 2**60")
         if set(self.label_noise) != set(MODALITIES):
             raise ConfigError(f"generator.label_noise must cover exactly {MODALITIES}, "
                               f"got {sorted(self.label_noise)}")
@@ -142,10 +139,7 @@ class GeneratorConfig:
         if not math.isfinite(spread * (_TRUST_CENTER + _TRUST_TRUNC)):
             raise ConfigError(f"generator.trust_distribution spread {spread!r} puts the trust "
                               "bands past the float range")
-        if self.cluster_separation <= 0.0:
-            raise ConfigError(f"generator.cluster_separation must be > 0, "
-                              f"got {self.cluster_separation}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"generator.seed must be a 64-bit unsigned integer, "
                               f"got {self.seed}")
 
@@ -218,9 +212,9 @@ class FeatureGeometry:
     def from_config(cls, cfg: GeneratorConfig) -> "FeatureGeometry":
         # the dense center tables of a run; not in GeneratorConfig: `load`
         # checks a file's records before its meta
-        mapping.check_count("max(2, generator.n_actions, generator.n_memory_classes) * "
-                            "generator.feature_dim", max(2, cfg.n_actions, cfg.n_memory_classes)
-                            * cfg.feature_dim, 0)
+        mapping.check("max(2, generator.n_actions, generator.n_memory_classes) * "
+                      "generator.feature_dim", max(2, cfg.n_actions, cfg.n_memory_classes)
+                      * cfg.feature_dim, int, "< 2**60")
         rel, action, memory, _ = _layout(cfg).values()
         # the relevance pair lies `cluster_separation` apart, and so do the
         # nearest two signed one-hot centers of a class block

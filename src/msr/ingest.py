@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
+from . import mapping
 from .dataset import MODALITIES
-from .errors import ConfigError, DegenerateModalityError, EmptyInputError, ShapeError
+from .errors import DegenerateModalityError, EmptyInputError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,7 @@ class FeatureBundle:
 
 def filter_by_trust(trust, tau: float) -> np.ndarray:
     """Mask of the records whose trust is strictly greater than tau."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
+    mapping.check("tau", tau, float, "[0, 1]")
     return np.asarray(trust, dtype=float) > tau
 
 

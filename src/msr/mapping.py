@@ -1,17 +1,29 @@
-"""JSON wire format of the frozen config dataclasses, driven by each field's
-annotation: int, float, str, X | None, tuple[X, Y], tuple[X, ...],
-dict[K, V] or a nested dataclass. A value of the wrong type or length is a
-ConfigError that names its key. An int is accepted for a float field and
-kept as given; a bool is never a number, and NaN and infinities are not
-numbers either. `check_count` bounds the ints that size arrays."""
+"""JSON wire format of the frozen config dataclasses, and the one check of
+their values, both driven by each field's annotation: int, float, str,
+X | None, tuple[X, Y], tuple[X, ...], dict[K, V] or a nested dataclass, any
+of them as Annotated[X, rule, ...]. A value of the wrong type or length is a
+ConfigError that names its dotted key. An int is accepted for a float field
+and kept as given; a bool is never a number, and NaN and infinities are not
+numbers either. A rule is a range written as its message prints it: an
+interval, "[0, 1]", "(0, 1)", "[0, 0.5)", or a bound, ">= 1", "> 0",
+"< 2**60". `Count` is an int that sizes arrays: at least 1, and below 2**60,
+whose float64 array alone would overflow numpy's int64 byte count. Every
+config type's `__post_init__` calls `check_fields`, so a config built in
+Python or by `dataclasses.replace` is checked as a document's is; `check`
+applies the same rules to one value, such as a run-path argument."""
 
 import dataclasses
 import math
+import operator
 import types
+from typing import Annotated
 
 from .errors import ConfigError
 
+Count = Annotated[int, ">= 1", "< 2**60"]
+
 _SCALARS = {int: "an integer", float: "a number", str: "a string"}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
 def _key(label: str, name) -> str:
@@ -37,7 +49,42 @@ def from_mapping(cls, data, label: str):
                   for name, value in data.items()})
 
 
+def check_fields(obj, label: str) -> None:
+    """Check each field of config dataclass `obj` against its annotation, as
+    `from_mapping` checks a document's values; `label` is the object's
+    dotted key. A nested config object checked itself when it was built."""
+    for f in dataclasses.fields(obj):
+        key, value = _key(label, f.name), getattr(obj, f.name)
+        if not dataclasses.is_dataclass(f.type):
+            _value(f.type, value, key)
+        elif not isinstance(value, f.type):
+            raise ConfigError(f"{key} must be a {f.type.__name__}, got {value!r}")
+
+
+def check(key: str, value, tp, *rules: str):
+    """`value` as `from_mapping` reads it for a field of type `tp`, if it
+    meets every rule; else a ConfigError naming `key`."""
+    value = _value(tp, value, key)
+    for rule in rules:
+        if not _holds(rule, value):
+            raise ConfigError(f"{key} must be {'in ' if rule[0] in '[(' else ''}{rule}, "
+                              f"got {value}")
+    return value
+
+
+def _holds(rule: str, value) -> bool:
+    if rule[0] in "[(":
+        low, high = rule[1:-1].split(", ")
+        return (_holds((">= " if rule[0] == "[" else "> ") + low, value)
+                and _holds(("<= " if rule[-1] == "]" else "< ") + high, value))
+    op, bound = rule.split(" ")
+    base, _, power = bound.partition("**")
+    return _COMPARE[op](value, int(base) ** int(power) if power else float(bound))
+
+
 def _value(tp, value, key: str):
+    if hasattr(tp, "__metadata__"):  # Annotated[X, rule, ...]
+        return check(key, value, tp.__origin__, *tp.__metadata__)
     if dataclasses.is_dataclass(tp):
         return from_mapping(tp, value, key)
     args = getattr(tp, "__args__", ())
@@ -64,15 +111,6 @@ def _value(tp, value, key: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
-
-
-def check_count(key: str, value: int, least: int) -> None:
-    """A count that sizes arrays: at least `least`, and below 2**60, whose
-    float64 array alone would overflow numpy's int64 byte count."""
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
-    if value >= 2 ** 60:
-        raise ConfigError(f"{key} must be < 2**60, got {value}")
 
 
 def to_mapping(obj):

@@ -12,6 +12,7 @@ from collections import deque
 
 import numpy as np
 
+from . import mapping
 from .attention import relevance_scores, top_k_indices
 from .errors import ConfigError, EmptyMemoryError, InvalidEntryError
 
@@ -100,10 +101,8 @@ def readout_rows(entries, queries, top_n: int, threshold: int) -> np.ndarray:
 class MemoryStore:
     def __init__(self, stm_capacity: int = 32, sparse_readout_top_n: int = 8,
                  sparse_readout_threshold: int = 64):
-        if stm_capacity < 1:
-            raise ConfigError(f"stm_capacity must be >= 1, got {stm_capacity}")
-        if sparse_readout_top_n < 1:
-            raise ConfigError("sparse_readout_top_n must be >= 1")
+        mapping.check("stm_capacity", stm_capacity, int, ">= 1")
+        mapping.check("sparse_readout_top_n", sparse_readout_top_n, int, ">= 1")
         self.stm_capacity = stm_capacity
         self.sparse_readout_top_n = sparse_readout_top_n
         self.sparse_readout_threshold = sparse_readout_threshold

@@ -4,9 +4,11 @@ row of keyed uniforms in a run), utility scoring, and top-k selection."""
 
 from dataclasses import dataclass
 import math
+from typing import Annotated
 
 import numpy as np
 
+from . import mapping
 from .errors import ConfigError, ShapeError
 from .rounding import round_half_away
 
@@ -17,14 +19,12 @@ _WEIGHT_TOL = 1e-12
 class ModalityWeights:
     """Convex weights over the sensor, internal-state, and instruction channels."""
 
-    sensor: float
-    internal: float
-    instruction: float
+    sensor: Annotated[float, ">= 0"]
+    internal: Annotated[float, ">= 0"]
+    instruction: Annotated[float, ">= 0"]
 
     def __post_init__(self):
-        for name in ("sensor", "internal", "instruction"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"weights.{name} must be >= 0, got {getattr(self, name)}")
+        mapping.check_fields(self, "weights")
         total = self.sensor + self.internal + self.instruction
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ConfigError(f"weights must sum to 1, got {total!r}")
@@ -77,10 +77,8 @@ def perturb(map_rows, m_count: int, noise_width: float, u) -> np.ndarray:
     m_count rows of uniform noise on [-noise_width, +noise_width) per
     attribute, made from that row's (m_count * d) uniforms on [0, 1) in the
     (N, m_count * d) array u."""
-    if m_count < 1:
-        raise ConfigError(f"m_count must be >= 1, got {m_count}")
-    if noise_width < 0.0:
-        raise ConfigError(f"noise_width must be >= 0, got {noise_width}")
+    mapping.check("m_count", m_count, int, ">= 1")
+    mapping.check("noise_width", noise_width, float, ">= 0")
     m = np.asarray(map_rows, dtype=float)
     if np.shape(u) != (m.shape[0], m_count * m.shape[-1]):
         raise ShapeError(f"scenario draws {np.shape(u)} for {m.shape[0]} maps of "
@@ -122,7 +120,6 @@ def scenario_utilities(attributes) -> np.ndarray:
 def select_top_k(scenarios, k: int) -> list:
     """The min(k, m) scenarios with the largest utility, descending; ties by
     ascending scenario index."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    mapping.check("k", k, int, ">= 1")
     ranked = sorted(scenarios, key=lambda s: (-s.utility, s.index))
     return ranked[: min(k, len(ranked))]

@@ -16,10 +16,11 @@ scipy.special's bit for bit.
 
 from dataclasses import dataclass, field, replace
 import math
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
+from . import mapping
 from .errors import ConfigError, EmptyInputError, ShapeError, StateLookupError
 from .seeding import HOLDOUT_SPLIT, keyed_uniforms
 from .special import expit, ndtri
@@ -33,18 +34,17 @@ _VARIANTS = ("keep", "swap_start_goal")
 
 @dataclass(frozen=True)
 class GridEnv:
-    width: int
-    height: int
-    start: tuple
-    goal: tuple
+    width: Annotated[int, ">= 1"]
+    height: Annotated[int, ">= 1"]
+    start: tuple[int, int]
+    goal: tuple[int, int]
     step_reward: float = -1.0
     goal_reward: float = 10.0
-    slip_prob: float = 0.0
-    horizon: int = 4
+    slip_prob: Annotated[float, "[0, 1)"] = 0.0
+    horizon: Annotated[int, ">= 1"] = 4
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigError(f"grid {self.width}x{self.height} is empty")
+        mapping.check_fields(self, "")
         for name, cell in (("start", self.start), ("goal", self.goal)):
             x, y = cell
             if not (0 <= x < self.width and 0 <= y < self.height):
@@ -52,10 +52,6 @@ class GridEnv:
                                   f"{self.width}x{self.height} grid")
         if tuple(self.start) == tuple(self.goal):
             raise ConfigError("start and goal must differ")
-        if not 0.0 <= self.slip_prob < 1.0:
-            raise ConfigError(f"slip_prob must be in [0, 1), got {self.slip_prob}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
     def state_index(self, state) -> int:
         x, y = state
@@ -153,8 +149,7 @@ def solve_batch(nxt, rewards, slip_probs, horizon: int, gamma: float):
     n_states). Successor values and the chosen q are gathers at flat indices
     built once per call; each environment's tables equal its own solve bit
     for bit."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
+    mapping.check("gamma", gamma, float, "[0, 1]")
     n_env, n = rewards.shape[:2]
     mix_t = _slip_mix(slip_probs)  # its own transpose: p/3 off the diagonal, 1 - p on it
     successor = nxt + (np.arange(n_env) * n)[:, None, None]
@@ -182,6 +177,7 @@ class RandomizationConfig:
     variants: dict[str, float] = field(default_factory=lambda: {"keep": 1.0})
 
     def __post_init__(self):
+        mapping.check_fields(self, "randomization")
         for name, (_, sigma) in self.continuous.items():
             if name not in _RANDOMIZABLE:
                 raise ConfigError(f"randomization.continuous: unknown parameter {name!r}, "

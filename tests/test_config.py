@@ -1,16 +1,22 @@
 """Config wire format: every malformed value ends in `error: <key> ...` with
 exit code 1, and well-formed mappings survive a round trip unchanged."""
 
+import copy
 import dataclasses
 import json
+import math
 import re
+import warnings
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from msr.cli import main
 from msr.config import AlignConfig, GridSpec, RunConfig
 from msr.dataset import MODALITIES, GeneratorConfig, generate, load, save
 from msr.errors import ConfigError, ParseError
+from msr.scenario import ModalityWeights
+from msr.sim2real import GridEnv, RandomizationConfig
 
 from test_golden import CONFIGS
 
@@ -207,3 +213,166 @@ def test_no_config_type_has_a_validate_method():
 def test_top_level_must_be_an_object():
     with pytest.raises(ConfigError, match="config must be an object"):
         RunConfig.from_mapping([1, 2])
+
+
+# every config type: the dotted key of its fields' parent, and the arguments
+# it needs besides its defaults
+CONFIG_TYPES = {
+    RunConfig: ("", {}),
+    GeneratorConfig: ("generator", {}),
+    GridSpec: ("grid", {}),
+    AlignConfig: ("align", {}),
+    ModalityWeights: ("weights", {"sensor": 0.6, "internal": 0.2, "instruction": 0.2}),
+    RandomizationConfig: ("randomization", {}),
+    GridEnv: ("", {"width": 5, "height": 5, "start": (0, 0), "goal": (1, 0)}),
+}
+
+
+def _fields():
+    """(config type, field, dotted key, type without its rules) of every field."""
+    for cls, (label, _) in CONFIG_TYPES.items():
+        for f in dataclasses.fields(cls):
+            key = f"{label}.{f.name}" if label else f.name
+            yield cls, f, key, getattr(f.type, "__origin__", f.type)
+
+
+def _refusal(cls, name, value):
+    """The ConfigError message of building `cls` with `name` set to `value`,
+    directly and through dataclasses.replace (the two must agree), or None."""
+    base = CONFIG_TYPES[cls][1]
+    messages = []
+    for build in (lambda: cls(**{**base, name: value}),
+                  lambda: dataclasses.replace(cls(**base), **{name: value})):
+        try:
+            build()
+            messages.append(None)
+        except ConfigError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1], messages
+    return messages[0]
+
+
+NUMERIC = [(cls, f.name, key, tp) for cls, f, key, tp in _fields() if tp in (int, float)]
+
+
+@pytest.mark.parametrize("cls,name,key,tp", NUMERIC, ids=[f"{c.__name__}-{n}" for c, n, _, _
+                                                          in NUMERIC])
+def test_every_number_field_refuses_what_a_document_may_not_hold(cls, name, key, tp):
+    # a config built in Python used to accept NaN, a bool or a non-integral
+    # float in some of these, and end in a raw TypeError on a string in others
+    for value in [math.nan, math.inf, -math.inf, "1", True, *([2.5] if tp is int else [])]:
+        message = _refusal(cls, name, value)
+        assert message is not None and message.startswith(f"{key} must be "), (value, message)
+
+
+# every bounded key and its rules, as the error message prints them
+RANGES = {
+    "generator.n_per_modality": (">= 1", "< 2**60"),
+    "generator.feature_dim": ("< 2**60",),
+    "generator.n_actions": (">= 2",),
+    "generator.n_memory_classes": (">= 2", "< 2**60"),
+    "generator.cluster_separation": ("> 0",),
+    "tau": ("[0, 1]",),
+    "weights.sensor": (">= 0",),
+    "weights.internal": (">= 0",),
+    "weights.instruction": (">= 0",),
+    "m_count": (">= 1", "< 2**60"),
+    "k": (">= 1",),
+    "noise_width": (">= 0",),
+    "rel_threshold": ("(0, 1)",),
+    "beta": ("[0, 1]",),
+    "sparse_readout_top_n": (">= 1",),
+    "sparse_readout_threshold": (">= 0",),
+    "lambda_feedback": (">= 0",),
+    "gamma": ("[0, 1]",),
+    "alpha": (">= 0",),
+    "grid.width": (">= 1", "< 2**60"),
+    "grid.height": (">= 1", "< 2**60"),
+    "grid.goal_distance": (">= 1", "< 2**60"),
+    "grid.horizon": (">= 1", "< 2**60"),
+    "align.steps": (">= 1",),
+    "align.learning_rate": ("> 0",),
+    "align.lambda_task": (">= 0",),
+    "align.samples": (">= 1",),
+    "workers": (">= 1",),
+    # GridEnv, which GridSpec builds and whose messages it prefixes with "grid: "
+    "width": (">= 1",),
+    "height": (">= 1",),
+    "slip_prob": ("[0, 1)",),
+    "horizon": (">= 1",),
+}
+DECLARED = {key: (cls, f.name, tp, getattr(f.type, "__metadata__", ()))
+            for cls, f, key, tp in _fields()}
+
+
+def test_every_declared_range_is_in_the_table_and_no_other():
+    declared = {key: rules for key, (_, _, _, rules) in DECLARED.items() if rules}
+    assert declared == RANGES
+
+
+def _ends(rule: str):
+    """(end text, closed, side) of each end of a rule; side is -1 for a lower
+    end, +1 for an upper one."""
+    if rule[0] in "[(":
+        low, high = rule[1:-1].split(", ")
+        return [(low, rule[0] == "[", -1), (high, rule[-1] == "]", 1)]
+    op, end = rule.split(" ")
+    return [(end, op.endswith("="), -1 if op[0] == ">" else 1)]
+
+
+@pytest.mark.parametrize("key", sorted(RANGES))
+def test_each_end_of_a_range_is_where_the_table_says(key):
+    cls, name, tp, _ = DECLARED[key]
+    for rule in RANGES[key]:
+        for text, closed, side in _ends(rule):
+            base, _, power = text.partition("**")
+            end = tp(int(base) ** int(power) if power else float(text))
+            past = end + side if tp is int else math.nextafter(end, side * math.inf)
+            refused = f"{key} must be "
+            # another rule may refuse the end itself (a 1-wide grid has no goal cells)
+            at_end = _refusal(cls, name, end) or ""
+            assert at_end.startswith(refused) != closed, (rule, end, at_end)
+            assert (_refusal(cls, name, past) or "").startswith(refused), (rule, past)
+
+
+DEFAULT_DOCUMENT = RunConfig().to_mapping()
+
+
+def _paths(document, parent=()):
+    for key, value in document.items():
+        yield (*parent, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*parent, key))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats(-1e308, 1e308)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["visual", "keep", "step_reward"])
+                                     | st.text(max_size=8), inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_paths(DEFAULT_DOCUMENT))), JSON),
+                min_size=1, max_size=3))
+def test_any_document_parses_or_is_a_config_error(changes):
+    # parsing only: no corpus is generated and no run or worker starts
+    document = copy.deepcopy(DEFAULT_DOCUMENT)
+    for path, value in changes:
+        parent = document
+        for key in path[:-1]:
+            if not isinstance(parent.get(key), dict):
+                parent[key] = {}
+            parent = parent[key]
+        parent[path[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = RunConfig.from_mapping(document)
+        except ConfigError:
+            return
+        mapping = cfg.to_mapping()
+        assert RunConfig.from_mapping(mapping) == cfg
+        assert RunConfig.from_mapping(mapping).to_mapping() == mapping
