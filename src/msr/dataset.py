@@ -46,15 +46,17 @@ index into MODALITIES. `save` formats the JSON text straight from the
 table's columns with `numtext`, a block of rows at a time as one uint8
 matrix with a row of text per record. `load` reads the file in 4 MiB pieces.
 A file in `save`'s own bytes is read in numpy: every byte between two
-numbers must be the fixed text `save` writes there, each number is parsed
-by `numtext.read_numbers`, and the record checks run over the columns. Any
-other file, and any file that fails a byte or a check there, is walked
-from its start with json's own scanner: the walk decodes `meta` whole and
-the records one at a time, and runs every record check over the columns
-of each block of SAVE_BLOCK records, keeping the checked columns and
-dropping the block's dicts. So it holds about one piece of text and one
-block of dicts besides the columns:
-a 3 x 10^5 file (86 MB) walks in a fresh process with a peak RSS of 93 MB,
+numbers must be the fixed text `save` writes there, and every number the
+text `save` writes for its field, which `numtext.read_numbers` parses: an
+integer for the id and the labels, a float with a point or an exponent for
+the features and trust. The record checks then run over the columns. Any
+other file, and any file that fails a byte, a number or a check there, is
+walked from its start with json's own scanner: the walk decodes `meta`
+whole and the records one at a time, checks each record in turn, and
+builds the columns of each block of SAVE_BLOCK checked records, dropping
+the block's dicts. So it holds about one piece of text and one block of
+dicts besides the columns:
+a 3 x 10^5 file (86 MB) walks in a fresh process with a peak RSS of 91 MB,
 where a whole `json.load` tree peaked at 340 MB. A fault names the lowest
 bad record and the first check it fails; text the walk cannot read gets
 json.load's own error; both come from the walk alone. `Dataset.records`
@@ -67,12 +69,9 @@ import codecs
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields
 import functools
-from itertools import chain, compress
 import json
 import math
-from operator import itemgetter, le, ne
 import os
-import re
 import stat
 from typing import Annotated
 
@@ -255,33 +254,6 @@ class FeatureGeometry:
     def memory_centers(self) -> np.ndarray:
         return _class_centers(self.memory_dims, self.n_memory_classes, self.class_magnitude,
                               self.feature_dim)
-
-    # nearest-cluster oracles (exact on generated data by the margin bound)
-
-    def oracle_relevant(self, features) -> bool:
-        f = np.asarray(features, dtype=float)
-        return float(f[list(self.relevance_dims)].sum()) < 0.0
-
-    def _oracle_class(self, features, dims, n_classes: int) -> int:
-        f = np.asarray(features, dtype=float)
-        best, best_v = 0, -math.inf
-        for label in range(n_classes):
-            sign = 1.0 if label % 2 == 0 else -1.0
-            v = sign * f[dims[label // 2]]
-            if v > best_v:
-                best, best_v = label, v
-        return best
-
-    def oracle_action(self, features) -> int:
-        return self._oracle_class(features, self.action_dims, self.n_actions)
-
-    def oracle_memory(self, features) -> int:
-        return self._oracle_class(features, self.memory_dims, self.n_memory_classes)
-
-
-def oracle_valid(trust: float, trust_distribution) -> bool:
-    mean, _ = trust_distribution
-    return trust > mean
 
 
 @dataclass(frozen=True, slots=True)
@@ -656,8 +628,6 @@ def _json_error(path: str) -> ParseError:
 # the heap, which `execute_run` then reuses: its minor faults after such a
 # `load` fell by half (2,300 to 1,130 on the default experiment)
 _PIECE = 4 << 20
-# JSON's whitespace, which json.decoder skips between tokens
-_WS = " \t\n\r"
 _skip = json.decoder.WHITESPACE.match
 
 
@@ -725,39 +695,20 @@ class _Text:
     def records(self, take) -> None:
         """Decode an array's values, from after its "[" to after its "]",
         and hand them to take(rows) in lists of SAVE_BLOCK, then the rest."""
-        block, scan = SAVE_BLOCK, self.scan
         rows = []
         if self.read(_peek) == "]":
             self.pos += 1
-            take(rows)
-            return
-        buf, pos = self.buf, self.pos
-        while True:
-            # one value and the "," or "]" after it, all read or none
-            try:
-                row, end = scan(buf, _skip(buf, pos).end() if buf[pos] in _WS else pos)
-                c = buf[end]
-                if c in _WS:
-                    end = _skip(buf, end).end()
-                    c = buf[end]
-                if c not in ",]":
-                    raise ValueError(c)
-            except RecursionError:
-                raise ParseError("invalid JSON: nesting too deep") from None
-            except (ValueError, StopIteration, IndexError):
-                self.pos, buf = pos, None
-            if buf is None:  # see `read`
-                self.more()
-                buf, pos = self.buf, self.pos
-                continue
-            rows.append(row)
-            pos = end + 1
-            if c == "]":
-                break
-            if len(rows) == block:
-                take(rows)
-                rows = []
-        self.pos = pos
+        else:
+            while True:
+                row, c = self.read(self.member)
+                rows.append(row)
+                if c == "]":
+                    break
+                if c != ",":
+                    raise _Unreadable
+                if len(rows) == SAVE_BLOCK:
+                    take(rows)
+                    rows = []
         take(rows)
 
 
@@ -857,110 +808,81 @@ class _Blocks:
         return Columns.concat(tables), np.concatenate(owners)
 
 
-class _FirstFault:
-    """The lowest index of a record that fails a check, and the message of
-    the first check that fails there. Checks run in a fixed order, each over
-    the records below the lowest failure so far; those have passed every
-    earlier check, so a check may rely on what the earlier ones established."""
-
-    def __init__(self, rows: list, first: int):
-        self.rows = rows
-        self.first = first
-        self.stop = len(rows)
-        self.message = None
-
-    def column(self, name: str) -> list:
-        """Field `name` of every record below the lowest failure so far."""
-        return list(map(itemgetter(name), self.rows[:self.stop]))
-
-    def check(self, bad, message) -> None:
-        """bad: one flag per record from the first on; message(i): the
-        fault of record i."""
-        first = next(compress(range(self.stop), bad), None)
-        if first is not None:
-            self.stop = first
-            self.message = f"record {self.first + first}: {message(first)}"
+_FIELD_SET = frozenset(RECORD_FIELDS)
 
 
-def _numbers(values: list) -> np.ndarray:
-    """values as float64, with NaN for any value that is not a JSON number
-    (a bool is not) or is an integer too large for a float, so that one
-    isfinite test finds every bad value."""
-    if set(map(type, values)) <= {float}:
-        return np.array(values, dtype=np.float64)
-    return np.array([_number(v) for v in values], dtype=np.float64)
+def _finite(value) -> bool:
+    """Whether a JSON value is a number (a bool is not) that a float64 holds
+    as a finite value."""
+    try:
+        return type(value) in (float, int) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
-def _number(value) -> float:
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        with suppress(OverflowError):
-            return float(value)
-    return math.nan
+def _fault(row, cfg: GeneratorConfig, last_id):
+    """The message of the first check that record `row` fails, or None when
+    it passes every one; last_id is the id of the record before it, or None
+    for the first record."""
+    if type(row) is not dict or row.keys() != _FIELD_SET:
+        return f"fields must be exactly {RECORD_FIELDS}"
+    rid = row["id"]
+    if type(rid) is not int:
+        return "id must be an integer"
+    # record 0 has id 0, and every later id exceeds the one before it
+    if rid != 0 if last_id is None else rid <= last_id:
+        return f"id {rid} breaks the strictly-increasing-from-0 order"
+    if rid >= 2 ** 64:
+        return f"id {rid} outside [0, 2**64)"
+    if row["modality"] not in MODALITIES:
+        return f"unknown modality {row['modality']!r}"
+    features = row["features"]
+    if type(features) is not list or len(features) != cfg.feature_dim:
+        return f"features must hold {cfg.feature_dim} numbers"
+    for i, value in enumerate(features):
+        if not _finite(value):
+            return f"features[{i}] not a finite number"
+    trust = row["trust"]
+    if type(trust) not in (float, int) or not 0.0 <= trust <= 1.0:
+        return f"trust {trust!r} outside [0, 1]"
+    for flag in ("valid", "relevant"):
+        if type(row[flag]) is not bool:
+            return f"{flag} must be a boolean"
+    for name, n in (("action", cfg.n_actions), ("mem_label", cfg.n_memory_classes)):
+        if type(row[name]) is not int or not 0 <= row[name] < n:
+            return f"{name} {row[name]!r} outside [0, {n})"
+    return None
 
 
 def _columns(rows: list, cfg: GeneratorConfig, first: int, last_id) -> tuple:
-    """Check every record, each check over a whole column, and return the
-    records as a `Columns` table and each one's index into MODALITIES. rows
-    are records first, first + 1, ... of the file, after one with id
-    last_id, or at its start when that is None. A fault is reported for the
-    lowest bad record, by the first check it fails in this order."""
-    fault = _FirstFault(rows, first)
-    keys = set(RECORD_FIELDS)
-    fault.check([type(row) is not dict or row.keys() != keys for row in rows],
-                lambda i: f"fields must be exactly {RECORD_FIELDS}")
-    ids = fault.column("id")
-    fault.check([type(rid) is not int for rid in ids], lambda i: "id must be an integer")
-    # record 0 has id 0, and every later id exceeds the one before it, which
-    # for the first row is last_id
-    head = ids[:min(1, fault.stop)]
-    head = map(ne, head, [0]) if last_id is None else map(le, head, [last_id])
-    fault.check([*head, *map(le, ids[1:fault.stop], ids)],
-                lambda i: f"id {ids[i]} breaks the strictly-increasing-from-0 order")
-    fault.check([rid >= 2 ** 64 for rid in ids[:fault.stop]],
-                lambda i: f"id {ids[i]} outside [0, 2**64)")
-    modalities = fault.column("modality")
-    fault.check([m not in MODALITIES for m in modalities],
-                lambda i: f"unknown modality {modalities[i]!r}")
-    dim = cfg.feature_dim
-    raw = fault.column("features")
-    fault.check([type(f) is not list or len(f) != dim for f in raw],
-                lambda i: f"features must hold {dim} numbers")
-    features = _numbers(list(chain.from_iterable(raw[:fault.stop]))).reshape(-1, dim)
-    bad = ~np.isfinite(features)
-    fault.check(bad.any(axis=1),
-                lambda i: f"features[{int(np.argmax(bad[i]))}] not a finite number")
-    raw = fault.column("trust")
-    trust = _numbers(raw)
-    fault.check(~((trust >= 0.0) & (trust <= 1.0)), lambda i: f"trust {raw[i]!r} outside [0, 1]")
-    flags = {}
-    for flag in ("valid", "relevant"):
-        flags[flag] = fault.column(flag)
-        fault.check([type(v) is not bool for v in flags[flag]],
-                    lambda i: f"{flag} must be a boolean")
-    labels = {}
-    for name, n in (("action", cfg.n_actions), ("mem_label", cfg.n_memory_classes)):
-        labels[name] = fault.column(name)
-        fault.check([type(v) is not int or not 0 <= v < n for v in labels[name]],
-                    lambda i: f"{name} {labels[name][i]!r} outside [0, {n})")
-    if fault.message:
-        raise ParseError(fault.message)
+    """Check every record, and return the records as a `Columns` table and
+    each one's index into MODALITIES. rows are records first, first + 1,
+    ... of the file, after one with id last_id, or at its start when that
+    is None. A fault is reported for the lowest bad record, by the first
+    check it fails."""
+    for i, row in enumerate(rows):
+        message = _fault(row, cfg, last_id)
+        if message:
+            raise ParseError(f"record {first + i}: {message}")
+        last_id = row["id"]
 
-    owner = np.array(list(map(MODALITIES.index, modalities)), dtype=np.int8)
-    table = Columns(ids=np.array(ids, dtype=np.uint64), features=features, trust=trust,
-                    valid=np.array(flags["valid"], dtype=bool),
-                    relevant=np.array(flags["relevant"], dtype=bool),
-                    action=np.array(labels["action"], dtype=np.int64),
-                    mem_label=np.array(labels["mem_label"], dtype=np.int64))
+    def column(name, dtype):
+        return np.array([row[name] for row in rows], dtype=dtype)
+    owner = np.array([MODALITIES.index(row["modality"]) for row in rows], dtype=np.int8)
+    table = Columns(ids=column("id", np.uint64),
+                    features=column("features", np.float64).reshape(-1, cfg.feature_dim),
+                    trust=column("trust", np.float64), valid=column("valid", bool),
+                    relevant=column("relevant", bool), action=column("action", np.int64),
+                    mem_label=column("mem_label", np.int64))
     return table, owner
 
 
 # The fast path, for a file in `save`'s own bytes: its meta as json.dumps
 # writes it, then the records, each the fixed texts of `_records_text` between
-# its numbers. It reads the records in numpy, and any byte out of that layout
-# or any record check that fails sends the whole file to the walk, which names
-# the fault; so the outcome is the walk's whatever the file.
+# its numbers, each number in the text `numtext` writes for its field. It
+# reads the records in numpy, and any byte out of that layout or any record
+# check that fails sends the whole file to the walk, which names the fault; so
+# the outcome is the walk's whatever the file.
 
 # bytes of records text per step of the fast path: small enough that a
 # step's arrays stay in the CPU's caches. A 3 x 15,000 file loaded in 0.19 s
@@ -972,8 +894,6 @@ _CHUNK = 1 << 18
 _BEFORE, _AFTER = numtext.NUMBER_WIDTH, 64
 # a comma and the start of the next record
 _NEXT = _RECORD_HEAD.tobytes()
-# the JSON numbers that json.loads reads, for those `read_numbers` does not
-_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 class _NotSaved(Exception):
@@ -1152,21 +1072,14 @@ class _SavedRecords:
                 and np.array_equal(text[~number], expected[expected != 0])):
             raise _NotSaved
 
-        # the numbers: integers where `_columns` takes them, floats elsewhere,
-        # those `read_numbers` leaves read as json reads them
+        # the numbers: integers as `save` writes them for the id and the
+        # labels, and floats as it writes them for the features and trust
         values = floats[:, 1:dim + 2]
-        for i, j in zip(*np.nonzero(form[:, 1:dim + 2] != numtext.FLOAT)):
-            token = bytes(buf[start[i, j + 1]:end[i, j + 1]])
-            if not _JSON_NUMBER.fullmatch(token):
-                raise _NotSaved
-            try:
-                values[i, j] = float(token) if token.strip(b"-0123456789") else float(int(token))
-            except (OverflowError, ValueError):
-                raise _NotSaved from None
         ids = ints[:, 0]
         labels = ints[:, dim + 2:]
         last = self.table.ids[self.n - 1] if self.n else None
         if not ((form[:, [0, dim + 2, dim + 3]] == numtext.INTEGER).all()
+                and (form[:, 1:dim + 2] == numtext.FLOAT).all()
                 and (ids[0] == 0 if last is None else ids[0] > last) and (ids[1:] > ids[:-1]).all()
                 and np.isfinite(values[:, :dim]).all()
                 and ((values[:, dim] >= 0.0) & (values[:, dim] <= 1.0)).all()

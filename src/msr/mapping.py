@@ -3,14 +3,15 @@ their values, both driven by each field's annotation: int, float, str,
 X | None, tuple[X, Y], tuple[X, ...], dict[K, V] or a nested dataclass, any
 of them as Annotated[X, rule, ...]. A value of the wrong type or length is a
 ConfigError that names its dotted key. An int is accepted for a float field
-and kept as given; a bool is never a number, and NaN and infinities are not
-numbers either. A rule is a range written as its message prints it: an
-interval, "[0, 1]", "(0, 1)", "[0, 0.5)", or a bound, ">= 1", "> 0",
-"< 2**60". `Count` is an int that sizes arrays: at least 1, and below 2**60,
-whose float64 array alone would overflow numpy's int64 byte count. Every
-config type's `__post_init__` calls `check_fields`, so a config built in
-Python or by `dataclasses.replace` is checked as a document's is; `check`
-applies the same rules to one value, such as a run-path argument."""
+and kept as given; a bool is never a number, and NaN, infinities and ints
+past the float range are not finite numbers. A rule is a range written as
+its message prints it: an interval, "[0, 1]", "(0, 1)", "[0, 0.5)", or a
+bound, ">= 1", "> 0", "< 2**60". `Count` is an int that sizes arrays: at
+least 1, and below 2**60, whose float64 array alone would overflow numpy's
+int64 byte count. Every config type's `__post_init__` calls `check_fields`,
+so a config built in Python or by `dataclasses.replace` is checked as a
+document's is; `check` applies the same rules to one value, such as a
+run-path argument."""
 
 import dataclasses
 import math
@@ -51,12 +52,14 @@ def from_mapping(cls, data, label: str):
 
 def check_fields(obj, label: str) -> None:
     """Check each field of config dataclass `obj` against its annotation, as
-    `from_mapping` checks a document's values; `label` is the object's
-    dotted key. A nested config object checked itself when it was built."""
+    `from_mapping` checks a document's values, and keep the value as
+    `from_mapping` reads it (a list given for a tuple field as a tuple);
+    `label` is the object's dotted key. A nested config object checked
+    itself when it was built."""
     for f in dataclasses.fields(obj):
         key, value = _key(label, f.name), getattr(obj, f.name)
         if not dataclasses.is_dataclass(f.type):
-            _value(f.type, value, key)
+            object.__setattr__(obj, f.name, _value(f.type, value, key))
         elif not isinstance(value, f.type):
             raise ConfigError(f"{key} must be a {f.type.__name__}, got {value!r}")
 
@@ -108,7 +111,11 @@ def _value(tp, value, key: str):
     allowed = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{key} must be {_SCALARS[tp]}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = tp is not float or math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 

@@ -320,7 +320,7 @@ def joined(n: int, parts) -> np.ndarray:
 # this many bytes, which holds every text `repr` writes, sign included
 NUMBER_WIDTH = 24
 # what `read_numbers` made of a text: a float it read, an integer it read,
-# or neither (0), for text it leaves to `float` or rejects
+# or neither (0)
 FLOAT, INTEGER = 1, 2
 # the decimal exponents that the powers of five cover
 _Q_LO, _Q_HI = -342, 308
@@ -447,7 +447,8 @@ def read_numbers(rows, lengths) -> tuple:
     floats[i] = float(text); INTEGER where it is a nonnegative integer of
     at most 19 digits, with integers[i] = int(text) and floats[i] 0; and
     0 for anything else, JSON number or not, where floats[i] and
-    integers[i] mean nothing."""
+    integers[i] mean nothing. Each text `float_text` writes is read, and
+    each that `int_text` writes for an integer in [0, 10**19)."""
     n = len(rows)
     rows = np.ascontiguousarray(rows, dtype=np.uint8).reshape(n, NUMBER_WIDTH)
     lengths = np.asarray(lengths, dtype=np.int64)

@@ -109,11 +109,17 @@ def _contains(given, full):
     return given == full
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_round_trip(name):
-    cfg = RunConfig.from_mapping(CONFIGS[name])
+# (what is given, how a config is built from it): the golden configs' documents,
+# and a config built in Python with a list for a tuple field
+ROUND_TRIPS = [*((CONFIGS[name], RunConfig.from_mapping) for name in sorted(CONFIGS)),
+               ({"context_weights": [1.0, 1.0, 1.0]}, lambda given: RunConfig(**given))]
+
+
+@pytest.mark.parametrize("given,build", ROUND_TRIPS, ids=[*sorted(CONFIGS), "built-in-python"])
+def test_round_trip(given, build):
+    cfg = build(given)
     mapping = cfg.to_mapping()
-    assert _contains(CONFIGS[name], mapping)
+    assert _contains(given, mapping)
     assert RunConfig.from_mapping(mapping) == cfg
     assert RunConfig.from_mapping(mapping).to_mapping() == mapping
 
@@ -259,8 +265,9 @@ NUMERIC = [(cls, f.name, key, tp) for cls, f, key, tp in _fields() if tp in (int
                                                           in NUMERIC])
 def test_every_number_field_refuses_what_a_document_may_not_hold(cls, name, key, tp):
     # a config built in Python used to accept NaN, a bool or a non-integral
-    # float in some of these, and end in a raw TypeError on a string in others
-    for value in [math.nan, math.inf, -math.inf, "1", True, *([2.5] if tp is int else [])]:
+    # float in some of these, and end in a raw TypeError on a string in
+    # others; a float field took an int past the float range
+    for value in [math.nan, math.inf, -math.inf, "1", True, *([2.5] if tp is int else [10 ** 400])]:
         message = _refusal(cls, name, value)
         assert message is not None and message.startswith(f"{key} must be "), (value, message)
 
@@ -346,7 +353,7 @@ def _paths(document, parent=()):
 
 
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats(-1e308, 1e308)
+    st.none() | st.booleans() | st.integers(-2 ** 1100, 2 ** 1100) | st.floats(-1e308, 1e308)
     | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=8),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.sampled_from(["visual", "keep", "step_reward"])

@@ -1,7 +1,8 @@
 """Bit-for-bit oracles for the array fast paths of phase 1, alignment, the
-memory store, the trace writer and the dataset writer, for msr.numtext
-against repr and str and its reader against float and int, and for
-msr.special against scipy.special and libm.
+memory store, the trace writer and the dataset writer, for `load` against
+json.load and the record rules, for msr.numtext against repr and str and
+its reader against float and int, and for msr.special against
+scipy.special and libm.
 Each fast path claims exact equality with a slower reference, so each test
 compares bytes, not tolerances. CI reruns this file with
 `--hypothesis-profile=ci` (tests/conftest.py) for a longer search."""
@@ -24,9 +25,18 @@ from scipy import special as scipy_special
 
 from msr import numtext, pipeline, seeding, special
 from msr.config import GridSpec, RunConfig
-from msr.dataset import MODALITIES, Columns, Dataset, GeneratorConfig, generate, load, save
+from msr.dataset import (
+    MODALITIES,
+    RECORD_FIELDS,
+    Columns,
+    Dataset,
+    GeneratorConfig,
+    generate,
+    load,
+    save,
+)
 from msr.decision import feedback_means
-from msr.errors import DegenerateModalityError, MsrError
+from msr.errors import DegenerateModalityError, MsrError, ParseError
 from msr.ingest import NormStats, fit_norm_stats
 from msr.memory import (
     LTM,
@@ -707,6 +717,126 @@ def test_saved_bytes_in_pieces_equal_json_dumps(dataset, cells):
     # pieces of `cells` features, each checked before it is formatted
     with mock.patch("msr.dataset._SAVE_CELLS", cells):
         assert _saved(dataset) == _dumped(dataset)
+
+
+# `load` against json.load and the README's per-record rules: a saved corpus
+# of 3 x 3 records with one to three record fields set to drawn JSON values,
+# written in `save`'s layout, which the numpy reader takes first, and with
+# indent=1, which is walked
+LOAD_SOURCE = json.loads(_saved(generate(GeneratorConfig(n_per_modality=3, seed=3))))
+_DROP = object()
+# an int of this size or more rounds to 2**1024, past the largest float
+_FLOAT_EDGE = 2 ** 1024 - 2 ** 970
+JSON_VALUES = st.one_of(
+    st.integers(-2 ** 64, 2 ** 64),
+    st.integers(_FLOAT_EDGE - 2 ** 971, 2 ** 1030).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, *MODALITIES]), st.floats(),
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(-2 ** 64, 2 ** 64), st.booleans()), max_size=9),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2), st.just(_DROP))
+
+
+@st.composite
+def load_edits(draw):
+    """One to three (record, key, value): a record field, a new key, or an
+    int for one feature. The edits fall on one or two records, so that a
+    record often breaks two rules, whose order then decides the message."""
+    records = draw(st.lists(st.integers(0, 8), min_size=1, max_size=2))
+    keys = st.one_of(st.sampled_from([*RECORD_FIELDS, "extra"]), st.integers(0, 7))
+    return draw(st.lists(st.tuples(st.sampled_from(records), keys, JSON_VALUES),
+                         min_size=1, max_size=3))
+
+
+def _finite_number(value) -> bool:
+    return (type(value) is float and math.isfinite(value)
+            or type(value) is int and abs(value) < _FLOAT_EDGE)
+
+
+def _broken_rule(r, previous, cfg):
+    """The message of the first of the README's record rules that record r
+    breaks, in the README's order, or None; previous is the id before it."""
+    rules = [
+        (lambda: type(r) is dict and set(r) == set(RECORD_FIELDS),
+         lambda: f"fields must be exactly {RECORD_FIELDS}"),
+        (lambda: type(r["id"]) is int, lambda: "id must be an integer"),
+        (lambda: r["id"] == 0 if previous is None else r["id"] > previous,
+         lambda: f"id {r['id']} breaks the strictly-increasing-from-0 order"),
+        (lambda: r["id"] < 2 ** 64, lambda: f"id {r['id']} outside [0, 2**64)"),
+        (lambda: r["modality"] in MODALITIES, lambda: f"unknown modality {r['modality']!r}"),
+        (lambda: type(r["features"]) is list and len(r["features"]) == cfg.feature_dim,
+         lambda: f"features must hold {cfg.feature_dim} numbers"),
+        *((lambda j=j: _finite_number(r["features"][j]),
+           lambda j=j: f"features[{j}] not a finite number") for j in range(cfg.feature_dim)),
+        (lambda: type(r["trust"]) in (int, float) and 0 <= r["trust"] <= 1,
+         lambda: f"trust {r['trust']!r} outside [0, 1]"),
+        *((lambda f=f: type(r[f]) is bool, lambda f=f: f"{f} must be a boolean")
+          for f in ("valid", "relevant")),
+        *((lambda f=f, n=n: type(r[f]) is int and 0 <= r[f] < n,
+           lambda f=f, n=n: f"{f} {r[f]!r} outside [0, {n})")
+          for f, n in (("action", cfg.n_actions), ("mem_label", cfg.n_memory_classes))),
+    ]
+    return next((message() for holds, message in rules if not holds()), None)
+
+
+def _load_oracle(payload):
+    """What `load` must make of the payload's file: its meta and columns'
+    bytes, or the message of the lowest record that breaks a rule, or that
+    of the record counts."""
+    meta, records = payload["meta"], payload["records"]
+    cfg = GeneratorConfig.from_mapping(meta["generator"])
+    previous = None
+    for i, r in enumerate(records):
+        message = _broken_rule(r, previous, cfg)
+        if message:
+            return f"record {i}: {message}"
+        previous = r["id"]
+    seen = {m: sum(r["modality"] == m for r in records) for m in MODALITIES}
+    counts = {m: cfg.n_per_modality for m in MODALITIES}
+    if seen != counts:
+        return f"record counts {seen} do not match meta {counts}"
+    columns = [np.array([r["id"] for r in records], dtype=np.uint64),
+               np.array([list(map(float, r["features"])) for r in records]),
+               np.array([float(r["trust"]) for r in records]),
+               *(np.array([r[f] for r in records], dtype=dtype) for f, dtype in (
+                   ("valid", bool), ("relevant", bool), ("action", np.int64),
+                   ("mem_label", np.int64)))]
+    owner = np.array([MODALITIES.index(r["modality"]) for r in records], dtype=np.int8)
+    return meta, [a.tobytes() for a in (*columns, owner)]
+
+
+def _load_outcome(path):
+    try:
+        data = load(path)
+    except ParseError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+    return data.meta, [a.tobytes() for a in (*data.table.arrays(), data.modality)]
+
+
+@given(load_edits())
+@settings(deadline=None)
+def test_load_ends_as_json_load_and_the_record_rules(edits):
+    payload = json.loads(json.dumps(LOAD_SOURCE))
+    for i, key, value in edits:
+        record = payload["records"][i]
+        if isinstance(key, int):
+            features = record.get("features")
+            if isinstance(features, list) and key < len(features) and value is not _DROP:
+                features[key] = value
+        elif value is _DROP:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.json")
+        for text in (json.dumps(payload, separators=(",", ":")) + "\n",
+                     json.dumps(payload, indent=1)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            outcomes.append(_load_outcome(path))
+        with open(path, encoding="utf-8") as fh:
+            expected = _load_oracle(json.load(fh))
+    assert outcomes[0] == outcomes[1] == expected
 
 
 # numtext against repr and str: each row's nonzero bytes are the text

@@ -27,6 +27,7 @@ from msr.pipeline import build_context, execute_run, process_record
 from msr.sim2real import RandomizationConfig
 
 from test_chunk_oracle import assert_same_columns
+from test_dataset import oracle_action, oracle_memory
 
 GEN = GeneratorConfig(n_per_modality=200, seed=13)
 
@@ -90,7 +91,7 @@ class TestProcessRecord:
         geom = FeatureGeometry.from_config(GEN)
         for row in range(40):
             out = process_record(ctx, survivors, row)
-            latent = geom.oracle_action(survivors.features[row])
+            latent = oracle_action(geom, survivors.features[row])
             assert out.decision_id.tolist() == [latent]
             assert out.policy_action.tolist() == [latent]
 
@@ -101,7 +102,7 @@ class TestProcessRecord:
         geom = FeatureGeometry.from_config(GEN)
         for row in range(40):
             out = process_record(ctx, survivors, row)
-            assert out.retrieved_label.tolist() == [geom.oracle_memory(survivors.features[row])]
+            assert out.retrieved_label.tolist() == [oracle_memory(geom, survivors.features[row])]
 
     def test_confidence_is_a_probability(self):
         cfg = RunConfig(generator=GEN, seed=13)
