@@ -720,9 +720,10 @@ def test_saved_bytes_in_pieces_equal_json_dumps(dataset, cells):
 
 
 # `load` against json.load and the README's per-record rules: a saved corpus
-# of 3 x 3 records with one to three record fields set to drawn JSON values,
-# written in `save`'s layout, which the numpy reader takes first, and with
-# indent=1, which is walked
+# of 3 x 3 records with up to three record fields set to drawn JSON values,
+# and a record's keys reordered, a key repeated or whitespace added, written
+# in `save`'s layout, which the numpy reader takes first, and with indent=1,
+# which is walked
 LOAD_SOURCE = json.loads(_saved(generate(GeneratorConfig(n_per_modality=3, seed=3))))
 _DROP = object()
 # an int of this size or more rounds to 2**1024, past the largest float
@@ -738,13 +739,59 @@ JSON_VALUES = st.one_of(
 
 @st.composite
 def load_edits(draw):
-    """One to three (record, key, value): a record field, a new key, or an
-    int for one feature. The edits fall on one or two records, so that a
-    record often breaks two rules, whose order then decides the message."""
-    records = draw(st.lists(st.integers(0, 8), min_size=1, max_size=2))
+    """Up to three (record, key, value): a record field, a new key, or an
+    int for one feature; then, each drawn or not, a record's keys in a drawn
+    order, a record with a key repeated at a drawn place with a drawn second
+    value, and a record with drawn whitespace after each ":" and ",". The
+    edits fall on one or two records, so that a record often breaks two
+    rules, whose order then decides the message."""
+    records = st.sampled_from(draw(st.lists(st.integers(0, 8), min_size=1, max_size=2)))
     keys = st.one_of(st.sampled_from([*RECORD_FIELDS, "extra"]), st.integers(0, 7))
-    return draw(st.lists(st.tuples(st.sampled_from(records), keys, JSON_VALUES),
-                         min_size=1, max_size=3))
+    values = draw(st.lists(st.tuples(records, keys, JSON_VALUES), max_size=3))
+    order, repeat, space = (draw(st.none() | st.tuples(records, *parts)) for parts in (
+        [st.permutations([*RECORD_FIELDS, "extra"])],
+        [st.sampled_from(RECORD_FIELDS), JSON_VALUES.filter(lambda v: v is not _DROP),
+         st.integers(0, len(RECORD_FIELDS))],
+        [st.text(" \t\n\r", min_size=1, max_size=3)]))
+    return values, order, repeat, space
+
+
+def _edited_texts(edits):
+    """LOAD_SOURCE with `edits` made, in `save`'s layout and with indent=1.
+    A record with a repeated key or added whitespace is written by hand, in
+    place of a placeholder string in both texts."""
+    values, order, repeat, space = edits
+    payload = json.loads(json.dumps(LOAD_SOURCE))
+    records = payload["records"]
+    for i, key, value in values:
+        record = records[i]
+        if isinstance(key, int):
+            features = record.get("features")
+            if isinstance(features, list) and key < len(features) and value is not _DROP:
+                features[key] = value
+        elif value is _DROP:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    if order:
+        i, keys = order
+        records[i] = {key: records[i][key] for key in sorted(records[i], key=keys.index)}
+    by_hand = {}
+    for i in {edit[0] for edit in (repeat, space) if edit}:
+        items = list(records[i].items())
+        if repeat and repeat[0] == i:
+            items.insert(repeat[3], repeat[1:3])
+        ws = space[1] if space and space[0] == i else ""
+        separators = ("," + ws, ":" + ws)
+        # longer than any drawn string, so that no drawn value is replaced
+        records[i] = f"\x00record {i} by hand"
+        by_hand[json.dumps(records[i])] = "{" + separators[0].join(
+            json.dumps(k) + separators[1] + json.dumps(v, separators=separators)
+            for k, v in items) + "}"
+    texts = [json.dumps(payload, separators=(",", ":")) + "\n", json.dumps(payload, indent=1)]
+    for placeholder, text in by_hand.items():
+        texts = [t.replace(placeholder, text) for t in texts]
+    return texts
 
 
 def _finite_number(value) -> bool:
@@ -815,22 +862,10 @@ def _load_outcome(path):
 @given(load_edits())
 @settings(deadline=None)
 def test_load_ends_as_json_load_and_the_record_rules(edits):
-    payload = json.loads(json.dumps(LOAD_SOURCE))
-    for i, key, value in edits:
-        record = payload["records"][i]
-        if isinstance(key, int):
-            features = record.get("features")
-            if isinstance(features, list) and key < len(features) and value is not _DROP:
-                features[key] = value
-        elif value is _DROP:
-            record.pop(key, None)
-        else:
-            record[key] = value
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.json")
-        for text in (json.dumps(payload, separators=(",", ":")) + "\n",
-                     json.dumps(payload, indent=1)):
+        for text in _edited_texts(edits):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             outcomes.append(_load_outcome(path))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -213,6 +214,22 @@ def test_no_record_objects_from_generate_to_outputs(tmp_path, monkeypatch, worke
     assert sum(1 for _ in records) == n and built.value == 2 * n
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(cwd, args, **env):
+    """Run python with `args` in a fresh process that imports msr from this
+    checkout, with `env` as its only BLAS thread variables (this process
+    imported msr, so its own environment already holds one)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=120,
+                          env={**base, **env, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
 def test_gen_save_load_run_import_no_scipy(tmp_path):
     # scipy is a test dependency only; a fresh process stands for `msr gen`
     # then `msr run --data`
@@ -228,11 +245,7 @@ def test_gen_save_load_run_import_no_scipy(tmp_path):
                     load({str(tmp_path / "data.json")!r}))
         assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
     """)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _fresh_python(tmp_path, ["-c", script])
     assert (tmp_path / "out" / "trace.jsonl").exists()
 
 
@@ -242,11 +255,7 @@ def _import_leaves_unloaded(tmp_path, package):
     script = ("import sys, msr.pipeline, msr.cli\n"
               f"loaded = sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))\n"
               "assert not loaded, loaded")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _fresh_python(tmp_path, ["-c", script])
 
 
 def test_import_does_not_load_numpy_random(tmp_path):
@@ -259,6 +268,46 @@ def test_import_does_not_load_multiprocessing(tmp_path):
     # only score_records' pool branch needs multiprocessing, so it imports
     # it there (about 12 ms of import time that a one-worker run skips)
     _import_leaves_unloaded(tmp_path, "multiprocessing")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("first, env, threads, value", [
+    # msr's products never split, so OpenBLAS's worker thread would only spin
+    ("", {}, 1, "1"),
+    # a count the user chose wins
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, 2, "2"),
+    ("", {"OMP_NUM_THREADS": "2"}, None, None),
+    # numpy's BLAS already chose its threads; setting the variable now would only mislead
+    ("import numpy\n", {}, None, None),
+], ids=["unset", "openblas-2", "omp-2", "numpy-first"])
+def test_import_leaves_one_blas_thread_unless_chosen(tmp_path, first, env, threads, value):
+    script = (first + "import os, msr.pipeline\n"
+              "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    count, seen = _fresh_python(tmp_path, ["-c", script], **env).split()
+    assert seen == str(value)
+    if threads is not None:
+        # OpenBLAS caps the count at the CPUs this process may use
+        assert int(count) == min(threads, len(os.sched_getaffinity(0)))
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # with slip 0 the solver's per_move @ mix_t multiplies by the identity,
+    # so the slip config is the one that could show a kernel difference
+    (tmp_path / "slip.json").write_text(json.dumps({"grid": {"slip_prob": 0.2}}))
+    digests = {}
+    for threads in ("1", "2"):
+        run = tmp_path / threads
+        run.mkdir()
+        _fresh_python(run, ["-m", "msr.cli", "gen", "--n", "200", "--out", "data.json"],
+                      OPENBLAS_NUM_THREADS=threads)
+        for config in ("default", "slip"):
+            extra = [] if config == "default" else ["--config", str(tmp_path / "slip.json")]
+            _fresh_python(run, ["-m", "msr.cli", "run", "--data", "data.json", "--out", config,
+                                *extra], OPENBLAS_NUM_THREADS=threads)
+        digests[threads] = {str(p.relative_to(run)): hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in sorted(run.rglob("*")) if p.is_file()}
+    assert len(digests["1"]) == 13  # the dataset and each config's six outputs
+    assert digests["1"] == digests["2"]
 
 
 def test_run_does_not_load_numpy_ma(tmp_path):
@@ -275,11 +324,7 @@ def test_run_does_not_load_numpy_ma(tmp_path):
         loaded = sorted(m for m in sys.modules if (m + ".").startswith("numpy.ma."))
         assert not loaded, loaded
     """)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _fresh_python(tmp_path, ["-c", script])
     assert (tmp_path / "out" / "trace.jsonl").exists()
 
 
